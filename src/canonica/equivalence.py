@@ -19,7 +19,7 @@ from .canon_star import StarCanonicalForm, canon_quadratic, canon_star, pearcy_e
 from .errors import ConvergenceError, PreconditionError
 from .factorizations import cluster_real_sorted, polar, svd
 from .matrix import DEFAULT_TOL, ToleranceConfig, as_matrix, norm, rank
-from .predicates import classify
+from .predicates import _class_residual, classify
 
 __all__ = [
     "BLOCK_ATOL",
@@ -128,9 +128,9 @@ def decide_unitary_congruence(
     guessed.
     """
     a, b = _shape_gate(a, b)
-    ra = classify(a, tol)
-    rb = classify(b, tol)
-    if ra["congruence_normal"] and rb["congruence_normal"]:
+    ra = _class_residual(a, "congruence_normal")
+    rb = _class_residual(b, "congruence_normal")
+    if ra <= tol.residual_rtol and rb <= tol.residual_rtol:
         fa, _ = canon_congruence(a, tol)
         fb, _ = canon_congruence(b, tol)
         ok, detail = forms_match(fa, fb)
@@ -142,10 +142,7 @@ def decide_unitary_congruence(
         "none",
         {
             "reason": "input outside the congruence-normal class",
-            "residuals": {
-                "a": ra.residuals["congruence_normal"],
-                "b": rb.residuals["congruence_normal"],
-            },
+            "residuals": {"a": ra, "b": rb},
         },
     )
 
@@ -170,9 +167,9 @@ def decide_unitary_star_congruence(
         return EquivalenceVerdict(
             "equivalent" if ok else "not_equivalent", "pearcy", {"traces": traces}
         )
-    ra = classify(a, tol)
-    rb = classify(b, tol)
-    if ra["squared_normal"] and rb["squared_normal"]:
+    ra = _class_residual(a, "squared_normal")
+    rb = _class_residual(b, "squared_normal")
+    if ra <= tol.residual_rtol and rb <= tol.residual_rtol:
         fa, _ = canon_star(a, tol)
         fb, _ = canon_star(b, tol)
         ok, detail = forms_match(fa, fb)
@@ -188,10 +185,7 @@ def decide_unitary_star_congruence(
             {
                 "reason": "inputs are neither squared normal nor of "
                 "quadratic minimal polynomial",
-                "residuals": {
-                    "a": ra.residuals["squared_normal"],
-                    "b": rb.residuals["squared_normal"],
-                },
+                "residuals": {"a": ra, "b": rb},
             },
         )
     return EquivalenceVerdict(

@@ -69,6 +69,22 @@ def cluster_complex(values: np.ndarray, radius: float) -> list[list[int]]:
     """
     values = np.asarray(values, dtype=np.complex128)
     k = len(values)
+    # Every pair within radius is within radius in real part, so only
+    # pairs inside a window of the values sorted by real part can link.
+    # The window is twice the radius wide so that no real-part gap that
+    # rounds onto the radius falls outside it.
+    order = np.argsort(values.real, kind="stable")
+    re = values.real[order]
+    ends = np.searchsorted(re, re + 2.0 * radius, side="right")
+    counts = np.maximum(ends - np.arange(1, k + 1), 0)
+    lo = np.repeat(np.arange(k), counts)
+    hi = lo + 1 + np.arange(len(lo)) - np.repeat(np.cumsum(counts) - counts, counts)
+    left, right = order[lo], order[hi]
+    d = values[left] - values[right]
+    # hypot, as abs of a complex scalar computes it; the array abs may
+    # differ in the last bit.
+    near = np.hypot(d.real, d.imag) <= radius
+
     parent = list(range(k))
 
     def find(i: int) -> int:
@@ -77,12 +93,10 @@ def cluster_complex(values: np.ndarray, radius: float) -> list[list[int]]:
             i = parent[i]
         return i
 
-    for i in range(k):
-        for j in range(i + 1, k):
-            if abs(values[i] - values[j]) <= radius:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
+    for i, j in zip(left[near].tolist(), right[near].tolist()):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
 
     groups: dict[int, list[int]] = {}
     for i in range(k):
@@ -139,7 +153,7 @@ def eig_normal(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.nd
         _, w = np.linalg.eigh(kr)
         u[:, idx] = cols @ w
 
-    lam = np.einsum("ij,jk,ki->i", u.conj().T, a, u)
+    lam = np.sum(u.conj() * (a @ u), axis=0)
     recon = norm(a - (u * lam) @ u.conj().T)
     bound = tol.residual_rtol * max(1.0, norm(a))
     if recon > bound:

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import PreconditionError
 from .matrix import DEFAULT_TOL, ToleranceConfig, as_matrix, rank
 from .factorizations import eig_normal
-from .predicates import classify
+from .predicates import _class_residual
 
 __all__ = ["IterationTrace", "classify_bounded", "simulate", "MODES"]
 
@@ -59,7 +59,7 @@ def classify_bounded(
     cos = -_iteration_matrix(a, mode)
     flag = "congruence_normal" if mode == "transpose" else "squared_normal"
     threshold = 1.0 + tol.cluster_rtol
-    if classify(a, tol)[flag]:
+    if _class_residual(a, flag) <= tol.residual_rtol:
         try:
             lam, _ = eig_normal(cos, tol)
         except PreconditionError:
@@ -90,7 +90,13 @@ class IterationTrace:
         }
 
 
-def simulate(a, x0, steps: int, mode: str = "transpose") -> IterationTrace:
+def simulate(
+    a,
+    x0,
+    steps: int,
+    mode: str = "transpose",
+    tol: ToleranceConfig = DEFAULT_TOL,
+) -> IterationTrace:
     """Run the recurrence for the given number of steps.
 
     The verdict is empirical: bounded if no iterate exceeded
@@ -101,7 +107,7 @@ def simulate(a, x0, steps: int, mode: str = "transpose") -> IterationTrace:
     if int(steps) != steps or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
     steps = int(steps)
-    a = _gate(a, mode, DEFAULT_TOL)
+    a = _gate(a, mode, tol)
     x = np.asarray(x0, dtype=np.complex128).reshape(-1)
     if x.shape[0] != a.shape[0]:
         raise PreconditionError(

@@ -122,11 +122,19 @@ def rank(a, tol: ToleranceConfig = DEFAULT_TOL, scale: float | None = None) -> i
     if min(a.shape) == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
+    return _rank_of_values(s, max(a.shape), tol, scale)
+
+
+def _rank_of_values(
+    s: np.ndarray, size: int, tol: ToleranceConfig, scale: float | None = None
+) -> int:
+    """rank() from the nonincreasing singular values s of a nonempty
+    matrix whose larger dimension is size."""
     if scale is None:
         scale = float(s[0])
     if scale <= 0.0:
         return 0
-    cutoff = tol.rank_rtol * scale * max(a.shape)
+    cutoff = tol.rank_rtol * scale * size
     return int(np.count_nonzero(s > cutoff))
 
 

@@ -69,6 +69,22 @@ def _normality_residual(x: np.ndarray) -> float:
     return _commutator_residual(x.conj().T, x)
 
 
+_GATE_PRODUCTS = {
+    "congruence_normal": lambda a: a.conj() @ a,
+    "squared_normal": lambda a: a @ a,
+}
+
+
+def _class_residual(a: np.ndarray, flag: str) -> float:
+    """Residual of the one identity behind flag "congruence_normal"
+    (conj(a) a is normal) or "squared_normal" (a^2 is normal).
+
+    The canonical-form paths gate on this alone rather than on the
+    full classify; the value is bit-identical to classify's residual.
+    """
+    return _normality_residual(_GATE_PRODUCTS[flag](a))
+
+
 def _range_projector_residual(a: np.ndarray, tol: ToleranceConfig) -> float:
     # range(a) vs range(a*) compared through their orthogonal projectors
     f = svd(a)
@@ -100,8 +116,8 @@ def classify(a, tol: ToleranceConfig = DEFAULT_TOL) -> ClassReport:
     residuals = {
         "normal": rel_residual(gram_right, gram_left),
         "conjugate_normal": rel_residual(gram_right, gram_left.conj()),
-        "congruence_normal": _normality_residual(a_bar_a),
-        "squared_normal": _normality_residual(a_sq),
+        "congruence_normal": _class_residual(a, "congruence_normal"),
+        "squared_normal": _class_residual(a, "squared_normal"),
         "unitary": rel_residual(gram_right, eye),
         "coninvolutory": rel_residual(a_bar_a, eye),
         "involutory": rel_residual(a_sq, eye),

@@ -13,7 +13,7 @@ into a nonsingular part and elementary singular blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,10 +25,11 @@ from .matrix import (
     ToleranceConfig,
     as_matrix,
     matrix_to_json,
+    _rank_of_values,
     norm,
     rank,
 )
-from .predicates import classify
+from .predicates import _class_residual
 
 __all__ = ["ReducedForm", "RegularSplit", "regularize", "split_regular_singular"]
 
@@ -52,6 +53,10 @@ class ReducedForm:
     core: np.ndarray
     sigma: np.ndarray
     transform: np.ndarray
+    # Largest singular value of the input, from the spectrum that
+    # decided m1; split_regular_singular measures its rank identity
+    # against it instead of factorizing the input again.
+    _spectral_norm: float = field(default=0.0, repr=False)
 
     def assembled(self) -> np.ndarray:
         k = self.core.shape[0]
@@ -117,7 +122,9 @@ def regularize(a, mode: str, tol: ToleranceConfig = DEFAULT_TOL) -> ReducedForm:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     a = as_matrix(a, square=True)
     n = a.shape[0]
-    r = rank(a, tol)
+    s = np.linalg.svd(a, compute_uv=False)
+    spectral_norm = float(s[0]) if n else 0.0
+    r = _rank_of_values(s, n, tol, scale=spectral_norm)
     eye = np.eye(n, dtype=np.complex128)
 
     if r == n:
@@ -128,6 +135,7 @@ def regularize(a, mode: str, tol: ToleranceConfig = DEFAULT_TOL) -> ReducedForm:
             core=a.copy(),
             sigma=np.zeros(0, dtype=np.float64),
             transform=eye,
+            _spectral_norm=spectral_norm,
         )
     if r == 0:
         return ReducedForm(
@@ -137,6 +145,7 @@ def regularize(a, mode: str, tol: ToleranceConfig = DEFAULT_TOL) -> ReducedForm:
             core=np.zeros((0, 0), dtype=np.complex128),
             sigma=np.zeros(0, dtype=np.float64),
             transform=eye,
+            _spectral_norm=spectral_norm,
         )
 
     f = svd(a)
@@ -169,7 +178,13 @@ def regularize(a, mode: str, tol: ToleranceConfig = DEFAULT_TOL) -> ReducedForm:
         transform = z @ f.u.conj().T
 
     form = ReducedForm(
-        mode=mode, m1=n - r, m2=m2, core=core, sigma=sigma, transform=transform
+        mode=mode,
+        m1=n - r,
+        m2=m2,
+        core=core,
+        sigma=sigma,
+        transform=transform,
+        _spectral_norm=spectral_norm,
     )
     res = norm(_apply(transform, a, mode) - form.assembled())
     bound = tol.residual_rtol * max(1.0, norm(a))
@@ -194,12 +209,11 @@ def split_regular_singular(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     a = as_matrix(a, square=True)
     n = a.shape[0]
-    report = classify(a, tol)
     flag = "congruence_normal" if mode == "congruence" else "squared_normal"
-    if not report[flag]:
+    gate = _class_residual(a, flag)
+    if not gate <= tol.residual_rtol:
         raise PreconditionError(
-            f"input is not {flag.replace('_', ' ')}",
-            residual=report.residuals[flag],
+            f"input is not {flag.replace('_', ' ')}", residual=gate
         )
 
     reduced = regularize(a, mode, tol)
@@ -226,11 +240,11 @@ def split_regular_singular(
     # The product rank is measured against ||a||^2: the product of a
     # singular a with itself can be pure rounding noise, and its own
     # largest singular value is then a meaningless scale.
-    scale2 = norm(a, kind="spectral") ** 2
+    scale2 = reduced._spectral_norm ** 2
     if mode == "congruence":
-        m2_check = rank(a, tol) - rank(a.conj() @ a, tol, scale=scale2)
+        m2_check = n - m1 - rank(a.conj() @ a, tol, scale=scale2)
     else:
-        m2_check = rank(a, tol) - rank(a @ a, tol, scale=scale2)
+        m2_check = n - m1 - rank(a @ a, tol, scale=scale2)
     if m2_check != m2:
         raise ConvergenceError(
             f"rank identity gives {m2_check} elementary blocks, reduction gives {m2}"

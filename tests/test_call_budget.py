@@ -1,0 +1,126 @@
+"""Factorization budget of the canonical-form paths.
+
+The class gate is one identity, never the full classify; regularization
+takes one values-only SVD of the input (and one full SVD when it is
+singular), which the split reuses; the split's rank identity takes one
+values-only SVD of the product it checks.  The budgets count SVDs whose
+input has the size of the matrix handed in.
+"""
+
+import inspect
+import sys
+
+import numpy as np
+import pytest
+
+import canonica.predicates as predicates
+from canonica.blocks import antidiag_block, direct_sum
+from canonica.canon_star import canon_star
+from canonica.equivalence import decide_unitary_congruence
+from canonica.sampling import default_rng, random_unitary
+
+# regularize: values + full SVD of a; split: values SVD of a^2.
+CANON_STAR_SINGULAR_BUDGET = 3
+# Per canon_congruence of nonsingular input: regularize's values SVD,
+# the split's rank of conj(a) a, the cosquare's rank of the core (all
+# of a here) and eig_normal's spectral norm of the cosquare.
+DECIDE_CONGRUENCE_BUDGET = 2 * 4
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Record the shape of every SVD input and every classify call."""
+    record = {"svd": [], "classify": 0}
+    # numpy.linalg.norm calls svd from the implementation module.
+    spaces = [np.linalg] + [
+        getattr(np.linalg, inner)
+        for inner in ("_linalg", "linalg")
+        if inspect.ismodule(getattr(np.linalg, inner, None))
+    ]
+    for space in spaces:
+        def counted_svd(a, *args, _svd=space.svd, **kwargs):
+            record["svd"].append(np.shape(a))
+            return _svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(space, "svd", counted_svd)
+
+    original_classify = predicates.classify
+
+    def counted_classify(*args, **kwargs):
+        record["classify"] += 1
+        return original_classify(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("canonica") and getattr(
+            module, "classify", None
+        ) is original_classify:
+            monkeypatch.setattr(module, "classify", counted_classify)
+    return record
+
+
+def _full_size(record, n):
+    return sum(1 for shape in record["svd"] if shape == (n, n))
+
+
+def _singular_star_instance(n=32):
+    # Three rays of repeated 1-by-1 blocks, two mu values shared by four
+    # pair blocks, one elementary singular block and two zeros.
+    gen = default_rng(20261018)
+    ones = [
+        r * np.exp(1j * theta)
+        for theta in (0.4, 1.3, 2.5)
+        for r in (0.8, 0.8, 1.5, 1.5, 1.5, 2.0)
+    ] + [1.0, 1.0] + [0.0, 0.0]
+    twos = [(1.2, 0.3 + 0.2j), (1.2, 0.3 + 0.2j), (2.0, -0.5j), (2.5, -0.5j)]
+    twos += [(1.7, 0.0)]
+    form = direct_sum(
+        [np.array([[v]], dtype=np.complex128) for v in ones]
+        + [antidiag_block(t, m) for t, m in twos]
+    )
+    assert form.shape == (n, n)
+    u = random_unitary(n, gen)
+    return u @ form @ u.conj().T
+
+
+def _congruence_pair(n=24):
+    gen = default_rng(20261019)
+    ones = [0.7, 0.7, 1.1, 1.9, 2.4, 2.4]
+    twos = [(1.3, -1.0)] * 2 + [(0.9, np.exp(0.8j))] * 3
+    twos += [(1.6, 0.4 - 0.3j)] * 2 + [(2.2, 0.1 + 0.6j)] * 2
+    form = direct_sum(
+        [np.array([[s]], dtype=np.complex128) for s in ones]
+        + [antidiag_block(t, m) for t, m in twos]
+    )
+    assert form.shape == (n, n)
+    u = random_unitary(n, gen)
+    v = random_unitary(n, gen)
+    a = u @ form @ u.T
+    return a, v @ a @ v.T
+
+
+def test_canon_star_singular_budget(counts):
+    a = _singular_star_instance()
+    form, _ = canon_star(a)
+    assert form.dimension == a.shape[0]
+    assert counts["classify"] == 0
+    assert _full_size(counts, a.shape[0]) <= CANON_STAR_SINGULAR_BUDGET
+
+
+def test_decide_unitary_congruence_budget(counts):
+    a, b = _congruence_pair()
+    verdict = decide_unitary_congruence(a, b)
+    assert verdict.verdict == "equivalent"
+    assert counts["classify"] == 0
+    assert _full_size(counts, a.shape[0]) <= DECIDE_CONGRUENCE_BUDGET
+
+
+def test_budget_counter_sees_the_gate(counts):
+    # The counters see a direct classify call and the SVD inside the
+    # spectral norm, so a zero above is not a blind spot.
+    from canonica.matrix import norm
+
+    a = _singular_star_instance()
+    predicates.classify(a)
+    norm(a, "spectral")
+    assert counts["classify"] == 1
+    assert _full_size(counts, a.shape[0]) == 3

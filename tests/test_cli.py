@@ -126,6 +126,22 @@ def test_simulate_with_start_vector_file():
     assert len(payload["result"]["norms"]) == 51
 
 
+def test_simulate_honours_rank_rtol(tmp_path):
+    # diag(1, 1e-12) is singular at the default rank_rtol and
+    # nonsingular at 1e-14, so only the override lets the run start.
+    path = tmp_path / "near_singular.json"
+    path.write_text(
+        json.dumps({"rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 0.0],
+                                                    [0.0, 0.0], [1e-12, 0.0]]})
+    )
+    code, _ = run_cli("simulate", "--star", "--steps", "5", str(path))
+    assert code == cli.EXIT_PRECONDITION
+    code, _ = run_cli(
+        "simulate", "--star", "--steps", "5", "--rank-rtol", "1e-14", str(path)
+    )
+    assert code == cli.EXIT_OK
+
+
 def test_reports_are_byte_identical():
     first = run_cli("canon", "--star", "--verify", fx("h2_i.json"))
     second = run_cli("canon", "--star", "--verify", fx("h2_i.json"))

@@ -15,6 +15,7 @@ from canonica.equivalence import (
 )
 from canonica.errors import PreconditionError
 from canonica.matrix import norm
+from canonica.predicates import classify
 from canonica.sampling import default_rng, random_unitary
 
 J2 = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -38,10 +39,16 @@ def test_decide_congruence_scaled_pair_differs():
 
 
 def test_decide_congruence_unsupported_out_of_class():
-    v = decide_unitary_congruence(np.array([[1.0, 2.0], [0.0, 3.0]]), H2_I)
+    a = np.array([[1.0, 2.0], [0.0, 3.0]])
+    v = decide_unitary_congruence(a, H2_I)
     assert v.verdict == "unsupported"
     assert v.method == "none"
     assert "reason" in v.detail
+    # The one-identity gate reports classify's residuals bit for bit.
+    assert v.detail["residuals"] == {
+        "a": classify(a).residuals["congruence_normal"],
+        "b": classify(H2_I).residuals["congruence_normal"],
+    }
 
 
 def test_decide_congruence_shape_gate():
@@ -93,6 +100,8 @@ def test_decide_star_unsupported():
     v = decide_unitary_star_congruence(a, a)
     assert v.verdict == "unsupported"
     assert v.method == "none"
+    residual = classify(a).residuals["squared_normal"]
+    assert v.detail["residuals"] == {"a": residual, "b": residual}
 
 
 def test_forms_match_reports_pairings():

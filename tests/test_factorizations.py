@@ -7,6 +7,8 @@ ordering, symmetry class of the factors).
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from canonica.errors import PreconditionError
 from canonica.factorizations import (
@@ -64,6 +66,57 @@ def test_cluster_complex_separated():
 
 def test_cluster_complex_empty():
     assert cluster_complex(np.array([]), radius=1.0) == []
+
+
+def _single_linkage_reference(values, radius):
+    # O(k^2) over all pairs; each label is the smallest index of its
+    # component.
+    k = len(values)
+    label = list(range(k))
+    for i in range(k):
+        for j in range(i + 1, k):
+            if abs(values[i] - values[j]) <= radius:
+                old, new = max(label[i], label[j]), min(label[i], label[j])
+                label = [new if x == old else x for x in label]
+    groups = {}
+    for i in range(k):
+        groups.setdefault(label[i], []).append(i)
+    return [groups[key] for key in sorted(groups)]
+
+
+# A quarter-step grid makes duplicates and pairs exactly at the radius
+# common; free values cover the generic case.
+_grid = st.integers(-6, 6).map(lambda m: 0.25 * m)
+_values = st.lists(
+    st.one_of(
+        st.builds(complex, _grid, _grid),
+        st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False),
+    ),
+    max_size=24,
+)
+
+
+@settings(deadline=None)
+@example([], "as_is", 1.0, False)
+@example([1.0 + 1.0j], "as_is", 0.0, False)
+@example([0.5, 0.5, 0.0, 0.5j], "as_is", 0.5, False)
+@given(
+    _values,
+    st.sampled_from(["as_is", "imaginary", "conjugate_pairs"]),
+    st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(1e-12, 4.0)),
+    st.booleans(),
+)
+def test_cluster_complex_matches_all_pairs_reference(values, shape, radius, at_pair):
+    if shape == "imaginary":
+        values = [complex(0.0, v.imag) for v in values]
+    elif shape == "conjugate_pairs":
+        values = [w for v in values for w in (v, v.conjugate())]
+    arr = np.array(values, dtype=np.complex128)
+    if at_pair and len(arr) >= 2:
+        # A radius equal to one pair's distance puts that pair exactly
+        # on the boundary.
+        radius = float(abs(arr[0] - arr[-1]))
+    assert cluster_complex(arr, radius) == _single_linkage_reference(arr, radius)
 
 
 def test_cluster_real_sorted_adjacent_gaps():

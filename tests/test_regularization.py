@@ -5,6 +5,7 @@ import pytest
 
 from canonica.errors import PreconditionError
 from canonica.matrix import norm, rank
+from canonica.predicates import classify
 from canonica.regularization import regularize, split_regular_singular
 from canonica.blocks import direct_sum
 from canonica.sampling import (
@@ -141,8 +142,12 @@ def test_split_nonsingular_is_all_regular():
 
 
 def test_split_requires_class_membership():
-    with pytest.raises(PreconditionError):
-        split_regular_singular([[0.0, 1.0], [0.0, 2.0]], "congruence")
+    a = np.array([[0.0, 1.0], [0.0, 2.0]])
+    for mode, flag in (("congruence", "congruence_normal"), ("star", "squared_normal")):
+        with pytest.raises(PreconditionError) as info:
+            split_regular_singular(a, mode)
+        # The gate's residual is classify's, bit for bit.
+        assert info.value.residual == classify(a).residuals[flag]
 
 
 def test_split_random_instances_round_trip():
