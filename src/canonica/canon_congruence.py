@@ -33,9 +33,16 @@ from .factorizations import (
     svd,
     takagi_symmetric,
 )
-from .matrix import DEFAULT_TOL, ToleranceConfig, as_matrix, norm, rank, rel_residual
+from .matrix import (
+    DEFAULT_TOL,
+    ToleranceConfig,
+    _rank_of_values,
+    as_matrix,
+    norm,
+    rel_residual,
+)
 from .predicates import classify
-from .regularization import split_regular_singular
+from .regularization import _cosquare, split_regular_singular
 
 __all__ = [
     "CongruenceCanonicalForm",
@@ -99,10 +106,7 @@ def assemble_congruence(form: CongruenceCanonicalForm) -> np.ndarray:
 
 def cosquare(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """The transpose cosquare a^{-T} a of a nonsingular matrix."""
-    a = as_matrix(a, square=True)
-    if rank(a, tol) < a.shape[0]:
-        raise PreconditionError("cosquare requires a nonsingular matrix")
-    return np.linalg.solve(a.T, a)
+    return _cosquare(as_matrix(a, square=True), "congruence", tol)
 
 
 def _pair_mu_fit(y: np.ndarray, z: np.ndarray, transpose: bool) -> complex:
@@ -199,7 +203,7 @@ def canon_congruence(
     records: list[tuple[str, object, list[int]]] = []
     if k > 0:
         reg = split.regular
-        cos = cosquare(reg, tol)
+        cos = _cosquare(reg, "congruence", tol, proved=split._regular_nonsingular)
         lam, u_eig = eig_normal(cos, tol)
         plus, minus, pairs = _grouped_cosquare_clusters(lam, tol)
 
@@ -313,11 +317,12 @@ def canon_conjugate_normal(
     lam, _ = eig_normal(gram, tol)
     # scale from the input, not the product: the product of a singular
     # matrix with itself can be dominated by rounding noise
-    scale = norm(a, kind="spectral") ** 2
+    s = np.linalg.svd(a, compute_uv=False)
+    scale = float(s[0]) ** 2
     zero_cut = tol.rank_rtol * scale * n
     radius = tol.cluster_rtol * max(scale, 1.0)
 
-    m1 = n - rank(a, tol)
+    m1 = n - _rank_of_values(s, n, tol)
     nonzero = [i for i in range(n) if abs(lam[i]) > zero_cut]
     if n - len(nonzero) != m1:
         raise ConvergenceError(

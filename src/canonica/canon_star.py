@@ -34,7 +34,7 @@ from .errors import ConvergenceError, PreconditionError
 from .factorizations import cluster_complex, eig_normal, svd
 from .matrix import DEFAULT_TOL, ToleranceConfig, as_matrix, norm, rank, rel_residual
 from .predicates import classify
-from .regularization import split_regular_singular
+from .regularization import _cosquare, split_regular_singular
 
 __all__ = [
     "StarCanonicalForm",
@@ -117,10 +117,7 @@ def assemble_star(form: StarCanonicalForm) -> np.ndarray:
 
 def star_cosquare(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """The *cosquare a^{-*} a of a nonsingular matrix."""
-    a = as_matrix(a, square=True)
-    if rank(a, tol) < a.shape[0]:
-        raise PreconditionError("star_cosquare requires a nonsingular matrix")
-    return np.linalg.solve(a.conj().T, a)
+    return _cosquare(as_matrix(a, square=True), "star", tol)
 
 
 def _star_grouped_clusters(
@@ -209,7 +206,9 @@ def canon_star(
     records: list[tuple[str, object, list[int]]] = []
     if k > 0:
         reg = split.regular
-        lam, u_eig = eig_normal(star_cosquare(reg, tol), tol)
+        lam, u_eig = eig_normal(
+            _cosquare(reg, "star", tol, proved=split._regular_nonsingular), tol
+        )
         unimodular, pairs = _star_grouped_clusters(lam, tol)
 
         order: list[int] = []

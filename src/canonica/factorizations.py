@@ -141,9 +141,19 @@ def eig_normal(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.nd
     hvals, u = np.linalg.eigh(h)
 
     # Cluster radius is tied to the overall spectral scale so that a
-    # zero Hermitian part still lands in a single cluster.
-    scale = norm(a, "spectral")
-    radius = tol.cluster_rtol * scale
+    # zero Hermitian part still lands in a single cluster.  The spectral
+    # norm lies between max(max|hvals|, ||a||_F / sqrt(n)) and ||a||_F,
+    # and single linkage on sorted values only asks which adjacent gaps
+    # are within the radius.  When no gap lies between the radii at the
+    # two ends of that bracket (widened far beyond rounding), either
+    # end gives the clusters of the exact norm, and its SVD is skipped.
+    fro = norm(a)
+    margin = 1e-12 * n
+    lo = max(float(np.max(np.abs(hvals))), fro / np.sqrt(n)) * (1.0 - margin)
+    radius = tol.cluster_rtol * lo
+    gaps = np.abs(np.diff(hvals))
+    if np.any((gaps > radius) & (gaps <= tol.cluster_rtol * fro * (1.0 + margin))):
+        radius = tol.cluster_rtol * norm(a, "spectral")
     for idx in cluster_real_sorted(hvals, radius):
         if len(idx) == 1:
             continue
@@ -155,7 +165,7 @@ def eig_normal(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.nd
 
     lam = np.sum(u.conj() * (a @ u), axis=0)
     recon = norm(a - (u * lam) @ u.conj().T)
-    bound = tol.residual_rtol * max(1.0, norm(a))
+    bound = tol.residual_rtol * max(1.0, fro)
     if recon > bound:
         raise ConvergenceError(
             f"eigendecomposition residual {recon:.3e} exceeds {bound:.3e}"
@@ -183,6 +193,10 @@ def _sqrt_normal(a, tol: ToleranceConfig) -> np.ndarray:
     # using the unique root in the closed right half plane.  Equal
     # eigenvalues get equal roots, so the result is a polynomial in a;
     # in particular it inherits symmetry.
+    if a.shape == (1, 1):
+        # What the general path returns for 1 x 1 input; adding 0.0
+        # turns a -0.0 part into +0.0 as its products do.
+        return np.array([[sqrt_dplus(a[0, 0])]], dtype=np.complex128) + 0.0
     lam, q = eig_normal(a, tol)
     roots = np.array([sqrt_dplus(z) for z in lam], dtype=np.complex128)
     return (q * roots) @ q.conj().T

@@ -13,7 +13,7 @@ into a nonsingular part and elementary singular blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .matrix import (
     norm,
     rank,
 )
-from .predicates import _class_residual
+from .predicates import _GATE_PRODUCTS, _normality_residual
 
 __all__ = ["ReducedForm", "RegularSplit", "regularize", "split_regular_singular"]
 
@@ -91,6 +91,9 @@ class RegularSplit:
     singular_sigmas: np.ndarray
     zero_count: int
     transform: np.ndarray
+    # Set by split_regular_singular when its rank identity proves the
+    # regular part nonsingular, so the cosquare needs no rank check.
+    _regular_nonsingular: bool = field(default=False, repr=False)
 
     def assembled(self) -> np.ndarray:
         k = self.regular.shape[0]
@@ -210,7 +213,9 @@ def split_regular_singular(
     a = as_matrix(a, square=True)
     n = a.shape[0]
     flag = "congruence_normal" if mode == "congruence" else "squared_normal"
-    gate = _class_residual(a, flag)
+    # One gate product serves the class gate and the rank identity.
+    product = _GATE_PRODUCTS[flag](a)
+    gate = _normality_residual(product)
     if not gate <= tol.residual_rtol:
         raise PreconditionError(
             f"input is not {flag.replace('_', ' ')}", residual=gate
@@ -240,11 +245,9 @@ def split_regular_singular(
     # The product rank is measured against ||a||^2: the product of a
     # singular a with itself can be pure rounding noise, and its own
     # largest singular value is then a meaningless scale.
-    scale2 = reduced._spectral_norm ** 2
-    if mode == "congruence":
-        m2_check = n - m1 - rank(a.conj() @ a, tol, scale=scale2)
-    else:
-        m2_check = n - m1 - rank(a @ a, tol, scale=scale2)
+    spectral_norm = reduced._spectral_norm
+    s_product = np.linalg.svd(product, compute_uv=False)
+    m2_check = n - m1 - _rank_of_values(s_product, n, tol, scale=spectral_norm ** 2)
     if m2_check != m2:
         raise ConvergenceError(
             f"rank identity gives {m2_check} elementary blocks, reduction gives {m2}"
@@ -269,4 +272,31 @@ def split_regular_singular(
         raise ConvergenceError(
             f"split residual {res:.3e} exceeds {bound:.3e}"
         )
-    return split
+    proved = False
+    if k0 > 0:
+        # The rank identity usually proves the regular part nonsingular
+        # at its own cutoff too, which spares the cosquare its rank
+        # check.  p = conj(a) a (or a^2) is unitarily similar to the
+        # same product of assembled() + E, ||E|| <= e: the residual just
+        # measured, widened far beyond rounding.  The product of
+        # assembled() is that of the regular part r plus zeros, as the
+        # elementary blocks square to zero, and ||r|| <= s + e with
+        # s = ||a||_2.  Weyl's inequality gives sigma_min(r) ||r|| >=
+        # sigma_k0(p) - 2 (s + e) e - e^2; above rank_rtol (s + e)^2 k0,
+        # that is rank(r) == k0.
+        e = res + 1e-12 * n * spectral_norm
+        margin = float(s_product[k0 - 1]) - (2.0 * (spectral_norm + e) + e) * e
+        proved = margin > tol.rank_rtol * (spectral_norm + e) ** 2 * k0
+    return replace(split, _regular_nonsingular=proved)
+
+
+def _cosquare(
+    a: np.ndarray, mode: str, tol: ToleranceConfig, proved: bool = False
+) -> np.ndarray:
+    """The cosquare a^{-T} a (congruence) or a^{-*} a (star) of a
+    nonsingular matrix; the rank check is skipped when proved is set."""
+    congruence = mode == "congruence"
+    if not proved and rank(a, tol) < a.shape[0]:
+        name = "cosquare" if congruence else "star_cosquare"
+        raise PreconditionError(f"{name} requires a nonsingular matrix")
+    return np.linalg.solve(a.T if congruence else a.conj().T, a)

@@ -3,8 +3,11 @@
 The class gate is one identity, never the full classify; regularization
 takes one values-only SVD of the input (and one full SVD when it is
 singular), which the split reuses; the split's rank identity takes one
-values-only SVD of the product it checks.  The budgets count SVDs whose
-input has the size of the matrix handed in.
+values-only SVD of the product it checks, whose spectrum here also
+proves the regular part nonsingular, so the cosquare takes no SVD;
+eig_normal brackets its cluster radius and takes no SVD when the bracket
+decides the clusters.
+The budgets count SVDs whose input has the size of the matrix handed in.
 """
 
 import inspect
@@ -17,14 +20,14 @@ import canonica.predicates as predicates
 from canonica.blocks import antidiag_block, direct_sum
 from canonica.canon_star import canon_star
 from canonica.equivalence import decide_unitary_congruence
+from canonica.factorizations import eig_normal
 from canonica.sampling import default_rng, random_unitary
 
 # regularize: values + full SVD of a; split: values SVD of a^2.
 CANON_STAR_SINGULAR_BUDGET = 3
-# Per canon_congruence of nonsingular input: regularize's values SVD,
-# the split's rank of conj(a) a, the cosquare's rank of the core (all
-# of a here) and eig_normal's spectral norm of the cosquare.
-DECIDE_CONGRUENCE_BUDGET = 2 * 4
+# Per canon_congruence of nonsingular input: regularize's values SVD
+# and the split's rank of conj(a) a.
+DECIDE_CONGRUENCE_BUDGET = 2 * 2
 
 
 @pytest.fixture
@@ -104,6 +107,10 @@ def test_canon_star_singular_budget(counts):
     assert form.dimension == a.shape[0]
     assert counts["classify"] == 0
     assert _full_size(counts, a.shape[0]) <= CANON_STAR_SINGULAR_BUDGET
+    # Nothing factorizes the regular part (20 nonzero 1-by-1 blocks and
+    # 4 pair blocks, order 28) or its cosquare: neither a rank check
+    # nor a spectral norm for the cluster radius.
+    assert _full_size(counts, 28) == 0
 
 
 def test_decide_unitary_congruence_budget(counts):
@@ -112,6 +119,14 @@ def test_decide_unitary_congruence_budget(counts):
     assert verdict.verdict == "equivalent"
     assert counts["classify"] == 0
     assert _full_size(counts, a.shape[0]) <= DECIDE_CONGRUENCE_BUDGET
+
+
+def test_eig_normal_takes_no_svd_on_a_separated_spectrum(counts):
+    gen = default_rng(20261020)
+    lam = np.array([3.0, -2.0, 1.0j, -1.5 + 0.5j, 0.5 - 2.0j, 0.25, 2.0 + 2.0j])
+    u = random_unitary(len(lam), gen)
+    eig_normal((u * lam) @ u.conj().T)
+    assert counts["svd"] == []
 
 
 def test_budget_counter_sees_the_gate(counts):

@@ -21,7 +21,7 @@ from canonica.canon_star import (
     pearcy_equal_2x2,
     star_cosquare,
 )
-from canonica.errors import PreconditionError
+from canonica.errors import ConvergenceError, PreconditionError
 from canonica.matrix import norm
 from canonica.sampling import default_rng, random_star_instance
 
@@ -45,6 +45,28 @@ def test_star_cosquare_oracle():
 def test_star_cosquare_requires_nonsingular():
     with pytest.raises(PreconditionError):
         star_cosquare(J2)
+
+
+def test_star_cosquare_rejects_numerically_singular():
+    with pytest.raises(PreconditionError, match="star_cosquare requires a nonsingular"):
+        star_cosquare(np.diag([1.0, 1e-14]))
+
+
+def test_canon_star_nearly_singular_fails_the_rank_identity():
+    # rank(a) = 2 but the product a uses in its rank identity has rank 1.
+    with pytest.raises(ConvergenceError, match="rank identity"):
+        canon_star(np.diag([1.0, 1e-6]))
+
+
+def test_canon_star_checks_a_regular_part_the_rank_identity_misses():
+    # The bordering entry 1e-8 passes the split's vanishing test and
+    # lends the product its rank, while the regular part is [[0]]: the
+    # split cannot vouch for it, so the cosquare's own check runs.
+    a = np.zeros((3, 3))
+    a[0, 1] = 1e-8
+    a[1, 2] = 1.0
+    with pytest.raises(PreconditionError, match="star_cosquare requires a nonsingular"):
+        canon_star(a)
 
 
 def test_form_build_sorts():

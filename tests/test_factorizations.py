@@ -10,6 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import canonica.factorizations as factorizations
+from canonica.blocks import sqrt_dplus
 from canonica.errors import PreconditionError
 from canonica.factorizations import (
     cluster_complex,
@@ -21,7 +23,8 @@ from canonica.factorizations import (
     svd,
     takagi_symmetric,
 )
-from canonica.matrix import norm
+from canonica.matrix import DEFAULT_TOL, norm
+from canonica.sampling import default_rng, random_unitary
 
 gen = np.random.default_rng(20260819)
 
@@ -167,6 +170,131 @@ def test_eig_normal_empty():
     lam, u = eig_normal(np.zeros((0, 0)))
     assert lam.shape == (0,)
     assert u.shape == (0, 0)
+
+
+def _eig_normal_exact_radius(a, tol=DEFAULT_TOL):
+    # eig_normal with the cluster radius always taken from the spectral
+    # norm itself (one more SVD), as it was before the bracket.
+    a = np.asarray(a, dtype=np.complex128)
+    h = (a + a.conj().T) / 2.0
+    k = (a - a.conj().T) / 2.0j
+    hvals, u = np.linalg.eigh(h)
+    radius = tol.cluster_rtol * norm(a, "spectral")
+    for idx in cluster_real_sorted(hvals, radius):
+        if len(idx) == 1:
+            continue
+        cols = u[:, idx]
+        kr = cols.conj().T @ k @ cols
+        kr = (kr + kr.conj().T) / 2.0
+        _, w = np.linalg.eigh(kr)
+        u[:, idx] = cols @ w
+    return np.sum(u.conj() * (a @ u), axis=0), u
+
+
+def _count_spectral_norms(monkeypatch) -> list:
+    """Record eig_normal's exact spectral norms (its bracket misses)."""
+    calls = []
+
+    def counted(a, kind="frobenius"):
+        if kind == "spectral":
+            calls.append(np.shape(a))
+        return norm(a, kind)
+
+    monkeypatch.setattr(factorizations, "norm", counted)
+    return calls
+
+
+def _hidden_normal(lam, seed, scale):
+    q = random_unitary(len(lam), default_rng(seed))
+    return scale * (q * np.asarray(lam, dtype=np.complex128)) @ q.conj().T
+
+
+def _assert_same_bits(a):
+    lam, u = eig_normal(a)
+    ref_lam, ref_u = _eig_normal_exact_radius(a)
+    assert lam.tobytes() == ref_lam.tobytes()
+    assert u.tobytes() == ref_u.tobytes()
+
+
+@settings(deadline=None, max_examples=60)
+@example(1, "generic", 1.0, 0)
+@example(4, "skew", 1.0, 1)
+@example(5, "clustered", 1e-6, 2)
+@example(5, "clustered", 1e6, 3)
+@given(
+    st.integers(1, 8),
+    st.sampled_from(["generic", "clustered", "skew", "hermitian"]),
+    st.floats(-6.0, 6.0).map(lambda e: 10.0**e),
+    st.integers(0, 2**32 - 1),
+)
+def test_eig_normal_bracket_matches_exact_radius(n, kind, scale, seed):
+    gen = default_rng(seed)
+    lam = gen.standard_normal(n) + 1j * gen.standard_normal(n)
+    if kind == "clustered":
+        # Repeated eigenvalues, some split far inside the radius.
+        lam = gen.choice(lam[: max(1, n // 2)], n) + 1e-13 * gen.standard_normal(n)
+    elif kind == "skew":
+        lam = 1j * lam.imag
+    elif kind == "hermitian":
+        lam = lam.real
+    _assert_same_bits(_hidden_normal(lam, seed, scale))
+
+
+def _planted_gap_spectrum(g):
+    # ||a||_2 = 1 from the eigenvalue 1j; two eigenvalues with real parts
+    # 0.05 and 0.05 + gap, gap = g * cluster_rtol * ||a||_2, and apart
+    # in imaginary part so that they separate when they cluster; filler
+    # on the imaginary axis puts the gap strictly inside the bracket
+    # (max(max|Re|, ||a||_F / sqrt(n)) < g < ||a||_F).
+    gap = g * DEFAULT_TOL.cluster_rtol
+    if g < 1.0:
+        filler = [0.05j, -0.05j] * 4
+    else:
+        filler = [1j, -1j] * int(np.ceil(0.55 * g * g))
+    lam = np.array([1j, 0.05 + 0.3j, 0.05 + gap - 0.3j] + filler)
+    fro = np.sqrt(np.sum(np.abs(lam) ** 2))
+    assert max(0.05 + gap, fro / np.sqrt(len(lam))) < 0.9 * g and fro > 1.04 * g
+    return lam
+
+
+@pytest.mark.parametrize("g", [0.5, 1.0, 2.0, 5.0, 20.0])
+@pytest.mark.parametrize("scale, seed", [(1e-6, 11), (1.0, 12), (1e6, 13)])
+def test_eig_normal_bracket_miss_takes_the_exact_radius(g, scale, seed):
+    # Single linkage flips on the planted gap somewhere between the two
+    # ends of the bracket, so eig_normal has to take the exact norm.
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_spectral_norms(mp)
+        a = _hidden_normal(_planted_gap_spectrum(g), seed, scale)
+        _assert_same_bits(a)
+    assert calls == [a.shape]
+
+
+def test_eig_normal_bracket_hit_takes_no_spectral_norm(monkeypatch):
+    calls = _count_spectral_norms(monkeypatch)
+    _assert_same_bits(_hidden_normal([2.0, 1j, -1.0 + 0.5j], 7, 1.0))
+    assert calls == []
+
+
+def _assert_root_matches_general_path(z):
+    a = np.array([[z]], dtype=np.complex128)
+    lam, q = eig_normal(a)
+    roots = np.array([sqrt_dplus(w) for w in lam], dtype=np.complex128)
+    expected = (q * roots) @ q.conj().T
+    assert factorizations._sqrt_normal(a, DEFAULT_TOL).tobytes() == expected.tobytes()
+
+
+def test_sqrt_normal_1x1_matches_general_path_on_signed_zeros():
+    # Signed zeros, tiny and subnormal parts, and the negative real axis.
+    parts = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1.0, -2.5]
+    for re in parts:
+        for im in parts:
+            _assert_root_matches_general_path(complex(re, im))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False))
+def test_sqrt_normal_1x1_matches_general_path(z):
+    _assert_root_matches_general_path(z)
 
 
 @pytest.mark.parametrize("side", ["right", "left"])
