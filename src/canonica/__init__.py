@@ -2,8 +2,8 @@
 (a -> u a u^T) and unitary *congruence (a -> u a u*).
 
 The congruence side covers congruence-normal matrices (conj(a) a
-normal), the star side squared-normal ones (a^2 normal).  On top of the
-two pipelines sit class predicates, equivalence decisions, a
+normal), the star side squared-normal ones (a^2 normal); one pipeline
+computes both canonical forms.  On top of it sit class predicates, equivalence decisions, a
 regularization step for singular input, the polar-factor upgrade of a
 general congruence to a unitary one, and a bounded-iteration
 classifier.
@@ -20,7 +20,6 @@ from .blocks import (
 )
 from .canon_congruence import (
     CongruenceCanonicalForm,
-    assemble_congruence,
     canon_congruence,
     canon_conjugate_normal,
     canon_coninvolutory,
@@ -31,7 +30,6 @@ from .canon_congruence import (
 from .canon_star import (
     QuadraticForm,
     StarCanonicalForm,
-    assemble_star,
     canon_hermitian_square,
     canon_involution,
     canon_lambda_projection,
@@ -103,8 +101,6 @@ __all__ = [
     "ToleranceConfig",
     "antidiag_block",
     "as_matrix",
-    "assemble_congruence",
-    "assemble_star",
     "bar_block_dualities",
     "bar_double",
     "canon_congruence",

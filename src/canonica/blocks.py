@@ -25,7 +25,6 @@ __all__ = [
     "h2_to_triangular",
     "triangular_to_h2",
     "direct_sum",
-    "block_diag",
     "permutation_matrix",
     "normalize_congruence_pair",
     "normalize_star_pair",
@@ -96,9 +95,6 @@ def direct_sum(blocks: Sequence[np.ndarray]) -> np.ndarray:
         out[at : at + k, at : at + k] = b
         at += k
     return out
-
-
-block_diag = direct_sum
 
 
 def permutation_matrix(order: Sequence[int]) -> np.ndarray:

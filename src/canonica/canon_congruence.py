@@ -3,11 +3,15 @@
 A congruence-normal matrix is unitarily congruent to a direct sum of
 1-by-1 blocks [sigma] with sigma >= 0 and 2-by-2 blocks
 tau * [[0, 1], [mu, 0]] with tau > 0 and mu != 1, unique up to
-permutation and the replacement (tau, mu) -> (tau |mu|, 1/mu).  The
-pipeline here recovers that sum together with the unitary that realizes
-it: split off the singular part, diagonalize the transpose cosquare of
-the regular part, and reduce each spectral summand with the symmetric,
-skew-symmetric, or rectangular factorization it calls for.
+permutation and the replacement (tau, mu) -> (tau |mu|, 1/mu).
+canon_congruence recovers that sum together with the unitary that
+realizes it through the pipeline it shares with canon_star
+(pipeline._canon).  This module supplies what is particular to
+congruence: the transpose cosquare pairs its eigenvalues as mu and 1/mu,
+and its eigenvalues +1 and -1 are reduced by the symmetric (Takagi) and
+skew-symmetric (Hua) factorizations.  The module also covers the
+classes whose form can be read off a spectrum: conjugate-normal,
+unitary, coninvolutory, and Hermitian-cosquare matrices.
 """
 
 from __future__ import annotations
@@ -18,16 +22,14 @@ import numpy as np
 
 from .blocks import (
     antidiag_block,
-    block_diag,
     congruence_one_key,
     congruence_two_key,
     direct_sum,
     normalize_congruence_pair,
-    permutation_matrix,
 )
 from .errors import ConvergenceError, PreconditionError
 from .factorizations import (
-    cluster_complex,
+    _pair_clusters,
     eig_normal,
     hua_skew,
     svd,
@@ -38,11 +40,11 @@ from .matrix import (
     ToleranceConfig,
     _rank_of_values,
     as_matrix,
-    norm,
     rel_residual,
 )
+from .pipeline import _canon, _Mode
 from .predicates import classify
-from .regularization import _cosquare, split_regular_singular
+from .regularization import _cosquare
 
 __all__ = [
     "CongruenceCanonicalForm",
@@ -52,7 +54,6 @@ __all__ = [
     "canon_unitary",
     "canon_coninvolutory",
     "canon_hermitian_cosquare",
-    "assemble_congruence",
 ]
 
 
@@ -100,89 +101,50 @@ class CongruenceCanonicalForm:
         }
 
 
-def assemble_congruence(form: CongruenceCanonicalForm) -> np.ndarray:
-    return form.assemble()
-
-
 def cosquare(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """The transpose cosquare a^{-T} a of a nonsingular matrix."""
     return _cosquare(as_matrix(a, square=True), "congruence", tol)
 
 
-def _pair_mu_fit(y: np.ndarray, z: np.ndarray, transpose: bool) -> complex:
-    # Least squares fit of z = mu * y^T (or mu * y* in star mode).
-    ref = y.T if transpose else y.conj().T
-    denom = float(np.sum(np.abs(ref) ** 2))
-    return complex(np.sum(ref.conj() * z) / denom)
-
-
-def _grouped_cosquare_clusters(
-    lam: np.ndarray, tol: ToleranceConfig
-) -> tuple[list[int], list[int], list[tuple[list[int], list[int], complex]]]:
-    """Partition cosquare eigenvalues into a +1 group, a -1 group, and
-    reciprocal pairs (mu, 1/mu).
-
-    Returns (plus, minus, pairs) index lists, each pair carrying
-    (indices_mu, indices_partner, mu_rep) with the mu group inside the
-    unit circle or on it with positive imaginary part.
-    """
-    scale = float(np.max(np.abs(lam))) if len(lam) else 1.0
-    radius = tol.cluster_rtol * max(scale, 1.0)
-    clusters = cluster_complex(lam, radius)
-    means = [complex(np.mean(lam[idx])) for idx in clusters]
-
-    plus: list[int] = []
-    minus: list[int] = []
-    pairs: list[tuple[list[int], list[int], complex]] = []
-    used: set[int] = set()
-    for ci, idx in enumerate(clusters):
-        if ci in used:
-            continue
-        rep = means[ci]
-        if abs(rep - 1.0) <= radius:
-            plus.extend(idx)
-            used.add(ci)
-            continue
-        if abs(rep + 1.0) <= radius:
-            minus.extend(idx)
-            used.add(ci)
-            continue
-        target = 1.0 / rep
-        best = None
-        best_dist = np.inf
-        for cj in range(len(clusters)):
-            if cj == ci or cj in used:
-                continue
-            dist = abs(means[cj] - target)
-            if dist < best_dist:
-                best, best_dist = cj, dist
-        match_tol = 10.0 * radius * max(1.0, 1.0 / abs(rep) ** 2)
-        if best is None or best_dist > match_tol:
-            raise PreconditionError(
-                "cosquare spectrum is not closed under reciprocals; "
-                "input is not numerically in class"
-            )
-        if len(clusters[best]) != len(idx):
-            raise PreconditionError(
-                "reciprocal eigenvalue groups of the cosquare differ in size"
-            )
-        used.update((ci, best))
-        partner = means[best]
-        # Pick the group whose value is the stored mu: inside the unit
-        # circle, or on it with positive imaginary part.
-        if abs(abs(rep) - 1.0) <= radius:
-            mu_first = rep.imag > 0.0
-        else:
-            mu_first = abs(rep) < 1.0
-        if mu_first:
-            pairs.append((list(idx), list(clusters[best]), rep))
-        else:
-            pairs.append((list(clusters[best]), list(idx), partner))
+def _fixed_groups(fixed):
+    """The +1 and -1 summands of the transpose cosquare, in that order."""
+    plus = [i for value, idx in fixed if value.real > 0.0 for i in idx]
+    minus = [i for value, idx in fixed if value.real <= 0.0 for i in idx]
     if len(minus) % 2 == 1:
         raise PreconditionError(
             "eigenvalue -1 of the cosquare must have even multiplicity"
         )
-    return plus, minus, pairs
+    return [(value, idx) for value, idx in ((1.0, plus), (-1.0, minus)) if idx]
+
+
+def _reduce_fixed(value, block, tol):
+    # On the +1 summand the block is symmetric, on the -1 summand skew.
+    if value > 0.0:
+        sig, v = takagi_symmetric((block + block.T) / 2.0, tol)
+        return v.conj().T, [float(s) for s in sig], []
+    taus, v = hua_skew((block - block.T) / 2.0, tol)
+    return v.conj().T, [], [(float(t), complex(-1.0)) for t in taus]
+
+
+def _mu_first(mean: complex, radius: float) -> bool:
+    # The stored mu lies inside the unit circle, or on it with positive
+    # imaginary part.
+    if abs(abs(mean) - 1.0) <= radius:
+        return mean.imag > 0.0
+    return abs(mean) < 1.0
+
+
+_CONGRUENCE = _Mode(
+    name="congruence",
+    partner=lambda z: 1.0 / z,
+    mu_first=_mu_first,
+    normalize_pair=normalize_congruence_pair,
+    one_key=congruence_one_key,
+    two_key=congruence_two_key,
+    form=CongruenceCanonicalForm,
+    fixed_groups=_fixed_groups,
+    reduce_fixed=_reduce_fixed,
+)
 
 
 def canon_congruence(
@@ -193,103 +155,7 @@ def canon_congruence(
     Returns (form, t) with t unitary and t @ a @ t.T equal to
     form.assemble() within the residual tolerance.
     """
-    a = as_matrix(a, square=True)
-    n = a.shape[0]
-    split = split_regular_singular(a, "congruence", tol)
-    k = split.regular.shape[0]
-
-    # Records: ("one", sigma, [index]) or ("two", (tau, mu), [i, j]),
-    # indices referring to positions in the pre-sort direct sum.
-    records: list[tuple[str, object, list[int]]] = []
-    if k > 0:
-        reg = split.regular
-        cos = _cosquare(reg, "congruence", tol, proved=split._regular_nonsingular)
-        lam, u_eig = eig_normal(cos, tol)
-        plus, minus, pairs = _grouped_cosquare_clusters(lam, tol)
-
-        order = plus + minus
-        for idx_mu, idx_inv, _ in pairs:
-            order.extend(idx_mu)
-            order.extend(idx_inv)
-        u_g = u_eig[:, order]
-        b = u_g.T @ reg @ u_g
-
-        locals_: list[np.ndarray] = []
-        offset = 0
-        if plus:
-            p = len(plus)
-            bp = b[:p, :p]
-            sig, vtak = takagi_symmetric((bp + bp.T) / 2.0, tol)
-            locals_.append(vtak.conj().T)
-            for i, s in enumerate(sig):
-                records.append(("one", float(s), [offset + i]))
-            offset += p
-        if minus:
-            m = len(minus)
-            bm = b[offset : offset + m, offset : offset + m]
-            taus, vhua = hua_skew((bm - bm.T) / 2.0, tol)
-            locals_.append(vhua.conj().T)
-            for j, t in enumerate(taus):
-                records.append(
-                    ("two", (float(t), complex(-1.0)), [offset + 2 * j, offset + 2 * j + 1])
-                )
-            offset += m
-        for idx_mu, idx_inv, _ in pairs:
-            g = len(idx_mu)
-            bj = b[offset : offset + 2 * g, offset : offset + 2 * g]
-            y = bj[:g, g:]
-            z = bj[g:, :g]
-            mu_fit = _pair_mu_fit(y, z, transpose=True)
-            f = svd(y)
-            local = block_diag([f.u.conj().T, f.v.T])
-            interleave = []
-            for i in range(g):
-                interleave.extend((i, g + i))
-            local = permutation_matrix(interleave) @ local
-            locals_.append(local)
-            for i in range(g):
-                tau_n, mu_n = normalize_congruence_pair(float(f.sigma[i]), mu_fit, tol)
-                records.append(
-                    ("two", (tau_n, mu_n), [offset + 2 * i, offset + 2 * i + 1])
-                )
-            offset += 2 * g
-        t_reg = block_diag(locals_) @ u_g.T
-    else:
-        t_reg = np.zeros((0, 0), dtype=np.complex128)
-
-    for i, s in enumerate(split.singular_sigmas):
-        records.append(("two", (float(s), 0.0 + 0.0j), [k + 2 * i, k + 2 * i + 1]))
-    m2 = len(split.singular_sigmas)
-    for j in range(split.zero_count):
-        records.append(("one", 0.0, [k + 2 * m2 + j]))
-
-    t_pre = block_diag([t_reg, np.eye(n - k, dtype=np.complex128)]) @ split.transform
-
-    ones = sorted(
-        (rec for rec in records if rec[0] == "one"),
-        key=lambda rec: congruence_one_key(rec[1]),
-    )
-    twos = sorted(
-        (rec for rec in records if rec[0] == "two"),
-        key=lambda rec: congruence_two_key(rec[1]),
-    )
-    order_final: list[int] = []
-    for rec in ones:
-        order_final.extend(rec[2])
-    for rec in twos:
-        order_final.extend(rec[2])
-    transform = permutation_matrix(order_final) @ t_pre
-
-    form = CongruenceCanonicalForm.build(
-        [rec[1] for rec in ones], [rec[1] for rec in twos]
-    )
-    res = norm(transform @ a @ transform.T - form.assemble())
-    bound = tol.residual_rtol * max(1.0, norm(a))
-    if res > bound:
-        raise ConvergenceError(
-            f"canonical form residual {res:.3e} exceeds {bound:.3e}"
-        )
-    return form, transform
+    return _canon(a, _CONGRUENCE, tol)
 
 
 def canon_conjugate_normal(
@@ -332,47 +198,21 @@ def canon_conjugate_normal(
     ones: list[float] = [0.0] * m1
     twos: list[tuple[float, complex]] = []
     values = lam[nonzero]
-    clusters = cluster_complex(values, radius)
-    means = [complex(np.mean(values[idx])) for idx in clusters]
-    used: set[int] = set()
-    for ci, idx in enumerate(clusters):
-        if ci in used:
-            continue
-        rep = means[ci]
-        if abs(rep.imag) <= radius:
-            if rep.real > 0.0:
-                ones.extend(float(np.sqrt(values[i].real)) for i in idx)
-            else:
-                if len(idx) % 2 == 1:
-                    raise PreconditionError(
-                        "negative eigenvalues of conj(a) a must pair up"
-                    )
-                twos.extend(
-                    (float(np.sqrt(abs(rep))), complex(-1.0))
-                    for _ in range(len(idx) // 2)
+    fixed, pairs = _pair_clusters(values, complex.conjugate, radius)
+    for rep, idx in fixed:
+        if rep.real > 0.0:
+            ones.extend(float(np.sqrt(values[i].real)) for i in idx)
+        else:
+            if len(idx) % 2 == 1:
+                raise PreconditionError(
+                    "negative eigenvalues of conj(a) a must pair up"
                 )
-            used.add(ci)
-            continue
-        if rep.imag < 0.0:
-            continue  # handled from the conjugate partner
-        target = rep.conjugate()
-        best, best_dist = None, np.inf
-        for cj in range(len(clusters)):
-            if cj == ci or cj in used:
-                continue
-            dist = abs(means[cj] - target)
-            if dist < best_dist:
-                best, best_dist = cj, dist
-        if best is None or best_dist > 10.0 * radius:
-            raise PreconditionError(
-                "spectrum of conj(a) a is not closed under conjugation"
+            twos.extend(
+                (float(np.sqrt(abs(rep))), complex(-1.0))
+                for _ in range(len(idx) // 2)
             )
-        if len(clusters[best]) != len(idx):
-            raise PreconditionError(
-                "conjugate eigenvalue groups of conj(a) a differ in size"
-            )
-        used.update((ci, best))
-        for i in idx:
+    for (rep, idx), (_, partner_idx) in pairs:
+        for i in idx if rep.imag > 0.0 else partner_idx:
             v = complex(values[i])
             twos.append((float(np.sqrt(abs(v))), v / abs(v)))
     return CongruenceCanonicalForm.build(ones, twos)
@@ -415,48 +255,20 @@ def canon_unitary(
 
     lam, _ = eig_normal(u.conj() @ u, tol)
     lam = lam / np.abs(lam)
-    radius = tol.cluster_rtol
-    clusters = cluster_complex(lam, radius)
-    means = [complex(np.mean(lam[idx])) for idx in clusters]
+    fixed, pairs = _pair_clusters(lam, complex.conjugate, tol.cluster_rtol)
     ones_count = 0
     thetas: list[float] = []
-    used: set[int] = set()
-    for ci, idx in enumerate(clusters):
-        if ci in used:
-            continue
-        rep = means[ci]
-        if abs(rep - 1.0) <= radius:
+    for rep, idx in fixed:
+        if rep.real > 0.0:
             ones_count += len(idx)
-            used.add(ci)
             continue
-        if abs(rep + 1.0) <= radius:
-            if len(idx) % 2 == 1:
-                raise PreconditionError(
-                    "eigenvalue -1 of conj(u) u must have even multiplicity"
-                )
-            thetas.extend([float(np.pi)] * (len(idx) // 2))
-            used.add(ci)
-            continue
-        if rep.imag < 0.0:
-            continue
-        target = rep.conjugate()
-        best, best_dist = None, np.inf
-        for cj in range(len(clusters)):
-            if cj == ci or cj in used:
-                continue
-            dist = abs(means[cj] - target)
-            if dist < best_dist:
-                best, best_dist = cj, dist
-        if best is None or best_dist > 10.0 * radius:
+        if len(idx) % 2 == 1:
             raise PreconditionError(
-                "spectrum of conj(u) u is not closed under conjugation"
+                "eigenvalue -1 of conj(u) u must have even multiplicity"
             )
-        if len(clusters[best]) != len(idx):
-            raise PreconditionError(
-                "conjugate eigenvalue groups of conj(u) u differ in size"
-            )
-        used.update((ci, best))
-        theta = float(np.angle(rep))
+        thetas.extend([float(np.pi)] * (len(idx) // 2))
+    for (rep, idx), (partner_rep, _) in pairs:
+        theta = float(np.angle(rep if rep.imag > 0.0 else partner_rep))
         thetas.extend([theta] * len(idx))
 
     thetas.sort()

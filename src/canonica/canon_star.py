@@ -5,42 +5,44 @@ A squared-normal matrix is unitarily *congruent to a direct sum of
 tau > 0 and |mu| < 1, unique up to permutation.  Each 2-by-2 block has
 an upper triangular twin [[nu, r], [0, -nu]] with nu = tau sqrt(mu)
 taken in the right half-plane closure and r = tau (1 - |mu|); both
-renderings are supported.  The module also covers the classes where the
-form collapses to something readable at a glance: involutions,
-Hermitian squares, lambda-projections, quadratic minimal polynomials,
-and shifted quadratic normality.
+renderings are supported.  canon_star recovers the form through the
+pipeline it shares with canon_congruence (pipeline._canon); this module
+supplies what is particular to *congruence: the *cosquare pairs its
+eigenvalues as mu and 1/conj(mu), and each unimodular eigenvalue
+cluster is reduced by one Hermitian eigendecomposition.  The module
+also covers the classes where the form collapses to something readable
+at a glance: involutions, Hermitian squares, lambda-projections,
+quadratic minimal polynomials, and shifted quadratic normality.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .blocks import (
     antidiag_block,
-    block_diag,
     direct_sum,
     h2_to_triangular,
     normalize_star_pair,
-    permutation_matrix,
     sqrt_dplus,
     star_one_key,
     star_two_key,
     triangular_block,
 )
 from .errors import ConvergenceError, PreconditionError
-from .factorizations import cluster_complex, eig_normal, svd
+from .factorizations import svd
 from .matrix import DEFAULT_TOL, ToleranceConfig, as_matrix, norm, rank, rel_residual
+from .pipeline import _canon, _Mode
 from .predicates import classify
-from .regularization import _cosquare, split_regular_singular
+from .regularization import _cosquare
 
 __all__ = [
     "StarCanonicalForm",
     "QuadraticForm",
     "star_cosquare",
-    "sqrt_dplus",
     "canon_star",
     "pearcy_equal_2x2",
     "canon_involution",
@@ -48,7 +50,6 @@ __all__ = [
     "canon_lambda_projection",
     "canon_quadratic",
     "canon_shifted_quadratic_normal",
-    "assemble_star",
 ]
 
 REPRESENTATIONS = ("h2", "triangular")
@@ -111,62 +112,31 @@ class StarCanonicalForm:
         }
 
 
-def assemble_star(form: StarCanonicalForm) -> np.ndarray:
-    return form.assemble()
-
-
 def star_cosquare(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """The *cosquare a^{-*} a of a nonsingular matrix."""
     return _cosquare(as_matrix(a, square=True), "star", tol)
 
 
-def _star_grouped_clusters(
-    lam: np.ndarray, tol: ToleranceConfig
-) -> tuple[
-    list[tuple[complex, list[int]]], list[tuple[list[int], list[int], complex]]
-]:
-    """Partition *cosquare eigenvalues into unimodular clusters and
-    pairs (mu, 1/conj(mu)) with the mu group inside the unit disk."""
-    scale = float(np.max(np.abs(lam))) if len(lam) else 1.0
-    radius = tol.cluster_rtol * max(scale, 1.0)
-    clusters = cluster_complex(lam, radius)
-    means = [complex(np.mean(lam[idx])) for idx in clusters]
+def _reduce_unimodular(lam: complex, block, tol):
+    # With alpha**2 = lam, conj(alpha) times the block is Hermitian.
+    alpha = sqrt_dplus(lam)
+    herm = alpha.conjugate() * block
+    herm = (herm + herm.conj().T) / 2.0
+    evals, vecs = np.linalg.eigh(herm)
+    return vecs.conj().T, [alpha * float(val) for val in evals], []
 
-    unimodular: list[tuple[complex, list[int]]] = []
-    pairs: list[tuple[list[int], list[int], complex]] = []
-    used: set[int] = set()
-    for ci, idx in enumerate(clusters):
-        if ci in used:
-            continue
-        rep = means[ci]
-        if abs(abs(rep) - 1.0) <= tol.cluster_rtol:
-            unimodular.append((rep / abs(rep), list(idx)))
-            used.add(ci)
-            continue
-        target = 1.0 / rep.conjugate()
-        best, best_dist = None, np.inf
-        for cj in range(len(clusters)):
-            if cj == ci or cj in used:
-                continue
-            dist = abs(means[cj] - target)
-            if dist < best_dist:
-                best, best_dist = cj, dist
-        match_tol = 10.0 * radius * max(1.0, 1.0 / abs(rep) ** 2)
-        if best is None or best_dist > match_tol:
-            raise PreconditionError(
-                "*cosquare spectrum not conjugate-reciprocal-paired; "
-                "input is not numerically in class"
-            )
-        if len(clusters[best]) != len(idx):
-            raise PreconditionError(
-                "paired eigenvalue groups of the *cosquare differ in size"
-            )
-        used.update((ci, best))
-        if abs(rep) < 1.0:
-            pairs.append((list(idx), list(clusters[best]), rep))
-        else:
-            pairs.append((list(clusters[best]), list(idx), means[best]))
-    return unimodular, pairs
+
+_STAR = _Mode(
+    name="star",
+    partner=lambda z: 1.0 / z.conjugate(),
+    mu_first=lambda mean, radius: abs(mean) < 1.0,
+    normalize_pair=normalize_star_pair,
+    one_key=star_one_key,
+    two_key=star_two_key,
+    form=StarCanonicalForm,
+    fixed_groups=lambda fixed: [(value / abs(value), idx) for value, idx in fixed],
+    reduce_fixed=_reduce_unimodular,
+)
 
 
 def _triangular_rotation(tau: float, mu: complex) -> np.ndarray:
@@ -198,102 +168,14 @@ def canon_star(
         raise ValueError(
             f"representation must be one of {REPRESENTATIONS}, got {representation!r}"
         )
-    a = as_matrix(a, square=True)
-    n = a.shape[0]
-    split = split_regular_singular(a, "star", tol)
-    k = split.regular.shape[0]
-
-    records: list[tuple[str, object, list[int]]] = []
-    if k > 0:
-        reg = split.regular
-        lam, u_eig = eig_normal(
-            _cosquare(reg, "star", tol, proved=split._regular_nonsingular), tol
-        )
-        unimodular, pairs = _star_grouped_clusters(lam, tol)
-
-        order: list[int] = []
-        for _, idx in unimodular:
-            order.extend(idx)
-        for idx_mu, idx_inv, _ in pairs:
-            order.extend(idx_mu)
-            order.extend(idx_inv)
-        u_g = u_eig[:, order]
-        b = u_g.conj().T @ reg @ u_g
-
-        locals_: list[np.ndarray] = []
-        offset = 0
-        for lam_rep, idx in unimodular:
-            c = len(idx)
-            alpha = sqrt_dplus(lam_rep)
-            sub = b[offset : offset + c, offset : offset + c]
-            herm = alpha.conjugate() * sub
-            herm = (herm + herm.conj().T) / 2.0
-            evals, vecs = np.linalg.eigh(herm)
-            locals_.append(vecs.conj().T)
-            for i, val in enumerate(evals):
-                records.append(("one", alpha * float(val), [offset + i]))
-            offset += c
-        for idx_mu, idx_inv, _ in pairs:
-            g = len(idx_mu)
-            bj = b[offset : offset + 2 * g, offset : offset + 2 * g]
-            y = bj[:g, g:]
-            z = bj[g:, :g]
-            # Least squares fit of z = mu * y*.
-            ref = y.conj().T
-            mu_fit = complex(np.sum(ref.conj() * z) / np.sum(np.abs(ref) ** 2))
-            f = svd(y)
-            local = block_diag([f.u.conj().T, f.v.conj().T])
-            interleave = []
-            for i in range(g):
-                interleave.extend((i, g + i))
-            locals_.append(permutation_matrix(interleave) @ local)
-            for i in range(g):
-                tau_n, mu_n = normalize_star_pair(float(f.sigma[i]), mu_fit, tol)
-                records.append(
-                    ("two", (tau_n, mu_n), [offset + 2 * i, offset + 2 * i + 1])
-                )
-            offset += 2 * g
-        t_reg = block_diag(locals_) @ u_g.conj().T
-    else:
-        t_reg = np.zeros((0, 0), dtype=np.complex128)
-
-    for i, s in enumerate(split.singular_sigmas):
-        records.append(("two", (float(s), 0.0 + 0.0j), [k + 2 * i, k + 2 * i + 1]))
-    m2 = len(split.singular_sigmas)
-    for j in range(split.zero_count):
-        records.append(("one", 0.0 + 0.0j, [k + 2 * m2 + j]))
-
-    t_pre = block_diag([t_reg, np.eye(n - k, dtype=np.complex128)]) @ split.transform
-
-    ones = sorted(
-        (rec for rec in records if rec[0] == "one"),
-        key=lambda rec: star_one_key(rec[1]),
-    )
-    twos = sorted(
-        (rec for rec in records if rec[0] == "two"),
-        key=lambda rec: star_two_key(rec[1]),
-    )
-    order_final: list[int] = []
-    for rec in ones:
-        order_final.extend(rec[2])
-    for rec in twos:
-        order_final.extend(rec[2])
-    transform = permutation_matrix(order_final) @ t_pre
-
+    form, transform = _canon(a, _STAR, tol)
     if representation == "triangular":
-        rotations = [np.eye(len(ones), dtype=np.complex128)]
-        rotations.extend(_triangular_rotation(t, m) for _, (t, m), _ in twos)
+        # The rotations are unitary, so the residual _canon checked on
+        # the h2 rendering carries over.
+        rotations = [np.eye(len(form.one_by_one), dtype=np.complex128)]
+        rotations.extend(_triangular_rotation(t, m) for t, m in form.two_by_two)
         transform = direct_sum(rotations) @ transform
-
-    form = StarCanonicalForm.build(
-        [rec[1] for rec in ones], [rec[1] for rec in twos], representation
-    )
-    res = norm(transform @ a @ transform.conj().T - form.assemble())
-    bound = tol.residual_rtol * max(1.0, norm(a))
-    if res > bound:
-        raise ConvergenceError(
-            f"canonical form residual {res:.3e} exceeds {bound:.3e}"
-        )
+        form = replace(form, representation="triangular")
     return form, transform
 
 

@@ -20,6 +20,7 @@ from .errors import ConvergenceError, PreconditionError
 from .factorizations import cluster_real_sorted, polar, svd
 from .matrix import DEFAULT_TOL, ToleranceConfig, as_matrix, norm, rank
 from .predicates import _class_residual, classify
+from .regularization import MODES, _adjoint
 
 __all__ = [
     "BLOCK_ATOL",
@@ -250,7 +251,7 @@ def upgrade_congruence_to_unitary(
     both involutory (star mode), the single-matrix congruence already
     implies the pair hypothesis and the extra check is skipped.
     """
-    if mode not in ("congruence", "star"):
+    if mode not in MODES:
         raise ValueError(f"mode must be 'congruence' or 'star', got {mode!r}")
     a, b = _shape_gate(a, b)
     s = as_matrix(s, square=True)
@@ -260,9 +261,6 @@ def upgrade_congruence_to_unitary(
     for name, m in (("a", a), ("b", b), ("s", s)):
         if rank(m, tol) < n:
             raise PreconditionError(f"matrix {name} must be nonsingular")
-
-    def _adj(m: np.ndarray) -> np.ndarray:
-        return m.T if mode == "congruence" else m.conj().T
 
     ra = classify(a, tol)
     rb = classify(b, tol)
@@ -276,7 +274,7 @@ def upgrade_congruence_to_unitary(
         )
 
     scale_s = norm(s, kind="spectral")
-    res = norm(a - s @ b @ _adj(s))
+    res = norm(a - s @ b @ _adjoint(s, mode))
     bound = tol.residual_rtol * max(1.0, norm(a) + scale_s ** 2 * norm(b))
     if res > bound:
         raise PreconditionError(
@@ -285,7 +283,7 @@ def upgrade_congruence_to_unitary(
     if not weak:
         ai = np.linalg.inv(a).conj().T
         bi = np.linalg.inv(b).conj().T
-        res_inv = norm(ai - s @ bi @ _adj(s))
+        res_inv = norm(ai - s @ bi @ _adjoint(s, mode))
         bound_inv = tol.residual_rtol * max(
             1.0, norm(ai) + scale_s ** 2 * norm(bi)
         )
@@ -296,7 +294,7 @@ def upgrade_congruence_to_unitary(
             )
 
     w = polar(s, side="right").w
-    res_final = norm(a - w @ b @ _adj(w))
+    res_final = norm(a - w @ b @ _adjoint(w, mode))
     if res_final > 1e-8 * max(1.0, norm(a)):
         # The hypothesis held, so this is numerical breakdown rather
         # than bad input.

@@ -24,7 +24,6 @@ __all__ = [
     "polar",
     "takagi_symmetric",
     "hua_skew",
-    "range_null_bases",
     "cluster_complex",
     "cluster_real_sorted",
 ]
@@ -102,6 +101,53 @@ def cluster_complex(values: np.ndarray, radius: float) -> list[list[int]]:
     for i in range(k):
         groups.setdefault(find(i), []).append(i)
     return [groups[key] for key in sorted(groups)]
+
+
+def _pair_clusters(
+    values: np.ndarray, partner, radius: float
+) -> tuple[list[tuple[complex, list[int]]], list[tuple[tuple[complex, list[int]], ...]]]:
+    """Match the single-linkage clusters of values under an involution.
+
+    partner maps a value to the value it pairs with (z -> 1/z, 1/conj(z)
+    or conj(z)).  Each cluster, in order, is matched to the unused
+    cluster whose mean lies nearest the image of its own mean, counting
+    itself; a cluster matched to itself is a fixed cluster.  Returns
+    (fixed, pairs): fixed lists (mean, indices), pairs lists
+    ((mean, indices), (mean, indices)) with the earlier cluster first.
+    Raises PreconditionError when no unused cluster lies within the
+    match tolerance of an image, or when paired clusters differ in size.
+    """
+    clusters = cluster_complex(values, radius)
+    means = [complex(np.mean(values[idx])) for idx in clusters]
+    fixed: list[tuple[complex, list[int]]] = []
+    pairs: list[tuple[tuple[complex, list[int]], ...]] = []
+    used = [False] * len(clusters)
+    for ci, idx in enumerate(clusters):
+        if used[ci]:
+            continue
+        rep = means[ci]
+        target = partner(rep)
+        best = min(
+            (cj for cj in range(len(clusters)) if not used[cj]),
+            key=lambda cj: abs(means[cj] - target),
+        )
+        # Each of the three maps stretches distances near rep by
+        # |partner(rep)| / |rep|, so the tolerance grows with it.
+        stretch = abs(target) / abs(rep) if rep else 1.0
+        match_tol = 10.0 * radius * max(1.0, stretch)
+        if abs(means[best] - target) > match_tol:
+            raise PreconditionError(
+                "spectrum is not closed under its pairing map; "
+                "input is not numerically in class"
+            )
+        used[ci] = used[best] = True
+        if best == ci:
+            fixed.append((rep, list(idx)))
+            continue
+        if len(clusters[best]) != len(idx):
+            raise PreconditionError("paired eigenvalue groups differ in size")
+        pairs.append(((rep, list(idx)), (means[best], list(clusters[best]))))
+    return fixed, pairs
 
 
 def cluster_real_sorted(values: np.ndarray, radius: float) -> list[list[int]]:
@@ -331,16 +377,3 @@ def hua_skew(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndar
             f"skew-symmetric SVD residual {recon:.3e} exceeds {bound:.3e}"
         )
     return np.array(taus, dtype=np.float64), v
-
-
-def range_null_bases(
-    a, tol: ToleranceConfig = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases (v1, v2) of range(a) and null(a*).
-
-    Stacking them gives the unitary [v1 v2]; v1 has rank(a) columns.
-    """
-    a = as_matrix(a, square=True)
-    f = svd(a)
-    r = rank(a, tol)
-    return f.u[:, :r].copy(), f.u[:, r:].copy()

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -20,14 +19,9 @@ __all__ = [
     "ToleranceConfig",
     "DEFAULT_TOL",
     "as_matrix",
-    "transpose",
-    "conjugate",
-    "conjugate_transpose",
-    "adjoint",
     "norm",
     "rank",
     "rel_residual",
-    "matrices_close",
     "matrix_to_json",
     "matrix_from_json",
     "loads_matrix",
@@ -69,34 +63,6 @@ def as_matrix(a, square: bool = False) -> np.ndarray:
     if square and m.shape[0] != m.shape[1]:
         raise ParseError(f"expected a square matrix, got shape {m.shape}")
     return m
-
-
-def transpose(a) -> np.ndarray:
-    return as_matrix(a).T
-
-
-def conjugate(a) -> np.ndarray:
-    return as_matrix(a).conj()
-
-
-def conjugate_transpose(a) -> np.ndarray:
-    return as_matrix(a).conj().T
-
-
-_ADJOINTS = {
-    "transpose": transpose,
-    "conjugate": conjugate,
-    "conjugate_transpose": conjugate_transpose,
-}
-
-
-def adjoint(a, which: str) -> np.ndarray:
-    """Apply one of the three entrywise/axis adjoints by name."""
-    try:
-        fn = _ADJOINTS[which]
-    except KeyError:
-        raise ValueError(f"unknown adjoint {which!r}") from None
-    return fn(a)
 
 
 def norm(a, kind: str = "frobenius") -> float:
@@ -144,13 +110,6 @@ def rel_residual(lhs, rhs) -> float:
     rhs = as_matrix(rhs)
     denom = max(1.0, norm(lhs) + norm(rhs))
     return norm(lhs - rhs) / denom
-
-
-def matrices_close(x, y, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Whether ||x - y||_F <= residual_rtol * max(1, ||x||_F)."""
-    x = as_matrix(x)
-    y = as_matrix(y)
-    return norm(x - y) <= tol.residual_rtol * max(1.0, norm(x))
 
 
 def matrix_to_json(a) -> dict:
@@ -223,8 +182,3 @@ def vector_from_json(obj) -> np.ndarray:
             raise ParseError("vector entries must be finite")
         values.append(complex(re, im))
     return np.array(values, dtype=np.complex128)
-
-
-def sorted_desc(values: Iterable[float]) -> tuple[float, ...]:
-    """Sort real values descending, as plain floats."""
-    return tuple(sorted((float(v) for v in values), reverse=True))

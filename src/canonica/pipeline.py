@@ -1,0 +1,141 @@
+"""The canonical-form pipeline of unitary congruence and *congruence.
+
+Both canonical forms come out of one method: split off the singular
+part, take the cosquare adj(r)^{-1} r of the nonsingular part r,
+diagonalize it, pair its eigenvalue clusters under the involution of
+the transformation kind, and reduce each spectral summand of r to
+blocks.  The two kinds differ only in the adjoint (transpose or
+conjugate transpose) and in what the _Mode record below holds;
+canon_congruence and canon_star each define one record and call _canon.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from .blocks import direct_sum, permutation_matrix
+from .errors import ConvergenceError
+from .factorizations import _pair_clusters, eig_normal, svd
+from .matrix import ToleranceConfig, as_matrix, norm
+from .regularization import _adjoint, split_regular_singular
+
+
+@dataclass(frozen=True)
+class _Mode:
+    """What the pipeline needs to know about one transformation kind.
+
+    name is the regularization mode, which also selects the adjoint.
+    partner maps a cosquare eigenvalue to the one it pairs with, and
+    mu_first(mean, radius) tells whether the cluster at mean carries the
+    mu of its pair.  normalize_pair, one_key and two_key pick the
+    canonical representative of a 2-by-2 block and sort the blocks, and
+    form is the canonical-form class.  fixed_groups turns the clusters
+    that are their own partner into (eigenvalue, indices) summands, and
+    reduce_fixed(eigenvalue, block, tol) reduces one of those summands
+    to (local unitary, 1-by-1 entries, 2-by-2 (tau, mu) pairs), with
+    the 1-by-1 entries first in its rows.
+    """
+
+    name: str
+    partner: Callable[[complex], complex]
+    mu_first: Callable[[complex, float], bool]
+    normalize_pair: Callable
+    one_key: Callable
+    two_key: Callable
+    form: type
+    fixed_groups: Callable
+    reduce_fixed: Callable
+
+
+def _canon(a, mode: _Mode, tol: ToleranceConfig):
+    """(form, t) with t unitary and t a adj(t) equal to form.assemble()."""
+    a = as_matrix(a, square=True)
+    n = a.shape[0]
+    split = split_regular_singular(a, mode.name, tol)
+    k = split.regular.shape[0]
+
+    def adj(m: np.ndarray) -> np.ndarray:
+        return _adjoint(m, mode.name)
+
+    # Records (value, indices): value is a 1-by-1 entry or a (tau, mu)
+    # pair, indices are its rows in the direct sum before sorting.
+    ones: list[tuple[object, list[int]]] = []
+    twos: list[tuple[tuple[float, complex], list[int]]] = []
+    if k > 0:
+        reg = split.regular
+        # The split has checked that reg is nonsingular.
+        lam, u_eig = eig_normal(np.linalg.solve(adj(reg), reg), tol)
+        radius = tol.cluster_rtol * max(float(np.max(np.abs(lam))), 1.0)
+        fixed, pairs = _pair_clusters(lam, mode.partner, radius)
+        groups = mode.fixed_groups(fixed)
+        pairs = [
+            (first, second) if mode.mu_first(first[0], radius) else (second, first)
+            for first, second in pairs
+        ]
+
+        order = [i for _, idx in groups for i in idx]
+        for (_, idx_mu), (_, idx_inv) in pairs:
+            order.extend(idx_mu)
+            order.extend(idx_inv)
+        u_g = u_eig[:, order]
+        b = adj(u_g) @ reg @ u_g
+
+        locals_: list[np.ndarray] = []
+        offset = 0
+        for value, idx in groups:
+            c = len(idx)
+            local, values, taus = mode.reduce_fixed(
+                value, b[offset : offset + c, offset : offset + c], tol
+            )
+            locals_.append(local)
+            for v in values:
+                ones.append((v, [offset]))
+                offset += 1
+            for t in taus:
+                twos.append((t, [offset, offset + 1]))
+                offset += 2
+        for (_, idx_mu), _ in pairs:
+            g = len(idx_mu)
+            bj = b[offset : offset + 2 * g, offset : offset + 2 * g]
+            y = bj[:g, g:]
+            z = bj[g:, :g]
+            # Least squares fit of z = mu * adj(y).
+            ref = adj(y)
+            mu_fit = complex(np.sum(ref.conj() * z) / float(np.sum(np.abs(ref) ** 2)))
+            f = svd(y)
+            interleave = []
+            for i in range(g):
+                interleave.extend((i, g + i))
+            locals_.append(
+                permutation_matrix(interleave) @ direct_sum([f.u.conj().T, adj(f.v)])
+            )
+            for i in range(g):
+                pair = mode.normalize_pair(float(f.sigma[i]), mu_fit, tol)
+                twos.append((pair, [offset + 2 * i, offset + 2 * i + 1]))
+            offset += 2 * g
+        t_reg = direct_sum(locals_) @ adj(u_g)
+    else:
+        t_reg = np.zeros((0, 0), dtype=np.complex128)
+
+    for i, s in enumerate(split.singular_sigmas):
+        twos.append(((float(s), 0.0 + 0.0j), [k + 2 * i, k + 2 * i + 1]))
+    m2 = len(split.singular_sigmas)
+    for j in range(split.zero_count):
+        ones.append((0.0, [k + 2 * m2 + j]))
+
+    t_pre = direct_sum([t_reg, np.eye(n - k, dtype=np.complex128)]) @ split.transform
+    ones.sort(key=lambda rec: mode.one_key(rec[0]))
+    twos.sort(key=lambda rec: mode.two_key(rec[0]))
+    transform = permutation_matrix([i for _, idx in ones + twos for i in idx]) @ t_pre
+
+    form = mode.form.build([v for v, _ in ones], [p for p, _ in twos])
+    res = norm(transform @ a @ adj(transform) - form.assemble())
+    bound = tol.residual_rtol * max(1.0, norm(a))
+    if res > bound:
+        raise ConvergenceError(
+            f"canonical form residual {res:.3e} exceeds {bound:.3e}"
+        )
+    return form, transform

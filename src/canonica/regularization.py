@@ -13,11 +13,11 @@ into a nonsingular part and elementary singular blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import block_diag, permutation_matrix
+from .blocks import direct_sum, permutation_matrix
 from .errors import ConvergenceError, PreconditionError
 from .factorizations import svd
 from .matrix import (
@@ -34,13 +34,12 @@ from .predicates import _GATE_PRODUCTS, _normality_residual
 __all__ = ["ReducedForm", "RegularSplit", "regularize", "split_regular_singular"]
 
 MODES = ("congruence", "star")
+_COSQUARE_NAMES = {"congruence": "cosquare", "star": "star_cosquare"}
 
 
-def _apply(t: np.ndarray, a: np.ndarray, mode: str) -> np.ndarray:
-    """t a t^T for congruence, t a t* for star."""
-    if mode == "congruence":
-        return t @ a @ t.T
-    return t @ a @ t.conj().T
+def _adjoint(m: np.ndarray, mode: str) -> np.ndarray:
+    """m^T for congruence, m* for star: t acts on a as t a _adjoint(t)."""
+    return m.T if mode == "congruence" else m.conj().T
 
 
 @dataclass(frozen=True)
@@ -91,9 +90,6 @@ class RegularSplit:
     singular_sigmas: np.ndarray
     zero_count: int
     transform: np.ndarray
-    # Set by split_regular_singular when its rank identity proves the
-    # regular part nonsingular, so the cosquare needs no rank check.
-    _regular_nonsingular: bool = field(default=False, repr=False)
 
     def assembled(self) -> np.ndarray:
         k = self.regular.shape[0]
@@ -172,10 +168,10 @@ def regularize(a, mode: str, tol: ToleranceConfig = DEFAULT_TOL) -> ReducedForm:
         x = np.column_stack([g.u[:, m2:], g.u[:, :m2]])
         y = g.v
         if mode == "congruence":
-            z = block_diag([x.conj().T, y.T])
+            z = direct_sum([x.conj().T, y.T])
             core = x.conj().T @ m @ x.conj()
         else:
-            z = block_diag([x.conj().T, y.conj().T])
+            z = direct_sum([x.conj().T, y.conj().T])
             core = x.conj().T @ m @ x
         sigma = g.sigma[:m2].copy()
         transform = z @ f.u.conj().T
@@ -189,7 +185,7 @@ def regularize(a, mode: str, tol: ToleranceConfig = DEFAULT_TOL) -> ReducedForm:
         transform=transform,
         _spectral_norm=spectral_norm,
     )
-    res = norm(_apply(transform, a, mode) - form.assembled())
+    res = norm(transform @ a @ _adjoint(transform, mode) - form.assembled())
     bound = tol.residual_rtol * max(1.0, norm(a))
     if res > bound:
         raise ConvergenceError(
@@ -206,7 +202,8 @@ def split_regular_singular(
     Requires the class membership matching the mode; the bordering
     blocks then vanish and the reduced form is a direct sum of a
     nonsingular matrix of the same class, blocks sigma_i*[[0,1],[0,0]],
-    and zeros.
+    and zeros.  Raises PreconditionError when the regular part it finds
+    is numerically singular.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -267,36 +264,40 @@ def split_regular_singular(
         zero_count=m1 - m2,
         transform=transform,
     )
-    res = norm(_apply(transform, a, mode) - split.assembled())
+    res = norm(transform @ a @ _adjoint(transform, mode) - split.assembled())
     if res > bound:
         raise ConvergenceError(
             f"split residual {res:.3e} exceeds {bound:.3e}"
         )
-    proved = False
     if k0 > 0:
         # The rank identity usually proves the regular part nonsingular
-        # at its own cutoff too, which spares the cosquare its rank
-        # check.  p = conj(a) a (or a^2) is unitarily similar to the
+        # at its own cutoff, which spares a rank check of its own.
+        # p = conj(a) a (or a^2) is unitarily similar to the
         # same product of assembled() + E, ||E|| <= e: the residual just
         # measured, widened far beyond rounding.  The product of
         # assembled() is that of the regular part r plus zeros, as the
         # elementary blocks square to zero, and ||r|| <= s + e with
         # s = ||a||_2.  Weyl's inequality gives sigma_min(r) ||r|| >=
         # sigma_k0(p) - 2 (s + e) e - e^2; above rank_rtol (s + e)^2 k0,
-        # that is rank(r) == k0.
+        # that is rank(r) == k0.  Without that proof, as when bordering
+        # blocks pass the vanishing test above yet exceed the rank
+        # cutoff, the regular part gets its own rank check.
         e = res + 1e-12 * n * spectral_norm
         margin = float(s_product[k0 - 1]) - (2.0 * (spectral_norm + e) + e) * e
         proved = margin > tol.rank_rtol * (spectral_norm + e) ** 2 * k0
-    return replace(split, _regular_nonsingular=proved)
+        if not proved and rank(split.regular, tol) < k0:
+            raise PreconditionError(
+                f"{_COSQUARE_NAMES[mode]} requires a nonsingular regular part; "
+                "the split left a singular one"
+            )
+    return split
 
 
-def _cosquare(
-    a: np.ndarray, mode: str, tol: ToleranceConfig, proved: bool = False
-) -> np.ndarray:
+def _cosquare(a: np.ndarray, mode: str, tol: ToleranceConfig) -> np.ndarray:
     """The cosquare a^{-T} a (congruence) or a^{-*} a (star) of a
-    nonsingular matrix; the rank check is skipped when proved is set."""
-    congruence = mode == "congruence"
-    if not proved and rank(a, tol) < a.shape[0]:
-        name = "cosquare" if congruence else "star_cosquare"
-        raise PreconditionError(f"{name} requires a nonsingular matrix")
-    return np.linalg.solve(a.T if congruence else a.conj().T, a)
+    nonsingular matrix."""
+    if rank(a, tol) < a.shape[0]:
+        raise PreconditionError(
+            f"{_COSQUARE_NAMES[mode]} requires a nonsingular matrix"
+        )
+    return np.linalg.solve(_adjoint(a, mode), a)

@@ -13,9 +13,15 @@ from canonica.canon_congruence import (
     canon_unitary,
     cosquare,
 )
+from canonica.equivalence import forms_match
 from canonica.errors import ConvergenceError, PreconditionError
 from canonica.matrix import norm
-from canonica.sampling import default_rng, random_congruence_instance
+from canonica.sampling import (
+    default_rng,
+    random_congruence_instance,
+    random_conjugate_normal_instance,
+    random_unitary,
+)
 
 H2_I = np.array([[0.0, 1.0], [1.0j, 0.0]])
 
@@ -180,6 +186,37 @@ def test_canon_unitary_mixed_angles():
     u = direct_sum([np.eye(1), ROT90])
     blocks = canon_unitary(u)
     assert [b.shape[0] for b in blocks] == [1, 2]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_canon_conjugate_normal_agrees_with_canon_congruence(seed):
+    gen = default_rng(500 + seed)
+    _, a = random_conjugate_normal_instance(3 + seed % 5, gen, singular=seed % 2 == 1)
+    form, _ = canon_congruence(a)
+    ok, detail = forms_match(canon_conjugate_normal(a), form)
+    assert ok, detail
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_canon_unitary_agrees_with_canon_congruence(seed):
+    # Repeated angles give conj(u) u eigenvalue clusters of size 2 and 3.
+    gen = default_rng(600 + seed)
+    thetas = [0.8, 0.8, 2.1, 2.1, 2.1, np.pi, np.pi][: 3 + seed % 5]
+    d = direct_sum(
+        [np.eye(1 + seed % 3)]
+        + [antidiag_block(1.0, np.exp(1j * t)) for t in thetas]
+    )
+    v = random_unitary(d.shape[0], gen)
+    u = v @ d @ v.T
+    blocks = canon_unitary(u)
+    # h2 blocks are [[0, 1], [mu, 0]]: read the form they spell.
+    direct = CongruenceCanonicalForm.build(
+        [b[0, 0].real for b in blocks if b.shape == (1, 1)],
+        [(b[0, 1].real, b[1, 0]) for b in blocks if b.shape == (2, 2)],
+    )
+    form, _ = canon_congruence(u)
+    ok, detail = forms_match(direct, form)
+    assert ok, detail
 
 
 def test_canon_unitary_rejects_nonunitary():

@@ -11,7 +11,6 @@ from canonica.blocks import h2_to_triangular
 from canonica.canon_star import (
     QuadraticForm,
     StarCanonicalForm,
-    assemble_star,
     canon_hermitian_square,
     canon_involution,
     canon_lambda_projection,
@@ -84,7 +83,6 @@ def test_assemble_h2_and_triangular():
     assert tri.assemble() == pytest.approx(
         np.array([[0.5j, 0.75], [0.0, -0.5j]])
     )
-    assert np.array_equal(assemble_star(form), form.assemble())
 
 
 def test_form_json_includes_triangular_parameters():

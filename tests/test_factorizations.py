@@ -19,7 +19,6 @@ from canonica.factorizations import (
     eig_normal,
     hua_skew,
     polar,
-    range_null_bases,
     svd,
     takagi_symmetric,
 )
@@ -378,21 +377,59 @@ def test_hua_skew_rejects_bad_inputs():
         hua_skew(np.zeros((3, 3)))
 
 
-def test_range_null_bases_nilpotent():
-    v1, v2 = range_null_bases([[0.0, 1.0], [0.0, 0.0]])
-    assert v1.shape == (2, 1)
-    assert v2.shape == (2, 1)
-    # range = span(e1), null of the adjoint = span(e2).
-    assert abs(v1[0, 0]) == pytest.approx(1.0)
-    assert abs(v2[1, 0]) == pytest.approx(1.0)
+RADIUS = 1e-8
+Z = 2.0 + 1.0j
+PAIRING_CASES = {
+    # map: (values, fixed (mean, indices), pairs ((mean, indices), (mean, indices)))
+    "reciprocal": (
+        lambda z: 1.0 / z,
+        [Z, 1.0, -1.0, 1.0 / Z, -1.0 + 1e-12j, Z * (1.0 + 1e-12), 1.0 / Z],
+        [(1.0, [1]), (-1.0, [2, 4])],
+        [((Z, [0, 5]), (1.0 / Z, [3, 6]))],
+    ),
+    "conjugate_reciprocal": (
+        lambda z: 1.0 / z.conjugate(),
+        [0.3j, np.exp(0.7j), 1.0 / (-0.3j), np.exp(0.7j) * (1.0 + 1e-12)],
+        [(np.exp(0.7j), [1, 3])],
+        [((0.3j, [0]), (1.0 / (-0.3j), [2]))],
+    ),
+    "conjugate": (
+        complex.conjugate,
+        [1.0 - 1.0j, 2.0, 1.0 + 1.0j, -3.0, -3.0 + 1e-12j],
+        [(2.0, [1]), (-3.0, [3, 4])],
+        [((1.0 - 1.0j, [0]), (1.0 + 1.0j, [2]))],
+    ),
+}
 
 
-def test_range_null_bases_stack_is_unitary():
-    c = random_complex(5, 3)
-    a = c @ random_complex(3, 5)
-    v1, v2 = range_null_bases(a)
-    assert v1.shape[1] == 3
-    stacked = np.hstack([v1, v2])
-    assert norm(stacked.conj().T @ stacked - np.eye(5)) <= 1e-10
-    # Columns of v2 annihilate a from the left.
-    assert norm(v2.conj().T @ a) <= 1e-9 * norm(a)
+@pytest.mark.parametrize("kind", PAIRING_CASES)
+def test_pair_clusters_fixed_clusters_and_pairs(kind):
+    partner, values, want_fixed, want_pairs = PAIRING_CASES[kind]
+    fixed, pairs = factorizations._pair_clusters(
+        np.array(values, dtype=np.complex128), partner, RADIUS
+    )
+    # A cluster that is its own image is fixed; a pair lists the
+    # cluster met first (by smallest index) first.
+    assert [idx for _, idx in fixed] == [idx for _, idx in want_fixed]
+    assert [m for m, _ in fixed] == pytest.approx([m for m, _ in want_fixed])
+    assert [(p[1], q[1]) for p, q in pairs] == [(p[1], q[1]) for p, q in want_pairs]
+    for (p, q), (wp, wq) in zip(pairs, want_pairs):
+        assert (p[0], q[0]) == pytest.approx((wp[0], wq[0]))
+
+
+@pytest.mark.parametrize(
+    "partner,lonely,twin",
+    [
+        (lambda z: 1.0 / z, 0.5, 2.0),
+        (lambda z: 1.0 / z.conjugate(), 0.5j, 2.0j),
+        (complex.conjugate, 1.0 + 1.0j, 1.0 - 1.0j),
+    ],
+    ids=list(PAIRING_CASES),
+)
+def test_pair_clusters_rejects_a_missing_partner_and_a_size_mismatch(
+    partner, lonely, twin
+):
+    with pytest.raises(PreconditionError, match="not closed under its pairing map"):
+        factorizations._pair_clusters(np.array([lonely]), partner, RADIUS)
+    with pytest.raises(PreconditionError, match="differ in size"):
+        factorizations._pair_clusters(np.array([lonely, twin, twin]), partner, RADIUS)

@@ -39,6 +39,13 @@ COMMANDS = {
     "regularize-congruence": ["regularize", "--congruence"],
     "compare-star-self": ["compare", "--star"],
     "compare-congruence-self": ["compare", "--congruence"],
+    "canon-unitary-h2": ["canon", "--congruence", "--style", "h2"],
+    "canon-unitary-real-orthogonal": [
+        "canon", "--congruence", "--style", "real_orthogonal"
+    ],
+    "canon-unitary-hermitian-unitary": [
+        "canon", "--congruence", "--style", "hermitian_unitary"
+    ],
 }
 
 CASES = [

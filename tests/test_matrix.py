@@ -9,17 +9,14 @@ from canonica.errors import ParseError
 from canonica.matrix import (
     DEFAULT_TOL,
     ToleranceConfig,
-    adjoint,
     as_matrix,
     dumps_matrix,
     loads_matrix,
-    matrices_close,
     matrix_from_json,
     matrix_to_json,
     norm,
     rank,
     rel_residual,
-    sorted_desc,
     vector_from_json,
 )
 
@@ -51,17 +48,6 @@ def test_as_matrix_square_gate():
     with pytest.raises(ParseError):
         as_matrix([[1, 2, 3], [4, 5, 6]], square=True)
     as_matrix([[1, 2], [3, 4]], square=True)
-
-
-def test_adjoint_by_name():
-    a = [[1j, 2], [0, 3]]
-    assert np.array_equal(adjoint(a, "transpose"), np.array([[1j, 0], [2, 3]]))
-    assert np.array_equal(adjoint(a, "conjugate"), np.array([[-1j, 2], [0, 3]]))
-    assert np.array_equal(
-        adjoint(a, "conjugate_transpose"), np.array([[-1j, 0], [2, 3]])
-    )
-    with pytest.raises(ValueError):
-        adjoint(a, "flip")
 
 
 def test_norm_frobenius():
@@ -106,14 +92,6 @@ def test_rel_residual_zero_on_equal():
 def test_rel_residual_small_denominator_floor():
     # Denominator is floored at 1 so tiny matrices do not inflate.
     assert rel_residual([[1e-12]], [[0.0]]) == pytest.approx(1e-12)
-
-
-def test_matrices_close_uses_residual_rtol():
-    a = np.eye(2)
-    assert matrices_close(a, a + 1e-12)
-    assert not matrices_close(a, a + 1e-6)
-    loose = ToleranceConfig(residual_rtol=1e-3)
-    assert matrices_close(a, a + 1e-6, loose)
 
 
 def test_tolerance_config_defaults():
@@ -180,8 +158,3 @@ def test_vector_from_json():
         vector_from_json([[1.0], [2.0]])
     with pytest.raises(ParseError):
         vector_from_json("nope")
-
-
-def test_sorted_desc():
-    assert sorted_desc([1.0, 3.0, 2.0]) == (3.0, 2.0, 1.0)
-    assert sorted_desc([]) == ()

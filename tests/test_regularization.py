@@ -174,3 +174,15 @@ def test_split_json_shape():
         "zero_count",
         "transform",
     }
+
+
+@pytest.mark.parametrize("coupling", [1e-9, 1e-8, 1e-7])
+@pytest.mark.parametrize("mode,name", [("congruence", "cosquare"), ("star", "star_cosquare")])
+def test_split_rejects_a_singular_regular_part(mode, name, coupling):
+    # The bordering entry passes the vanishing test and lends the rank
+    # identity's product the rank that the regular part [[0]] lacks.
+    a = np.zeros((3, 3))
+    a[0, 1] = coupling
+    a[1, 2] = 1.0
+    with pytest.raises(PreconditionError, match=f"^{name} requires a nonsingular"):
+        split_regular_singular(a, mode)
