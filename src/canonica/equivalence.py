@@ -14,13 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canon_congruence import CongruenceCanonicalForm, canon_congruence, canon_conjugate_normal
-from .canon_star import StarCanonicalForm, canon_quadratic, canon_star, pearcy_equal_2x2
+from .canon_congruence import _CONGRUENCE, CongruenceCanonicalForm, canon_conjugate_normal
+from .canon_star import _STAR, StarCanonicalForm, canon_quadratic, pearcy_equal_2x2
 from .errors import ConvergenceError, PreconditionError
 from .factorizations import cluster_real_sorted, polar, svd
 from .matrix import DEFAULT_TOL, ToleranceConfig, as_matrix, norm, rank
-from .predicates import _class_residual, classify
-from .regularization import MODES, _adjoint
+from .pipeline import _canon
+from .predicates import classify
+from .regularization import MODES, _adjoint, _gate
 
 __all__ = [
     "BLOCK_ATOL",
@@ -119,6 +120,24 @@ def _shape_gate(a, b) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _gated_forms(a, b, mode, tol: ToleranceConfig):
+    """(ra, rb, forms): the class-gate residuals of a and b and, when
+    both pass, their canonical forms under the pipeline mode.
+
+    Each input's gate product is formed once.  Its split needs only the
+    product's singular values, and dropping the products keeps two
+    n x n arrays out of the pipelines' peak memory.
+    """
+    product_a, ra = _gate(a, mode.name)
+    product_b, rb = _gate(b, mode.name)
+    if not (ra <= tol.residual_rtol and rb <= tol.residual_rtol):
+        return ra, rb, None
+    s_a = np.linalg.svd(product_a, compute_uv=False)
+    s_b = np.linalg.svd(product_b, compute_uv=False)
+    del product_a, product_b
+    return ra, rb, (_canon(a, mode, tol, s_a)[0], _canon(b, mode, tol, s_b)[0])
+
+
 def decide_unitary_congruence(
     a, b, tol: ToleranceConfig = DEFAULT_TOL
 ) -> EquivalenceVerdict:
@@ -129,12 +148,9 @@ def decide_unitary_congruence(
     guessed.
     """
     a, b = _shape_gate(a, b)
-    ra = _class_residual(a, "congruence_normal")
-    rb = _class_residual(b, "congruence_normal")
-    if ra <= tol.residual_rtol and rb <= tol.residual_rtol:
-        fa, _ = canon_congruence(a, tol)
-        fb, _ = canon_congruence(b, tol)
-        ok, detail = forms_match(fa, fb)
+    ra, rb, forms = _gated_forms(a, b, _CONGRUENCE, tol)
+    if forms is not None:
+        ok, detail = forms_match(*forms)
         return EquivalenceVerdict(
             "equivalent" if ok else "not_equivalent", "canonical_form", detail
         )
@@ -168,12 +184,9 @@ def decide_unitary_star_congruence(
         return EquivalenceVerdict(
             "equivalent" if ok else "not_equivalent", "pearcy", {"traces": traces}
         )
-    ra = _class_residual(a, "squared_normal")
-    rb = _class_residual(b, "squared_normal")
-    if ra <= tol.residual_rtol and rb <= tol.residual_rtol:
-        fa, _ = canon_star(a, tol)
-        fb, _ = canon_star(b, tol)
-        ok, detail = forms_match(fa, fb)
+    ra, rb, forms = _gated_forms(a, b, _STAR, tol)
+    if forms is not None:
+        ok, detail = forms_match(*forms)
         return EquivalenceVerdict(
             "equivalent" if ok else "not_equivalent", "canonical_form", detail
         )

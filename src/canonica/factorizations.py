@@ -68,6 +68,8 @@ def cluster_complex(values: np.ndarray, radius: float) -> list[list[int]]:
     """
     values = np.asarray(values, dtype=np.complex128)
     k = len(values)
+    if k == 0:
+        return []
     # Every pair within radius is within radius in real part, so only
     # pairs inside a window of the values sorted by real part can link.
     # The window is twice the radius wide so that no real-part gap that
@@ -83,24 +85,26 @@ def cluster_complex(values: np.ndarray, radius: float) -> list[list[int]]:
     # hypot, as abs of a complex scalar computes it; the array abs may
     # differ in the last bit.
     near = np.hypot(d.real, d.imag) <= radius
+    i, j = left[near], right[near]
 
-    parent = list(range(k))
+    # Connected components of the near pairs: every index takes the
+    # smallest label among its neighbours, then follows its label's
+    # label (pointer jumping), until nothing changes.  A label always
+    # names a member of its own component no larger than the index, so
+    # at the fixed point each component carries its smallest member.
+    labels = np.arange(k)
+    while True:
+        new = labels.copy()
+        np.minimum.at(new, i, labels[j])
+        np.minimum.at(new, j, labels[i])
+        new = new[new]
+        if np.array_equal(new, labels):
+            break
+        labels = new
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in zip(left[near].tolist(), right[near].tolist()):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(i)
-    return [groups[key] for key in sorted(groups)]
+    members = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[members])) + 1
+    return [group.tolist() for group in np.split(members, starts)]
 
 
 def _pair_clusters(
@@ -171,7 +175,9 @@ def eig_normal(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.nd
     Returns (lam, u) with a = u @ diag(lam) @ u* and u unitary.  Works by
     diagonalizing the Hermitian part, then diagonalizing the restriction
     of the skew-Hermitian part to each eigenvalue cluster; both passes
-    are Hermitian eigenproblems.
+    are Hermitian eigenproblems.  When that misses the residual bound,
+    a second try also diagonalizes the Hermitian part within each
+    cluster of the skew part's eigenvalues.
     """
     a = as_matrix(a, square=True)
     n = a.shape[0]
@@ -200,23 +206,44 @@ def eig_normal(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.nd
     gaps = np.abs(np.diff(hvals))
     if np.any((gaps > radius) & (gaps <= tol.cluster_rtol * fro * (1.0 + margin))):
         radius = tol.cluster_rtol * norm(a, "spectral")
-    for idx in cluster_real_sorted(hvals, radius):
-        if len(idx) == 1:
-            continue
-        cols = u[:, idx]
-        kr = cols.conj().T @ k @ cols
-        kr = (kr + kr.conj().T) / 2.0
-        _, w = np.linalg.eigh(kr)
-        u[:, idx] = cols @ w
-
+    clusters = [idx for idx in cluster_real_sorted(hvals, radius) if len(idx) > 1]
+    bound = tol.residual_rtol * max(1.0, fro)
+    _diagonalize_clusters(u, clusters, h, k, None)
     lam = np.sum(u.conj() * (a @ u), axis=0)
     recon = norm(a - (u * lam) @ u.conj().T)
-    bound = tol.residual_rtol * max(1.0, fro)
+    if recon > bound:
+        # Inside a cluster the skew part can be rounding noise, and its
+        # eigh then rotates vectors that h still tells apart (by less
+        # than the radius, but more than the residual bound allows).
+        # Start over and let h decide within each skew-part sub-cluster.
+        _, u = np.linalg.eigh(h)
+        _diagonalize_clusters(u, clusters, h, k, radius)
+        lam = np.sum(u.conj() * (a @ u), axis=0)
+        recon = norm(a - (u * lam) @ u.conj().T)
     if recon > bound:
         raise ConvergenceError(
             f"eigendecomposition residual {recon:.3e} exceeds {bound:.3e}"
         )
     return lam, u
+
+
+def _diagonalize_clusters(u, clusters, h, k, radius) -> None:
+    """Rotate the columns of u in each cluster to the eigenvectors of
+    the restriction of k; with a radius, also to those of the
+    restriction of h within each sub-cluster of k's eigenvalues."""
+    for idx in clusters:
+        cols = u[:, idx]
+        kr = cols.conj().T @ k @ cols
+        kr = (kr + kr.conj().T) / 2.0
+        kvals, w = np.linalg.eigh(kr)
+        if radius is not None:
+            for sub in cluster_real_sorted(kvals, radius):
+                if len(sub) > 1:
+                    c = cols @ w[:, sub]
+                    hr = c.conj().T @ h @ c
+                    _, wh = np.linalg.eigh((hr + hr.conj().T) / 2.0)
+                    w[:, sub] = w[:, sub] @ wh
+        u[:, idx] = cols @ w
 
 
 def polar(a, side: str = "right", tol: ToleranceConfig = DEFAULT_TOL) -> PolarResult:
@@ -350,12 +377,14 @@ def hua_skew(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndar
             pairs.append((t, x, y))
             rest = basis[:, 1:]
             rest = rest - np.outer(x, x.conj() @ rest) - np.outer(y, y.conj() @ rest)
-            if rest.shape[1] > 0:
+            if rest.shape[1] > 1:
                 # Orthonormalize what is left of the cluster basis.
                 bu, bs, _ = np.linalg.svd(rest, full_matrices=False)
                 basis = bu[:, : rest.shape[1] - 1]
             else:
-                basis = rest
+                # The one column left lies in span(x, y): the cluster
+                # is used up.
+                basis = rest[:, :0]
 
     pairs.sort(key=lambda item: -item[0])
     cols = []

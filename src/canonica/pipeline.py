@@ -20,7 +20,7 @@ from .blocks import direct_sum, permutation_matrix
 from .errors import ConvergenceError
 from .factorizations import _pair_clusters, eig_normal, svd
 from .matrix import ToleranceConfig, as_matrix, norm
-from .regularization import _adjoint, split_regular_singular
+from .regularization import _adjoint, _split, split_regular_singular
 
 
 @dataclass(frozen=True)
@@ -50,11 +50,19 @@ class _Mode:
     reduce_fixed: Callable
 
 
-def _canon(a, mode: _Mode, tol: ToleranceConfig):
-    """(form, t) with t unitary and t a adj(t) equal to form.assemble()."""
+def _canon(a, mode: _Mode, tol: ToleranceConfig, s_product=None):
+    """(form, t) with t unitary and t a adj(t) equal to form.assemble().
+
+    A caller that has already passed a through the class gate
+    (regularization._gate) hands on the singular values s_product of
+    the gate product, so that the split does not form it again.
+    """
     a = as_matrix(a, square=True)
     n = a.shape[0]
-    split = split_regular_singular(a, mode.name, tol)
+    if s_product is None:
+        split = split_regular_singular(a, mode.name, tol)
+    else:
+        split = _split(a, mode.name, tol, s_product)
     k = split.regular.shape[0]
 
     def adj(m: np.ndarray) -> np.ndarray:

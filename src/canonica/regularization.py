@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import direct_sum, permutation_matrix
+from .blocks import direct_sum
 from .errors import ConvergenceError, PreconditionError
 from .factorizations import svd
 from .matrix import (
@@ -35,6 +35,7 @@ __all__ = ["ReducedForm", "RegularSplit", "regularize", "split_regular_singular"
 
 MODES = ("congruence", "star")
 _COSQUARE_NAMES = {"congruence": "cosquare", "star": "star_cosquare"}
+_GATE_FLAGS = {"congruence": "congruence_normal", "star": "squared_normal"}
 
 
 def _adjoint(m: np.ndarray, mode: str) -> np.ndarray:
@@ -121,9 +122,9 @@ def regularize(a, mode: str, tol: ToleranceConfig = DEFAULT_TOL) -> ReducedForm:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     a = as_matrix(a, square=True)
     n = a.shape[0]
-    s = np.linalg.svd(a, compute_uv=False)
-    spectral_norm = float(s[0]) if n else 0.0
-    r = _rank_of_values(s, n, tol, scale=spectral_norm)
+    f = svd(a)
+    spectral_norm = float(f.sigma[0]) if n else 0.0
+    r = _rank_of_values(f.sigma, n, tol, scale=spectral_norm)
     eye = np.eye(n, dtype=np.complex128)
 
     if r == n:
@@ -147,8 +148,6 @@ def regularize(a, mode: str, tol: ToleranceConfig = DEFAULT_TOL) -> ReducedForm:
             _spectral_norm=spectral_norm,
         )
 
-    f = svd(a)
-    scale = float(f.sigma[0])
     v1 = f.u[:, :r]
     v2 = f.u[:, r:]
     if mode == "congruence":
@@ -157,7 +156,7 @@ def regularize(a, mode: str, tol: ToleranceConfig = DEFAULT_TOL) -> ReducedForm:
     else:
         m = v1.conj().T @ a @ v1
         nmat = v1.conj().T @ a @ v2
-    m2 = rank(nmat, tol, scale=scale)
+    m2 = rank(nmat, tol, scale=spectral_norm)
 
     if m2 == 0:
         core = m
@@ -208,16 +207,62 @@ def split_regular_singular(
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     a = as_matrix(a, square=True)
-    n = a.shape[0]
-    flag = "congruence_normal" if mode == "congruence" else "squared_normal"
-    # One gate product serves the class gate and the rank identity.
-    product = _GATE_PRODUCTS[flag](a)
-    gate = _normality_residual(product)
+    product, gate = _gate(a, mode)
     if not gate <= tol.residual_rtol:
         raise PreconditionError(
-            f"input is not {flag.replace('_', ' ')}", residual=gate
+            f"input is not {_GATE_FLAGS[mode].replace('_', ' ')}", residual=gate
         )
+    s_product = np.linalg.svd(product, compute_uv=False)
+    # Only the spectrum goes on; the split's reduction runs without the
+    # product (an n x n array) held.
+    del product
+    return _split(a, mode, tol, s_product)
 
+
+def _gate(a: np.ndarray, mode: str) -> tuple[np.ndarray, float]:
+    """The class gate of the mode: (conj(a) a or a^2, its normality
+    residual).  The split's rank identity needs the singular values of
+    the same product."""
+    product = _GATE_PRODUCTS[_GATE_FLAGS[mode]](a)
+    return product, _normality_residual(product)
+
+
+def _split(
+    a: np.ndarray, mode: str, tol: ToleranceConfig, s_product: np.ndarray
+) -> RegularSplit:
+    """split_regular_singular of an a that passed the class gate, given
+    the singular values s_product of its gate product."""
+    n = a.shape[0]
+    if n > 0:
+        # The rank identity's spectrum alone can prove a nonsingular,
+        # and the split trivial.  The test below is the Weyl margin of
+        # _split_by_reduction with F = ||a||_F in place of ||a||_2 <= F,
+        # which only makes it stricter, and with a zero residual widened
+        # by e = 1e-12 n F, far beyond the rounding in p.  As
+        # sigma_min(p) <= sigma_min(a) ||a||_2 for p = conj(a) a or a^2,
+        # it implies all three checks of that route: the rank cutoff
+        # finds a nonsingular, the rank identity holds, and the regular
+        # part, a itself, is nonsingular.
+        fro = norm(a)
+        e = 1e-12 * n * fro
+        margin = float(s_product[-1]) - (2.0 * (fro + e) + e) * e
+        if margin > tol.rank_rtol * (fro + e) ** 2 * n:
+            return RegularSplit(
+                mode=mode,
+                regular=a.copy(),
+                singular_sigmas=np.zeros(0, dtype=np.float64),
+                zero_count=0,
+                transform=np.eye(n, dtype=np.complex128),
+            )
+    return _split_by_reduction(a, mode, tol, s_product)
+
+
+def _split_by_reduction(
+    a: np.ndarray, mode: str, tol: ToleranceConfig, s_product: np.ndarray
+) -> RegularSplit:
+    """The split through regularize, checked by the rank identity whose
+    product has the singular values s_product."""
+    n = a.shape[0]
     reduced = regularize(a, mode, tol)
     m1, m2 = reduced.m1, reduced.m2
     k0 = reduced.core.shape[0] - m2
@@ -243,7 +288,6 @@ def split_regular_singular(
     # singular a with itself can be pure rounding noise, and its own
     # largest singular value is then a meaningless scale.
     spectral_norm = reduced._spectral_norm
-    s_product = np.linalg.svd(product, compute_uv=False)
     m2_check = n - m1 - _rank_of_values(s_product, n, tol, scale=spectral_norm ** 2)
     if m2_check != m2:
         raise ConvergenceError(
@@ -254,8 +298,7 @@ def split_regular_singular(
     for i in range(m2):
         order.extend((k0 + i, k0 + m2 + i))
     order.extend(range(k0 + 2 * m2, n))
-    perm = permutation_matrix(order)
-    transform = perm @ reduced.transform
+    transform = reduced.transform[order]
 
     split = RegularSplit(
         mode=mode,

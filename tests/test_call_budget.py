@@ -1,13 +1,15 @@
 """Factorization budget of the canonical-form paths.
 
-The class gate is one identity, never the full classify; regularization
-takes one values-only SVD of the input (and one full SVD when it is
-singular), which the split reuses; the split's rank identity takes one
-values-only SVD of the product it checks, whose spectrum here also
-proves the regular part nonsingular, so the cosquare takes no SVD;
-eig_normal brackets its cluster radius and takes no SVD when the bracket
-decides the clusters.
-The budgets count SVDs whose input has the size of the matrix handed in.
+The class gate is one identity, never the full classify, and decide_*
+evaluate it once per input.  The split's rank identity takes one
+values-only SVD of the gate's own product (decide_* take it and hand
+the singular values on).  On nonsingular input that spectrum alone
+proves the split trivial, so regularize does not run; on singular
+input regularize takes one full SVD of the input.  The rank identity
+also proves the regular part nonsingular here, so the cosquare takes
+no SVD; eig_normal brackets its cluster radius and takes no SVD when
+the bracket decides the clusters.  The budgets count SVDs whose input
+has the size of the matrix handed in.
 """
 
 import inspect
@@ -19,15 +21,18 @@ import pytest
 import canonica.predicates as predicates
 from canonica.blocks import antidiag_block, direct_sum
 from canonica.canon_star import canon_star
-from canonica.equivalence import decide_unitary_congruence
+from canonica.equivalence import (
+    decide_unitary_congruence,
+    decide_unitary_star_congruence,
+)
 from canonica.factorizations import eig_normal
 from canonica.sampling import default_rng, random_unitary
 
-# regularize: values + full SVD of a; split: values SVD of a^2.
-CANON_STAR_SINGULAR_BUDGET = 3
-# Per canon_congruence of nonsingular input: regularize's values SVD
-# and the split's rank of conj(a) a.
-DECIDE_CONGRUENCE_BUDGET = 2 * 2
+# regularize: one full SVD of a; split: values SVD of a^2.
+CANON_STAR_SINGULAR_BUDGET = 2
+# Per canon_congruence of nonsingular input: the split's values SVD of
+# conj(a) a, whose spectrum spares regularize.
+DECIDE_CONGRUENCE_BUDGET = 2 * 1
 
 
 @pytest.fixture
@@ -101,6 +106,12 @@ def _congruence_pair(n=24):
     return a, v @ a @ v.T
 
 
+def _star_pair():
+    a = _singular_star_instance()
+    v = random_unitary(a.shape[0], default_rng(20261021))
+    return a, v @ a @ v.conj().T
+
+
 def test_canon_star_singular_budget(counts):
     a = _singular_star_instance()
     form, _ = canon_star(a)
@@ -119,6 +130,38 @@ def test_decide_unitary_congruence_budget(counts):
     assert verdict.verdict == "equivalent"
     assert counts["classify"] == 0
     assert _full_size(counts, a.shape[0]) <= DECIDE_CONGRUENCE_BUDGET
+
+
+@pytest.fixture
+def gate_residuals(monkeypatch):
+    """Count evaluations of the class gate's normality residual."""
+    record = []
+    original = predicates._normality_residual
+
+    def counted(x):
+        record.append(np.shape(x))
+        return original(x)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("canonica") and getattr(
+            module, "_normality_residual", None
+        ) is original:
+            monkeypatch.setattr(module, "_normality_residual", counted)
+    return record
+
+
+@pytest.mark.parametrize(
+    "decide,instance",
+    [
+        (decide_unitary_congruence, _congruence_pair),
+        (decide_unitary_star_congruence, _star_pair),
+    ],
+)
+def test_decide_evaluates_each_gate_once(gate_residuals, decide, instance):
+    # The split reuses each input's gate product and residual.
+    a, b = instance()
+    assert decide(a, b).verdict == "equivalent"
+    assert gate_residuals == [a.shape, b.shape]
 
 
 def test_eig_normal_takes_no_svd_on_a_separated_spectrum(counts):

@@ -98,10 +98,18 @@ _values = st.lists(
 )
 
 
+# Doubled by "conjugate_pairs": 40 equal values, and conjugate pairs two
+# of which share a real part; many near pairs in one window, as the +-1
+# clusters and the conjugate partners of a cosquare give.
+_CROWDED = [1.0] * 20 + [0.5 + 0.25j, 0.5 + 0.5j, -1.0 + 0.75j]
+
+
 @settings(deadline=None)
 @example([], "as_is", 1.0, False)
 @example([1.0 + 1.0j], "as_is", 0.0, False)
 @example([0.5, 0.5, 0.0, 0.5j], "as_is", 0.5, False)
+@example(_CROWDED, "conjugate_pairs", 0.25, False)
+@example(_CROWDED, "conjugate_pairs", 1.0, False)
 @given(
     _values,
     st.sampled_from(["as_is", "imaginary", "conjugate_pairs"]),
@@ -158,6 +166,21 @@ def test_eig_normal_clustered_eigenvalues():
     a = q @ d @ q.conj().T
     lam, u = eig_normal(a)
     assert norm((u * lam) @ u.conj().T - a) <= 1e-9 * norm(a)
+
+
+def test_eig_normal_resolves_hermitian_eigenvalues_inside_a_cluster():
+    # 0.05 and 0.05 + 5e-9 share a cluster (radius 1e-8) whose skew part
+    # is rounding noise; its eigh alone mixes their eigenvectors and
+    # missed the residual bound on 19 of these 20 bases.
+    lam = np.array([1.0, 0.05, 0.05 + 5e-9])
+    for seed in range(20):
+        q = random_unitary(3, default_rng(seed))
+        a = (q * lam) @ q.conj().T
+        got, u = eig_normal(a)
+        assert_unitary(u)
+        assert norm((u * got) @ u.conj().T - a) <= DEFAULT_TOL.residual_rtol
+        expected = pytest.approx(np.sort(lam), abs=DEFAULT_TOL.residual_rtol)
+        assert np.sort(got.real) == expected
 
 
 def test_eig_normal_rejects_nonnormal():

@@ -1,14 +1,22 @@
 """Reduction of singular matrices and the in-class block split."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import canonica.regularization as regularization
+from canonica.canon_congruence import canon_congruence
+from canonica.canon_star import canon_star
 from canonica.errors import PreconditionError
-from canonica.matrix import norm, rank
+from canonica.matrix import DEFAULT_TOL, norm, rank
 from canonica.predicates import classify
 from canonica.regularization import regularize, split_regular_singular
 from canonica.blocks import direct_sum
 from canonica.sampling import (
+    default_rng,
     random_congruence_instance,
     random_star_instance,
     random_unitary,
@@ -186,3 +194,70 @@ def test_split_rejects_a_singular_regular_part(mode, name, coupling):
     a[1, 2] = 1.0
     with pytest.raises(PreconditionError, match=f"^{name} requires a nonsingular"):
         split_regular_singular(a, mode)
+
+
+def _by_reduction(a, mode):
+    """The split through regularize, whatever the rank identity proves."""
+    product, _ = regularization._gate(a, mode)
+    s_product = np.linalg.svd(product, compute_uv=False)
+    return regularization._split_by_reduction(a, mode, DEFAULT_TOL, s_product)
+
+
+def _bits(split):
+    return (
+        split.regular.tobytes(),
+        split.transform.tobytes(),
+        split.singular_sigmas.tobytes(),
+        split.zero_count,
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 8),
+    st.sampled_from(["congruence", "star"]),
+    st.floats(-6.0, 6.0),
+)
+def test_proved_split_equals_the_reduction_route(seed, n, mode, log_scale):
+    gen = default_rng(seed)
+    if mode == "congruence":
+        _, a = random_congruence_instance(n, gen)
+    else:
+        _, a = random_star_instance(n, gen)
+    a = a * 10.0 ** log_scale
+    # The rank identity's spectrum proves a nonsingular: no regularize.
+    with mock.patch.object(regularization, "regularize", side_effect=AssertionError):
+        split = split_regular_singular(a, mode)
+    assert _bits(split) == _bits(_by_reduction(a, mode))
+    assert split.regular.tobytes() == a.tobytes()
+    assert len(split.singular_sigmas) == 0 and split.zero_count == 0
+
+
+@pytest.mark.parametrize("mode", ["congruence", "star"])
+def test_ill_conditioned_nonsingular_input_takes_the_reduction_route(mode):
+    # sigma_min(p) = 2.5e-9 misses the proof's threshold (n ||a||_F^2
+    # rank_rtol = 9e-9) but clears the rank cutoffs (1e-9), so the split
+    # runs regularize, which finds a nonsingular and leaves it as is.
+    d = np.array([1.0] * 9 + [5e-5])
+    u = random_unitary(10, default_rng(20261022))
+    a = (u * d) @ (u.T if mode == "congruence" else u.conj().T)
+    calls = []
+    original = regularization.regularize
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    with mock.patch.object(regularization, "regularize", counted):
+        split = split_regular_singular(a, mode)
+        form, _ = (canon_congruence if mode == "congruence" else canon_star)(a)
+    assert len(calls) == 2
+    assert _bits(split) == _bits(_by_reduction(a, mode))
+    assert split.regular.tobytes() == a.tobytes()
+    assert split.transform.tobytes() == np.eye(10, dtype=np.complex128).tobytes()
+    assert len(split.singular_sigmas) == 0 and split.zero_count == 0
+    assert form.two_by_two == ()
+    assert sorted(abs(v) for v in form.one_by_one) == pytest.approx(
+        sorted(d), rel=1e-9
+    )
