@@ -91,14 +91,17 @@ def _canon(a, mode: _Mode, tol: ToleranceConfig, s_product=None):
         u_g = u_eig[:, order]
         b = adj(u_g) @ reg @ u_g
 
-        locals_: list[np.ndarray] = []
+        # t_reg = direct_sum(locals) @ adj(u_g), one row block per
+        # summand.  np.dot, unlike @, multiplies by a 1-by-1 local as by
+        # a scalar, which rounds as the dense product does.
+        t_reg = np.empty_like(b)
         offset = 0
         for value, idx in groups:
             c = len(idx)
             local, values, taus = mode.reduce_fixed(
                 value, b[offset : offset + c, offset : offset + c], tol
             )
-            locals_.append(local)
+            t_reg[offset : offset + c] = np.dot(local, adj(u_g[:, offset : offset + c]))
             for v in values:
                 ones.append((v, [offset]))
                 offset += 1
@@ -117,14 +120,16 @@ def _canon(a, mode: _Mode, tol: ToleranceConfig, s_product=None):
             interleave = []
             for i in range(g):
                 interleave.extend((i, g + i))
-            locals_.append(
-                permutation_matrix(interleave) @ direct_sum([f.u.conj().T, adj(f.v)])
+            local = permutation_matrix(interleave) @ direct_sum(
+                [f.u.conj().T, adj(f.v)]
+            )
+            t_reg[offset : offset + 2 * g] = np.dot(
+                local, adj(u_g[:, offset : offset + 2 * g])
             )
             for i in range(g):
                 pair = mode.normalize_pair(float(f.sigma[i]), mu_fit, tol)
                 twos.append((pair, [offset + 2 * i, offset + 2 * i + 1]))
             offset += 2 * g
-        t_reg = direct_sum(locals_) @ adj(u_g)
     else:
         t_reg = np.zeros((0, 0), dtype=np.complex128)
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import direct_sum
 from .errors import ConvergenceError, PreconditionError
 from .factorizations import svd
 from .matrix import (
@@ -57,6 +56,10 @@ class ReducedForm:
     # decided m1; split_regular_singular measures its rank identity
     # against it instead of factorizing the input again.
     _spectral_norm: float = field(default=0.0, repr=False)
+    # transform @ a @ adjoint(transform), the product regularize checks
+    # its residual on; split_regular_singular checks its own on the same
+    # product with rows and columns permuted.
+    _image: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def assembled(self) -> np.ndarray:
         k = self.core.shape[0]
@@ -125,66 +128,54 @@ def regularize(a, mode: str, tol: ToleranceConfig = DEFAULT_TOL) -> ReducedForm:
     f = svd(a)
     spectral_norm = float(f.sigma[0]) if n else 0.0
     r = _rank_of_values(f.sigma, n, tol, scale=spectral_norm)
-    eye = np.eye(n, dtype=np.complex128)
-
-    if r == n:
+    if r in (0, n):
+        # The identity reduces a: a is nonsingular (r = n) or
+        # numerically zero (r = 0).
+        image = a.copy()
         return ReducedForm(
             mode=mode,
-            m1=0,
+            m1=n - r,
             m2=0,
-            core=a.copy(),
+            core=image if r == n else np.zeros((0, 0), dtype=np.complex128),
             sigma=np.zeros(0, dtype=np.float64),
-            transform=eye,
+            transform=np.eye(n, dtype=np.complex128),
             _spectral_norm=spectral_norm,
-        )
-    if r == 0:
-        return ReducedForm(
-            mode=mode,
-            m1=n,
-            m2=0,
-            core=np.zeros((0, 0), dtype=np.complex128),
-            sigma=np.zeros(0, dtype=np.float64),
-            transform=eye,
-            _spectral_norm=spectral_norm,
+            _image=image,
         )
 
-    v1 = f.u[:, :r]
-    v2 = f.u[:, r:]
-    if mode == "congruence":
-        m = v1.conj().T @ a @ v1.conj()
-        nmat = v1.conj().T @ a @ v2.conj()
-    else:
-        m = v1.conj().T @ a @ v1
-        nmat = v1.conj().T @ a @ v2
+    # The transform's rows: v1^H and v2^H project onto the range of a
+    # and its orthogonal complement (v2^H a = 0), and the SVD of the
+    # coupling v1^H a adj(v2^H) rotates each block of rows so that the
+    # coupling becomes sigma in the core's trailing rows.
+    u_h = f.u.conj().T
+    v1_h, v2_h = u_h[:r], u_h[r:]
+    nmat = v1_h @ (a @ _adjoint(v2_h, mode))
     m2 = rank(nmat, tol, scale=spectral_norm)
-
     if m2 == 0:
-        core = m
+        transform = u_h
         sigma = np.zeros(0, dtype=np.float64)
-        transform = f.u.conj().T
     else:
         g = svd(nmat)
-        x = np.column_stack([g.u[:, m2:], g.u[:, :m2]])
-        y = g.v
-        if mode == "congruence":
-            z = direct_sum([x.conj().T, y.T])
-            core = x.conj().T @ m @ x.conj()
-        else:
-            z = direct_sum([x.conj().T, y.conj().T])
-            core = x.conj().T @ m @ x
+        # Left singular vectors of the coupling, those of sigma last.
+        x_h = np.roll(g.u.conj().T, -m2, axis=0)
+        transform = np.vstack([x_h @ v1_h, _adjoint(g.v, mode) @ v2_h])
         sigma = g.sigma[:m2].copy()
-        transform = z @ f.u.conj().T
+    t1 = transform[:r]
+    image = transform @ a @ _adjoint(transform, mode)
 
     form = ReducedForm(
         mode=mode,
         m1=n - r,
         m2=m2,
-        core=core,
+        # Adding 0.0 turns a -0.0 entry, a sum of negative zeros, into
+        # 0.0: the zeros of the reduced form print without a sign.
+        core=t1 @ a @ _adjoint(t1, mode) + 0.0,
         sigma=sigma,
         transform=transform,
         _spectral_norm=spectral_norm,
+        _image=image,
     )
-    res = norm(transform @ a @ _adjoint(transform, mode) - form.assembled())
+    res = norm(image - form.assembled())
     bound = tol.residual_rtol * max(1.0, norm(a))
     if res > bound:
         raise ConvergenceError(
@@ -307,7 +298,7 @@ def _split_by_reduction(
         zero_count=m1 - m2,
         transform=transform,
     )
-    res = norm(transform @ a @ _adjoint(transform, mode) - split.assembled())
+    res = norm(reduced._image[np.ix_(order, order)] - split.assembled())
     if res > bound:
         raise ConvergenceError(
             f"split residual {res:.3e} exceeds {bound:.3e}"

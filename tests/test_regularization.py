@@ -1,5 +1,6 @@
 """Reduction of singular matrices and the in-class block split."""
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 import canonica.regularization as regularization
 from canonica.canon_congruence import canon_congruence
 from canonica.canon_star import canon_star
-from canonica.errors import PreconditionError
+from canonica.errors import ConvergenceError, PreconditionError
+from canonica.factorizations import svd
 from canonica.matrix import DEFAULT_TOL, norm, rank
 from canonica.predicates import classify
 from canonica.regularization import regularize, split_regular_singular
@@ -261,3 +263,96 @@ def test_ill_conditioned_nonsingular_input_takes_the_reduction_route(mode):
     assert sorted(abs(v) for v in form.one_by_one) == pytest.approx(
         sorted(d), rel=1e-9
     )
+
+
+def _regularize_and_reference(a, mode):
+    """regularize(a, mode), and the reduction it should give from the
+    two-step formulas: m = v1^H a adj(v1^H), core = x^H m adj(x^H) and
+    transform = direct_sum(x^H, adj(y)) U^H, with m1, m2 and sigma
+    from the rank of a and the SVD of the coupling v1^H a adj(v2^H).
+    The reference rotates by the SVDs that regularize took: the
+    coupling's left singular vectors of sigma = 0 are only defined up
+    to a unitary."""
+    taken = []
+
+    def recording_svd(m):
+        taken.append(svd(m))
+        return taken[-1]
+
+    with mock.patch.object(regularization, "svd", recording_svd):
+        red = regularize(a, mode)
+    adj = (lambda m: m.T) if mode == "congruence" else (lambda m: m.conj().T)
+    f = taken[0]
+    n = a.shape[0]
+    r = rank(a, scale=float(f.sigma[0]))
+    v1, v2 = f.u[:, :r], f.u[:, r:]
+    m = v1.conj().T @ a @ adj(v1.conj().T)
+    nmat = v1.conj().T @ a @ adj(v2.conj().T)
+    m2 = rank(nmat, scale=float(f.sigma[0]))
+    sigma = np.linalg.svd(nmat, compute_uv=False)[:m2]
+    if m2 == 0:
+        return red, (n - r, 0, sigma, m, f.u.conj().T)
+    g = taken[1]
+    x = np.column_stack([g.u[:, m2:], g.u[:, :m2]])
+    core = x.conj().T @ m @ adj(x.conj().T)
+    z = direct_sum([x.conj().T, adj(g.v)])
+    return red, (n - r, m2, sigma, core, z @ f.u.conj().T)
+
+
+def _hidden_singular(n, r, coupled, mode, gen):
+    """A rank-r matrix of order n, with coupling (m2 > 0) when coupled,
+    otherwise v diag(b, 0) adj(v), whose null spaces coincide (m2 = 0)."""
+    if coupled:
+        c = gen.standard_normal((n, r)) + 1j * gen.standard_normal((n, r))
+        d = gen.standard_normal((r, n)) + 1j * gen.standard_normal((r, n))
+        return c @ d
+    b = np.zeros((n, n), dtype=np.complex128)
+    b[:r, :r] = gen.standard_normal((r, r)) + 1j * gen.standard_normal((r, r))
+    return apply(random_unitary(n, gen), b, mode)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("coupled", [False, True])
+@pytest.mark.parametrize("mode", ["congruence", "star"])
+def test_regularize_agrees_with_the_reduction_formulas(mode, coupled, scale):
+    gen = np.random.default_rng(20261018)
+    for n, r in ((5, 3), (7, 5), (8, 4)):
+        a = scale * _hidden_singular(n, r, coupled, mode, gen)
+        red, (m1, m2, sigma, core, transform) = _regularize_and_reference(a, mode)
+        assert (m2 > 0) == coupled
+        assert (red.m1, red.m2) == (m1, m2)
+        bound = 1e-13 * norm(a)
+        assert red.sigma == pytest.approx(sigma, rel=0, abs=bound)
+        assert norm(red.core - core) <= bound
+        assert norm(red.transform - transform) <= bound
+
+
+@pytest.mark.parametrize("mode", ["congruence", "star"])
+def test_split_checks_the_reduction_against_its_own_image(mode):
+    # The split checks its residual on the image that regularize formed,
+    # transform a adj(transform), not on the reduced form: a core that
+    # no longer matches that image fails the split.
+    gen = np.random.default_rng(41)
+    sample = random_congruence_instance if mode == "congruence" else random_star_instance
+    _, a = sample(6, gen, singular=True)
+    reduced = regularize(a, mode)
+    k0 = reduced.core.shape[0] - reduced.m2
+    assert k0 > 0 and reduced.m1 > 0
+    # Only the regular block moves, so the bordering blocks still vanish.
+    core = reduced.core.copy()
+    core[:k0, :k0] += 1e-3 * norm(a) * np.eye(k0) / np.sqrt(k0)
+    perturbed = dataclasses.replace(reduced, core=core)
+    assert perturbed._image is reduced._image
+    split_regular_singular(a, mode)
+    with mock.patch.object(regularization, "regularize", return_value=perturbed):
+        with pytest.raises(ConvergenceError, match="^split residual"):
+            split_regular_singular(a, mode)
+
+
+def test_reduced_form_keeps_its_image_private():
+    red = regularize(J2, "star")
+    assert red._image is not None
+    assert "_image" not in repr(red)
+    assert "_image" not in red.to_json()
+    compared = {f.name for f in dataclasses.fields(red) if f.compare}
+    assert "_image" not in compared
