@@ -9,9 +9,10 @@ realizes it through the pipeline it shares with canon_star
 (pipeline._canon).  This module supplies what is particular to
 congruence: the transpose cosquare pairs its eigenvalues as mu and 1/mu,
 and its eigenvalues +1 and -1 are reduced by the symmetric (Takagi) and
-skew-symmetric (Hua) factorizations.  The module also covers the
-classes whose form can be read off a spectrum: conjugate-normal,
-unitary, coninvolutory, and Hermitian-cosquare matrices.
+skew-symmetric (Hua) factorizations.  The classical forms of
+conjugate-normal, unitary, coninvolutory and Hermitian-cosquare
+matrices are special cases: each of those paths checks the class's
+defining identity, calls canon_congruence once, and renders its blocks.
 """
 
 from __future__ import annotations
@@ -28,22 +29,10 @@ from .blocks import (
     normalize_congruence_pair,
 )
 from .errors import ConvergenceError, PreconditionError
-from .factorizations import (
-    _pair_clusters,
-    eig_normal,
-    hua_skew,
-    svd,
-    takagi_symmetric,
-)
-from .matrix import (
-    DEFAULT_TOL,
-    ToleranceConfig,
-    _rank_of_values,
-    as_matrix,
-    rel_residual,
-)
+from .factorizations import hua_skew, takagi_symmetric
+from .matrix import DEFAULT_TOL, ToleranceConfig, as_matrix, rel_residual
 from .pipeline import _canon, _Mode
-from .predicates import classify
+from .predicates import _require_class
 from .regularization import _cosquare
 
 __all__ = [
@@ -161,61 +150,15 @@ def canon_congruence(
 def canon_conjugate_normal(
     a, tol: ToleranceConfig = DEFAULT_TOL
 ) -> CongruenceCanonicalForm:
-    """Canonical form of a conjugate-normal matrix from its gram spectrum.
+    """Canonical form of a conjugate-normal matrix.
 
-    Reads the form directly off the eigenvalues of conj(a) a: positive
-    eigenvalues give [sqrt] blocks, conjugate pairs rho e^{+-i theta}
-    give (sqrt(rho), e^{i theta}) blocks, zeros give [0] blocks.  Must
-    agree with the general pipeline; no transform is produced.
+    This is the congruence canonical form itself: [sigma] blocks with
+    sigma >= 0 and 2-by-2 blocks with unimodular mu.  No transform is
+    returned.
     """
     a = as_matrix(a, square=True)
-    n = a.shape[0]
-    report = classify(a, tol)
-    if not report["conjugate_normal"]:
-        raise PreconditionError(
-            "input is not conjugate normal",
-            residual=report.residuals["conjugate_normal"],
-        )
-    if n == 0:
-        return CongruenceCanonicalForm.build([], [])
-
-    gram = a.conj() @ a
-    lam, _ = eig_normal(gram, tol)
-    # scale from the input, not the product: the product of a singular
-    # matrix with itself can be dominated by rounding noise
-    s = np.linalg.svd(a, compute_uv=False)
-    scale = float(s[0]) ** 2
-    zero_cut = tol.rank_rtol * scale * n
-    radius = tol.cluster_rtol * max(scale, 1.0)
-
-    m1 = n - _rank_of_values(s, n, tol)
-    nonzero = [i for i in range(n) if abs(lam[i]) > zero_cut]
-    if n - len(nonzero) != m1:
-        raise ConvergenceError(
-            "zero eigenvalue count of conj(a) a does not match the nullity"
-        )
-
-    ones: list[float] = [0.0] * m1
-    twos: list[tuple[float, complex]] = []
-    values = lam[nonzero]
-    fixed, pairs = _pair_clusters(values, complex.conjugate, radius)
-    for rep, idx in fixed:
-        if rep.real > 0.0:
-            ones.extend(float(np.sqrt(values[i].real)) for i in idx)
-        else:
-            if len(idx) % 2 == 1:
-                raise PreconditionError(
-                    "negative eigenvalues of conj(a) a must pair up"
-                )
-            twos.extend(
-                (float(np.sqrt(abs(rep))), complex(-1.0))
-                for _ in range(len(idx) // 2)
-            )
-    for (rep, idx), (_, partner_idx) in pairs:
-        for i in idx if rep.imag > 0.0 else partner_idx:
-            v = complex(values[i])
-            twos.append((float(np.sqrt(abs(v))), v / abs(v)))
-    return CongruenceCanonicalForm.build(ones, twos)
+    _require_class(a, "conjugate_normal", tol, "input is not conjugate normal")
+    return canon_congruence(a, tol)[0]
 
 
 _UNITARY_STYLES = ("h2", "real_orthogonal", "hermitian_unitary")
@@ -238,41 +181,18 @@ def canon_unitary(
 ) -> list[np.ndarray]:
     """Blocks of the congruence canonical form of a unitary matrix.
 
-    The eigenvalues of conj(u) u other than 1 come in conjugate pairs
-    e^{+-i theta}; each pair yields one 2-by-2 block in the requested
-    style, and the rest of the form is an identity.  Returns the block
-    list: 1-by-1 [[1]] blocks first, then 2-by-2 blocks by ascending
-    theta in (0, pi].
+    The form of a unitary matrix has [1] blocks and 2-by-2 blocks with
+    tau = 1 and mu = e^{i theta}, theta in (0, pi]; each of the latter is
+    rendered in the requested style.  Returns the block list: 1-by-1
+    [[1]] blocks first, then 2-by-2 blocks by ascending theta.
     """
     if style not in _UNITARY_STYLES:
         raise ValueError(f"style must be one of {_UNITARY_STYLES}, got {style!r}")
     u = as_matrix(u, square=True)
-    report = classify(u, tol)
-    if not report["unitary"]:
-        raise PreconditionError(
-            "input is not unitary", residual=report.residuals["unitary"]
-        )
-
-    lam, _ = eig_normal(u.conj() @ u, tol)
-    lam = lam / np.abs(lam)
-    fixed, pairs = _pair_clusters(lam, complex.conjugate, tol.cluster_rtol)
-    ones_count = 0
-    thetas: list[float] = []
-    for rep, idx in fixed:
-        if rep.real > 0.0:
-            ones_count += len(idx)
-            continue
-        if len(idx) % 2 == 1:
-            raise PreconditionError(
-                "eigenvalue -1 of conj(u) u must have even multiplicity"
-            )
-        thetas.extend([float(np.pi)] * (len(idx) // 2))
-    for (rep, idx), (partner_rep, _) in pairs:
-        theta = float(np.angle(rep if rep.imag > 0.0 else partner_rep))
-        thetas.extend([theta] * len(idx))
-
-    thetas.sort()
-    blocks = [np.array([[1.0]], dtype=np.complex128) for _ in range(ones_count)]
+    _require_class(u, "unitary", tol, "input is not unitary")
+    form, _ = canon_congruence(u, tol)
+    thetas = sorted(float(np.angle(mu)) for _, mu in form.two_by_two)
+    blocks = [np.array([[1.0]], dtype=np.complex128) for _ in form.one_by_one]
     blocks.extend(_unitary_style_block(t, style) for t in thetas)
     return blocks
 
@@ -282,41 +202,16 @@ def canon_coninvolutory(
 ) -> CongruenceCanonicalForm:
     """Canonical form of a matrix with conj(a) a = I.
 
-    Singular values pair as (s, 1/s); each pair above 1 yields the
-    block (tau, mu) = (s, s^{-2}) and the rest of the form is an
-    identity.
+    The form is an identity plus one block (tau, mu) = (s, s^{-2}) per
+    singular value s > 1 of a, so the [sigma] blocks are rendered as 1
+    and each mu as tau^{-2}.
     """
     a = as_matrix(a, square=True)
-    n = a.shape[0]
-    report = classify(a, tol)
-    if not report["coninvolutory"]:
-        raise PreconditionError(
-            "input is not coninvolutory",
-            residual=report.residuals["coninvolutory"],
-        )
-    s = svd(a).sigma
-    boundary = tol.cluster_rtol * max(1.0, float(s[0]) if n else 1.0)
-    i, j = 0, n - 1
-    ones: list[float] = []
-    twos: list[tuple[float, complex]] = []
-    while i <= j:
-        if s[i] > 1.0 + boundary:
-            if abs(s[i] * s[j] - 1.0) > 10.0 * boundary:
-                raise PreconditionError(
-                    "singular values do not pair into (s, 1/s) couples"
-                )
-            sv = float(s[i])
-            twos.append((sv, complex(sv ** -2)))
-            i += 1
-            j -= 1
-        else:
-            if abs(s[i] - 1.0) > boundary:
-                raise PreconditionError(
-                    f"unpaired singular value {s[i]:.6g} is not 1"
-                )
-            ones.append(1.0)
-            i += 1
-    return CongruenceCanonicalForm.build(ones, twos)
+    _require_class(a, "coninvolutory", tol, "input is not coninvolutory")
+    form, _ = canon_congruence(a, tol)
+    return CongruenceCanonicalForm.build(
+        [1.0] * len(form.one_by_one), [(t, t ** -2) for t, _ in form.two_by_two]
+    )
 
 
 def canon_hermitian_cosquare(

@@ -9,10 +9,13 @@ renderings are supported.  canon_star recovers the form through the
 pipeline it shares with canon_congruence (pipeline._canon); this module
 supplies what is particular to *congruence: the *cosquare pairs its
 eigenvalues as mu and 1/conj(mu), and each unimodular eigenvalue
-cluster is reduced by one Hermitian eigendecomposition.  The module
-also covers the classes where the form collapses to something readable
-at a glance: involutions, Hermitian squares, lambda-projections,
-quadratic minimal polynomials, and shifted quadratic normality.
+cluster is reduced by one Hermitian eigendecomposition.  The classical
+forms of involutions and Hermitian squares are special cases: each
+path checks the class's defining identity, calls canon_star once, and
+renders its blocks.  A lambda-projection or a matrix with a quadratic
+minimal polynomial has a scalar square once shifted by the mean of its
+two eigenvalues, so its form is rendered from the triangular form of
+the shifted matrix (canon_shifted_quadratic_normal).
 """
 
 from __future__ import annotations
@@ -33,10 +36,9 @@ from .blocks import (
     triangular_block,
 )
 from .errors import ConvergenceError, PreconditionError
-from .factorizations import svd
-from .matrix import DEFAULT_TOL, ToleranceConfig, as_matrix, norm, rank, rel_residual
+from .matrix import DEFAULT_TOL, ToleranceConfig, as_matrix, norm
 from .pipeline import _canon, _Mode
-from .predicates import classify
+from .predicates import _require_class
 from .regularization import _cosquare
 
 __all__ = [
@@ -208,59 +210,27 @@ def canon_involution(
 ) -> list[np.ndarray]:
     """Blocks of the *congruence canonical form of an involution.
 
-    An involution is determined up to unitary *congruence by its
-    singular values and the multiplicity p of eigenvalue +1: the form
-    is I_{p-q} + (-I_{n-p-q}) + one 2-by-2 block per singular value
-    sigma > 1, rendered as [[0, 1/sigma], [sigma, 0]] (antidiag) or
-    [[1, sigma - 1/sigma], [0, -1]] (triangular).
+    The form of an involution has 1-by-1 blocks +1 and -1 and one block
+    (tau, mu) = (sigma, sigma^{-2}) per singular value sigma > 1, which
+    is rendered as [[0, 1/sigma], [sigma, 0]] (antidiag) or
+    [[1, sigma - 1/sigma], [0, -1]] (triangular).  Returns the +1
+    blocks, the -1 blocks, then the 2-by-2 blocks by descending sigma.
     """
     if variant not in _INVOLUTION_VARIANTS:
         raise ValueError(
             f"variant must be one of {_INVOLUTION_VARIANTS}, got {variant!r}"
         )
     a = as_matrix(a, square=True)
-    n = a.shape[0]
-    report = classify(a, tol)
-    if not report["involutory"]:
-        raise PreconditionError(
-            "input is not an involution", residual=report.residuals["involutory"]
-        )
-    trace = complex(np.trace(a))
-    p_exact = (n + trace.real) / 2.0
-    p = int(round(p_exact))
-    if abs(p_exact - p) > 0.1 or not 0 <= p <= n:
-        raise ConvergenceError(
-            f"trace {trace:.6g} is inconsistent with an involution of size {n}"
-        )
-
-    s = svd(a).sigma
-    boundary = tol.cluster_rtol * max(1.0, float(s[0]) if n else 1.0)
-    i, j = 0, n - 1
-    sigmas: list[float] = []
-    while i <= j and s[i] > 1.0 + boundary:
-        if abs(s[i] * s[j] - 1.0) > 10.0 * boundary:
-            raise ConvergenceError(
-                "singular values of the involution do not pair into (s, 1/s)"
-            )
-        sigmas.append(float(s[i]))
-        i += 1
-        j -= 1
-    q = len(sigmas)
-    if p - q < 0 or n - p - q < 0:
-        raise ConvergenceError(
-            f"block counts p={p}, q={q} do not fit dimension {n}"
-        )
-
-    blocks = [np.array([[1.0]], dtype=np.complex128) for _ in range(p - q)]
-    blocks.extend(np.array([[-1.0]], dtype=np.complex128) for _ in range(n - p - q))
-    for sv in sigmas:
+    _require_class(a, "involutory", tol, "input is not an involution")
+    form, _ = canon_star(a, tol)
+    signs = sorted((1.0 if v.real > 0.0 else -1.0 for v in form.one_by_one), reverse=True)
+    blocks = [np.array([[v]], dtype=np.complex128) for v in signs]
+    for t, _ in form.two_by_two:
         if variant == "antidiag":
-            blocks.append(
-                np.array([[0.0, 1.0 / sv], [sv, 0.0]], dtype=np.complex128)
-            )
+            blocks.append(np.array([[0.0, 1.0 / t], [t, 0.0]], dtype=np.complex128))
         else:
             blocks.append(
-                np.array([[1.0, sv - 1.0 / sv], [0.0, -1.0]], dtype=np.complex128)
+                np.array([[1.0, t - 1.0 / t], [0.0, -1.0]], dtype=np.complex128)
             )
     return blocks
 
@@ -274,12 +244,9 @@ def canon_hermitian_square(
     parameters mu real in (-1, 1); entries are snapped onto those axes.
     """
     a = as_matrix(a, square=True)
-    report = classify(a, tol)
-    if not report["hermitian_square"]:
-        raise PreconditionError(
-            "the square of the input is not Hermitian",
-            residual=report.residuals["hermitian_square"],
-        )
+    _require_class(
+        a, "hermitian_square", tol, "the square of the input is not Hermitian"
+    )
     form, _ = canon_star(a, tol)
     ones = []
     for v in form.one_by_one:
@@ -300,57 +267,49 @@ def canon_hermitian_square(
     return StarCanonicalForm.build(ones, twos)
 
 
+def _two_root_blocks(a, lam1: complex, lam2: complex, tol) -> list[np.ndarray]:
+    """Canonical blocks of an a annihilated by (t - lam1)(t - lam2).
+
+    The square of a - shift I with shift = (lam1 + lam2) / 2 is scalar,
+    so canon_shifted_quadratic_normal applies.  Each of its 1-by-1
+    entries is rendered as the nearer root (ties go to lam2) and each
+    2-by-2 block [[x, r], [0, y]] as the unitarily similar
+    [[lam1, r], [0, lam2]].  The blocks come as lam1 entries, 2-by-2
+    blocks, lam2 entries.  Raises ConvergenceError when an entry lies
+    about halfway between distinct roots, as for a double root that the
+    fitted roots split.
+    """
+    firsts, pairs, seconds = [], [], []
+    for blk in canon_shifted_quadratic_normal(a, (lam1 + lam2) / 2.0, tol):
+        if blk.shape[0] == 2:
+            pairs.append(np.array([[lam1, blk[0, 1]], [0.0, lam2]], dtype=np.complex128))
+            continue
+        d1, d2 = abs(blk[0, 0] - lam1), abs(blk[0, 0] - lam2)
+        if lam1 != lam2 and min(d1, d2) > abs(lam1 - lam2) / 4.0:
+            raise ConvergenceError(
+                f"entry {complex(blk[0, 0]):.6g} is near neither root "
+                f"{lam1:.6g} nor {lam2:.6g}"
+            )
+        if d1 < d2:
+            firsts.append(np.array([[lam1]], dtype=np.complex128))
+        else:
+            seconds.append(np.array([[lam2]], dtype=np.complex128))
+    return firsts + pairs + seconds
+
+
 def canon_lambda_projection(
     a, tol: ToleranceConfig = DEFAULT_TOL
 ) -> list[np.ndarray]:
     """Blocks of the *congruence canonical form of a lambda-projection.
 
-    For a^2 = lam * a the form is lam I + one block
-    [[lam, sqrt(tau^2 - |lam|^2)], [0, 0]] per singular value
-    tau > |lam|, padded with zeros.  Also verifies that a and
-    a - lam I share their top singular values, which is what makes the
-    form computable from the SVD alone.
+    For a^2 = lam a the form is lam I + one block [[lam, r], [0, 0]] per
+    singular value sqrt(|lam|^2 + r^2) > |lam|, padded with zeros.
     """
     a = as_matrix(a, square=True)
-    n = a.shape[0]
-    report = classify(a, tol)
-    if not report["lambda_projection"]:
-        raise PreconditionError(
-            "input does not satisfy a^2 = lam a",
-            residual=report.residuals["lambda_projection"],
-        )
-    lam = report.lam if report.lam is not None else 0.0 + 0.0j
-    m1 = n - rank(a, tol)
-
-    s = svd(a).sigma if n else np.zeros(0)
-    scale = float(s[0]) if n else 1.0
-    cut = abs(lam) + tol.cluster_rtol * max(1.0, scale)
-    taus = [float(v) for v in s if v > cut]
-    m2 = len(taus)
-    if m1 - m2 < 0 or n - m1 - m2 < 0:
-        raise ConvergenceError(
-            f"block counts m1={m1}, m2={m2} do not fit dimension {n}"
-        )
-
-    # a and a - lam I must share their min(m1, n - m1) largest singular
-    # values; a cheap independent consistency check on lam.
-    shared = min(m1, n - m1)
-    if shared > 0:
-        s_shift = svd(a - lam * np.eye(n)).sigma
-        err = float(np.max(np.abs(s[:shared] - s_shift[:shared])))
-        if err > 100.0 * tol.residual_rtol * max(1.0, scale):
-            raise ConvergenceError(
-                f"top singular values of a and a - lam I differ by {err:.3e}"
-            )
-
-    blocks = [
-        np.array([[lam]], dtype=np.complex128) for _ in range(n - m1 - m2)
-    ]
-    for t in taus:
-        gamma = float(np.sqrt(max(t * t - abs(lam) ** 2, 0.0)))
-        blocks.append(np.array([[lam, gamma], [0.0, 0.0]], dtype=np.complex128))
-    blocks.extend(np.zeros((1, 1), dtype=np.complex128) for _ in range(m1 - m2))
-    return blocks
+    products = _require_class(
+        a, "lambda_projection", tol, "input does not satisfy a^2 = lam a"
+    )
+    return _two_root_blocks(a, products.lam, 0.0 + 0.0j, tol)
 
 
 @dataclass(frozen=True)
@@ -374,10 +333,9 @@ def canon_quadratic(a, tol: ToleranceConfig = DEFAULT_TOL) -> QuadraticForm:
     """Canonical form of a matrix whose minimal polynomial has degree 2.
 
     Recovers the two eigenvalues as roots of the best-fit annihilating
-    quadratic, counts multiplicities from the trace, and places one
-    2-by-2 block per singular value above |lam1|.  The singular values
-    of the result are known in closed form and are exposed for
-    verification.
+    quadratic, then renders the *congruence form of the matrix shifted
+    by their mean.  The singular values of the result are known in
+    closed form and are exposed for verification.
     """
     a = as_matrix(a, square=True)
     n = a.shape[0]
@@ -408,67 +366,40 @@ def canon_quadratic(a, tol: ToleranceConfig = DEFAULT_TOL) -> QuadraticForm:
             "minimal polynomial degree is not 2", residual=residual
         )
 
-    s = svd(a).sigma
-    scale = float(s[0])
-    cut = abs(lam1) + tol.cluster_rtol * max(1.0, scale)
-    sigmas = [float(v) for v in s if v > cut]
-    m = len(sigmas)
-
     if abs(lam1 - lam2) <= tol.cluster_rtol * max(1.0, abs(lam1)):
-        lam = (lam1 + lam2) / 2.0
-        lam1 = lam2 = lam
-        n1, n2 = n - m, m
-    else:
-        d_exact = (n * lam1 - complex(np.trace(a))) / (lam1 - lam2)
-        n2 = int(round(d_exact.real))
-        if abs(d_exact - n2) > 0.1 or not 0 <= n2 <= n:
-            raise ConvergenceError(
-                f"eigenvalue multiplicity estimate {d_exact:.6g} is not an integer"
-            )
-        n1 = n - n2
-    if n1 - m < 0 or n2 - m < 0:
-        raise ConvergenceError(
-            f"block count m={m} exceeds multiplicities {n1}, {n2}"
-        )
-
-    mod_prod = abs(lam1 * lam2)
-    blocks = [np.array([[lam1]], dtype=np.complex128) for _ in range(n1 - m)]
-    predicted = [abs(lam1)] * (n1 - m) + [abs(lam2)] * (n2 - m)
-    for sv in sigmas:
-        radicand = sv * sv + (mod_prod / sv) ** 2 - abs(lam1) ** 2 - abs(lam2) ** 2
-        gamma = float(np.sqrt(max(radicand, 0.0)))
-        blocks.append(np.array([[lam1, gamma], [0.0, lam2]], dtype=np.complex128))
-        predicted.extend((sv, mod_prod / sv))
-    blocks.extend(np.array([[lam2]], dtype=np.complex128) for _ in range(n2 - m))
-    predicted.sort(reverse=True)
+        lam1 = lam2 = (lam1 + lam2) / 2.0
+    blocks = _two_root_blocks(a, lam1, lam2, tol)
+    # [[lam1, r], [0, lam2]] has singular values s1 >= s2 with
+    # s1 s2 = p = |lam1 lam2| and s1^2 + s2^2 = |lam1|^2 + |lam2|^2 + r^2.
+    p = abs(lam1 * lam2)
+    sigmas = []
+    for blk in blocks:
+        if blk.shape[0] == 1:
+            sigmas.append(float(abs(blk[0, 0])))
+            continue
+        q = abs(lam1) ** 2 + abs(lam2) ** 2 + blk[0, 1].real ** 2
+        s1 = (np.sqrt(q + 2.0 * p) + np.sqrt(max(q - 2.0 * p, 0.0))) / 2.0
+        sigmas.extend((float(s1), p / float(s1)))
     return QuadraticForm(
         blocks=tuple(blocks),
-        predicted_singular_values=tuple(predicted),
+        predicted_singular_values=tuple(sorted(sigmas, reverse=True)),
         roots=(lam1, lam2),
     )
 
 
 def canon_shifted_quadratic_normal(
-    a, shift: complex, offset: complex, tol: ToleranceConfig = DEFAULT_TOL
+    a, shift: complex, tol: ToleranceConfig = DEFAULT_TOL
 ) -> list[np.ndarray]:
-    """Blocks for a matrix with a^2 - 2 shift a + offset I normal.
+    """Blocks for a matrix with (a - shift I)^2 normal.
 
-    Then (a - shift I)^2 is normal too, so the shifted matrix has a
-    triangular *congruence canonical form; shifting it back gives
-    1-by-1 blocks [shift + lam] and 2-by-2 blocks
-    [[shift + nu, r], [0, shift - nu]].
+    The shifted matrix is squared normal, so it has a triangular
+    *congruence canonical form; shifting it back gives 1-by-1 blocks
+    [shift + lam] and 2-by-2 blocks [[shift + nu, r], [0, shift - nu]].
+    Raises PreconditionError when (a - shift I)^2 is not normal.
     """
     a = as_matrix(a, square=True)
-    n = a.shape[0]
     shift = complex(shift)
-    offset = complex(offset)
-    nmat = a @ a - 2.0 * shift * a + offset * np.eye(n)
-    res = rel_residual(nmat @ nmat.conj().T, nmat.conj().T @ nmat)
-    if res > tol.residual_rtol:
-        raise PreconditionError(
-            "a^2 - 2 shift a + offset I is not normal", residual=res
-        )
-    form, _ = canon_star(a - shift * np.eye(n), tol, representation="triangular")
+    form, _ = canon_star(a - shift * np.eye(a.shape[0]), tol)
     blocks = [
         np.array([[shift + v]], dtype=np.complex128) for v in form.one_by_one
     ]

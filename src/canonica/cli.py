@@ -241,8 +241,7 @@ def _cmd_simulate(args, tol) -> dict:
     else:
         x0 = np.zeros(a.shape[0], dtype=np.complex128)
         x0[0] = 1.0
-    mode = "transpose" if args.mode == "congruence" else "star"
-    trace = simulate(a, x0, args.steps, mode=mode, tol=tol)
+    trace = simulate(a, x0, args.steps, mode=args.mode, tol=tol)
     return {
         "schema": SCHEMA,
         "command": "simulate",

@@ -17,10 +17,9 @@ from .errors import PreconditionError
 from .matrix import DEFAULT_TOL, ToleranceConfig, as_matrix, rank
 from .factorizations import eig_normal
 from .predicates import _class_residual
+from .regularization import _GATE_FLAGS, MODES, _adjoint
 
-__all__ = ["IterationTrace", "classify_bounded", "simulate", "MODES"]
-
-MODES = ("transpose", "star")
+__all__ = ["IterationTrace", "classify_bounded", "simulate"]
 
 # Growth thresholds for the simulator's verdict, relative to ||x0||.
 BOUNDED_FACTOR = 1e3
@@ -29,8 +28,7 @@ OVERFLOW_FACTOR = 1e15
 
 
 def _iteration_matrix(a: np.ndarray, mode: str) -> np.ndarray:
-    lhs = a.T if mode == "transpose" else a.conj().T
-    return -np.linalg.solve(lhs, a)
+    return -np.linalg.solve(_adjoint(a, mode), a)
 
 
 def _gate(a, mode: str, tol: ToleranceConfig) -> np.ndarray:
@@ -43,12 +41,12 @@ def _gate(a, mode: str, tol: ToleranceConfig) -> np.ndarray:
 
 
 def classify_bounded(
-    a, mode: str = "transpose", tol: ToleranceConfig = DEFAULT_TOL
+    a, mode: str = "congruence", tol: ToleranceConfig = DEFAULT_TOL
 ) -> str:
     """Decide boundedness of the recurrence: bounded, unbounded, or
     unsupported.
 
-    In-class inputs (congruence normal for transpose mode, squared
+    In-class inputs (congruence normal for congruence mode, squared
     normal for star mode) have a normal cosquare, so unimodularity of
     its spectrum is the complete answer.  Out of class, an eigenvalue
     beyond the unit circle still proves blow-up, but a unimodular
@@ -57,9 +55,8 @@ def classify_bounded(
     """
     a = _gate(a, mode, tol)
     cos = -_iteration_matrix(a, mode)
-    flag = "congruence_normal" if mode == "transpose" else "squared_normal"
     threshold = 1.0 + tol.cluster_rtol
-    if _class_residual(a, flag) <= tol.residual_rtol:
+    if _class_residual(a, _GATE_FLAGS[mode]) <= tol.residual_rtol:
         try:
             lam, _ = eig_normal(cos, tol)
         except PreconditionError:
@@ -94,7 +91,7 @@ def simulate(
     a,
     x0,
     steps: int,
-    mode: str = "transpose",
+    mode: str = "congruence",
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> IterationTrace:
     """Run the recurrence for the given number of steps.

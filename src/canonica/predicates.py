@@ -8,6 +8,7 @@ borderline calls are visible to the caller.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -75,14 +76,83 @@ _GATE_PRODUCTS = {
 }
 
 
-def _class_residual(a: np.ndarray, flag: str) -> float:
-    """Residual of the one identity behind flag "congruence_normal"
-    (conj(a) a is normal) or "squared_normal" (a^2 is normal).
+class _Products:
+    """The products the class identities are measured on, each formed on
+    first use and shared by every identity that needs it."""
+
+    def __init__(self, a: np.ndarray, tol: ToleranceConfig):
+        self.a = a
+        self.tol = tol
+
+    @cached_property
+    def a_star(self) -> np.ndarray:
+        return self.a.conj().T
+
+    @cached_property
+    def gram_right(self) -> np.ndarray:
+        return self.a_star @ self.a
+
+    @cached_property
+    def gram_left(self) -> np.ndarray:
+        return self.a @ self.a_star
+
+    @cached_property
+    def a_bar_a(self) -> np.ndarray:
+        return _GATE_PRODUCTS["congruence_normal"](self.a)
+
+    @cached_property
+    def a_sq(self) -> np.ndarray:
+        return _GATE_PRODUCTS["squared_normal"](self.a)
+
+    @cached_property
+    def eye(self) -> np.ndarray:
+        return np.eye(self.a.shape[0], dtype=np.complex128)
+
+    @cached_property
+    def lam(self) -> complex:
+        # The lam of a^2 = lam a, read off tr(a^2) = lam tr(a).
+        tr = complex(np.trace(self.a))
+        if abs(tr) <= self.tol.residual_rtol * max(1.0, norm(self.a)):
+            return 0.0 + 0.0j
+        return complex(np.trace(self.a_sq)) / tr
+
+
+# The defining identity of each flag, as a residual of the products.
+_IDENTITIES = {
+    "normal": lambda p: rel_residual(p.gram_right, p.gram_left),
+    "conjugate_normal": lambda p: rel_residual(p.gram_right, p.gram_left.conj()),
+    "congruence_normal": lambda p: _normality_residual(p.a_bar_a),
+    "squared_normal": lambda p: _normality_residual(p.a_sq),
+    "unitary": lambda p: rel_residual(p.gram_right, p.eye),
+    "coninvolutory": lambda p: rel_residual(p.a_bar_a, p.eye),
+    "involutory": lambda p: rel_residual(p.a_sq, p.eye),
+    "hermitian_square": lambda p: rel_residual(p.a_sq, p.a_sq.conj().T),
+    "range_hermitian": lambda p: _range_projector_residual(p.a, p.tol),
+    "lambda_projection": lambda p: rel_residual(p.a_sq, p.lam * p.a),
+}
+
+
+def _class_residual(
+    a: np.ndarray, flag: str, tol: ToleranceConfig = DEFAULT_TOL
+) -> float:
+    """Residual of the one identity behind flag.
 
     The canonical-form paths gate on this alone rather than on the
     full classify; the value is bit-identical to classify's residual.
     """
-    return _normality_residual(_GATE_PRODUCTS[flag](a))
+    return _IDENTITIES[flag](_Products(a, tol))
+
+
+def _require_class(
+    a: np.ndarray, flag: str, tol: ToleranceConfig, message: str
+) -> _Products:
+    """Raise PreconditionError(message) with the residual unless a
+    passes the identity of flag; return the products it was measured on."""
+    products = _Products(a, tol)
+    res = _IDENTITIES[flag](products)
+    if not res <= tol.residual_rtol:
+        raise PreconditionError(message, residual=res)
+    return products
 
 
 def _range_projector_residual(a: np.ndarray, tol: ToleranceConfig) -> float:
@@ -94,42 +164,15 @@ def _range_projector_residual(a: np.ndarray, tol: ToleranceConfig) -> float:
     return rel_residual(p_col, p_row)
 
 
-def _projection_lambda(a: np.ndarray, tol: ToleranceConfig) -> complex:
-    tr = complex(np.trace(a))
-    if abs(tr) <= tol.residual_rtol * max(1.0, norm(a)):
-        return 0.0 + 0.0j
-    return complex(np.trace(a @ a)) / tr
-
-
 def classify(a, tol: ToleranceConfig = DEFAULT_TOL) -> ClassReport:
     """Evaluate all class memberships of a square matrix at once."""
-    a = as_matrix(a, square=True)
-    n = a.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    a_star = a.conj().T
-    gram_right = a_star @ a
-    gram_left = a @ a_star
-    a_bar_a = a.conj() @ a
-    a_sq = a @ a
-    lam = _projection_lambda(a, tol)
-
-    residuals = {
-        "normal": rel_residual(gram_right, gram_left),
-        "conjugate_normal": rel_residual(gram_right, gram_left.conj()),
-        "congruence_normal": _class_residual(a, "congruence_normal"),
-        "squared_normal": _class_residual(a, "squared_normal"),
-        "unitary": rel_residual(gram_right, eye),
-        "coninvolutory": rel_residual(a_bar_a, eye),
-        "involutory": rel_residual(a_sq, eye),
-        "hermitian_square": rel_residual(a_sq, a_sq.conj().T),
-        "range_hermitian": _range_projector_residual(a, tol),
-        "lambda_projection": rel_residual(a_sq, lam * a),
-    }
+    products = _Products(as_matrix(a, square=True), tol)
+    residuals = {name: _IDENTITIES[name](products) for name in FLAG_NAMES}
     flags = {name: residuals[name] <= tol.residual_rtol for name in FLAG_NAMES}
     return ClassReport(
         flags=flags,
         residuals=residuals,
-        lam=lam if flags["lambda_projection"] else None,
+        lam=products.lam if flags["lambda_projection"] else None,
     )
 
 

@@ -437,8 +437,8 @@ def _criterion_9(gen: np.random.Generator) -> tuple[bool, str]:
             s = random_nonsingular(n, gen)
             a = s @ f @ s.T
             want = "unbounded"
-        verdict = classify_bounded(a, mode="transpose")
-        trace = simulate(a, random_vector(n, gen), 1000, mode="transpose")
+        verdict = classify_bounded(a, mode="congruence")
+        trace = simulate(a, random_vector(n, gen), 1000, mode="congruence")
         if verdict != want or trace.growth_classification != want:
             failures.append((i, verdict, trace.growth_classification))
     return _fail_list(failures, 100, "classifier and simulator agree")

@@ -22,6 +22,7 @@ from canonica.sampling import (
     random_conjugate_normal_instance,
     random_unitary,
 )
+from oracles import gram_spectrum_form, unitary_blocks
 
 H2_I = np.array([[0.0, 1.0], [1.0j, 0.0]])
 
@@ -193,8 +194,10 @@ def test_canon_conjugate_normal_agrees_with_canon_congruence(seed):
     gen = default_rng(500 + seed)
     _, a = random_conjugate_normal_instance(3 + seed % 5, gen, singular=seed % 2 == 1)
     form, _ = canon_congruence(a)
-    ok, detail = forms_match(canon_conjugate_normal(a), form)
-    assert ok, detail
+    special = canon_conjugate_normal(a)
+    for want in (form, gram_spectrum_form(a)):
+        ok, detail = forms_match(special, want)
+        assert ok, detail
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -217,6 +220,8 @@ def test_canon_unitary_agrees_with_canon_congruence(seed):
     form, _ = canon_congruence(u)
     ok, detail = forms_match(direct, form)
     assert ok, detail
+    for got, want in zip(blocks, unitary_blocks(u), strict=True):
+        assert got == pytest.approx(want, abs=1e-7)
 
 
 def test_canon_unitary_rejects_nonunitary():

@@ -289,7 +289,7 @@ def test_canon_quadratic_gates(a):
 
 def test_canon_shifted_quadratic_normal_oracle():
     a = np.eye(2) + np.array([[0.0, 1.0], [-0.25, 0.0]])
-    blocks = canon_shifted_quadratic_normal(a, shift=1.0, offset=1.25)
+    blocks = canon_shifted_quadratic_normal(a, shift=1.0)
     assert len(blocks) == 1
     assert blocks[0] == pytest.approx(
         np.array([[1.0 + 0.5j, 0.75], [0.0, 1.0 - 0.5j]])
@@ -297,10 +297,10 @@ def test_canon_shifted_quadratic_normal_oracle():
 
 
 def test_canon_shifted_quadratic_normal_nilpotent():
-    blocks = canon_shifted_quadratic_normal(J2, shift=0.0, offset=0.0)
+    blocks = canon_shifted_quadratic_normal(J2, shift=0.0)
     assert blocks[0] == pytest.approx(J2)
 
 
 def test_canon_shifted_quadratic_normal_gate():
     with pytest.raises(PreconditionError):
-        canon_shifted_quadratic_normal([[1.0, 1.0], [0.0, 2.0]], 0.0, 0.0)
+        canon_shifted_quadratic_normal([[1.0, 1.0], [0.0, 2.0]], 0.0)
