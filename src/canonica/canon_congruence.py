@@ -30,7 +30,7 @@ from .blocks import (
 )
 from .errors import ConvergenceError, PreconditionError
 from .factorizations import hua_skew, takagi_symmetric
-from .matrix import DEFAULT_TOL, ToleranceConfig, as_matrix, rel_residual
+from .matrix import DEFAULT_TOL, ToleranceConfig, as_matrix
 from .pipeline import _canon, _Mode
 from .predicates import _require_class
 from .regularization import _cosquare
@@ -219,12 +219,7 @@ def canon_hermitian_cosquare(
 ) -> CongruenceCanonicalForm:
     """Canonical form when conj(a) a is Hermitian: all mu come out real."""
     a = as_matrix(a, square=True)
-    gram = a.conj() @ a
-    res = rel_residual(gram, gram.conj().T)
-    if res > tol.residual_rtol:
-        raise PreconditionError(
-            "conj(a) a is not Hermitian", residual=res
-        )
+    _require_class(a, "hermitian_cosquare", tol, "conj(a) a is not Hermitian")
     form, _ = canon_congruence(a, tol)
     twos = []
     for tau, mu in form.two_by_two:

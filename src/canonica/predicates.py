@@ -117,7 +117,9 @@ class _Products:
         return complex(np.trace(self.a_sq)) / tr
 
 
-# The defining identity of each flag, as a residual of the products.
+# The defining identity of each class, as a residual of the products.
+# classify reports those in FLAG_NAMES; "hermitian_cosquare" (conj(a) a
+# Hermitian) only gates canon_hermitian_cosquare.
 _IDENTITIES = {
     "normal": lambda p: rel_residual(p.gram_right, p.gram_left),
     "conjugate_normal": lambda p: rel_residual(p.gram_right, p.gram_left.conj()),
@@ -129,6 +131,7 @@ _IDENTITIES = {
     "hermitian_square": lambda p: rel_residual(p.a_sq, p.a_sq.conj().T),
     "range_hermitian": lambda p: _range_projector_residual(p.a, p.tol),
     "lambda_projection": lambda p: rel_residual(p.a_sq, p.lam * p.a),
+    "hermitian_cosquare": lambda p: rel_residual(p.a_bar_a, p.a_bar_a.conj().T),
 }
 
 

@@ -31,6 +31,7 @@ from canonica.canon_star import (
 )
 from canonica.equivalence import forms_match
 from canonica.errors import ConvergenceError, PreconditionError
+from canonica.matrix import rel_residual
 from canonica.sampling import (
     default_rng,
     random_coninvolutory,
@@ -234,3 +235,12 @@ def test_gate_residual_is_classify_residual(path, flag, a, measured):
     with pytest.raises(PreconditionError) as err:
         path(a)
     assert err.value.residual == predicates.classify(measured).residuals[flag]
+
+
+def test_hermitian_cosquare_gate_residual_is_its_identity():
+    # conj(a) a Hermitian is not a classify flag; the gate reports the
+    # identity's own residual.
+    g = GENERIC.conj() @ GENERIC
+    with pytest.raises(PreconditionError) as err:
+        canon_hermitian_cosquare(GENERIC)
+    assert err.value.residual == rel_residual(g, g.conj().T)
