@@ -13,8 +13,10 @@ convergence failure inside a pipeline.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +133,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, metavar="PATH")
 
     return parser
+
+
+# run() parses every call with one parser per process.
+_parser = functools.cache(build_parser)
 
 
 def _tolerances(args: argparse.Namespace) -> ToleranceConfig:
@@ -265,12 +271,52 @@ def _cmd_selftest(args) -> dict:
     }
 
 
+def _dumps(obj, level: int = 0) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2) for obj nested at the
+    given level, with each list of floats or of [re, im] float pairs
+    rendered by one template."""
+    inner = "\n" + "  " * (level + 1)
+    if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
+        items = (json.dumps(k) + ": " + _dumps(obj[k], level + 1) for k in sorted(obj))
+        return "{" + inner + ("," + inner).join(items) + inner[:-2] + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        text = _float_list(obj, inner)
+        if text is None:
+            items = (_dumps(x, level + 1) for x in obj)
+            text = "[" + inner + ("," + inner).join(items) + inner[:-2] + "]"
+        return text
+    if isinstance(obj, (dict, list, tuple)):
+        # Empty, or a dict with keys that are not strings.  JSON strings
+        # hold no raw newline, so each newline starts an indented line.
+        return json.dumps(obj, sort_keys=True, indent=2).replace("\n", inner[:-2])
+    return json.dumps(obj)
+
+
+def _float_list(items, inner: str) -> str | None:
+    """The JSON text of a nonempty list of finite floats or of [re, im]
+    pairs of them, whose items start on lines beginning with inner; None
+    for any other list."""
+    try:
+        if set(map(type, items)) == {list} and set(map(len, items)) == {2}:
+            deeper = inner + "  "
+            pair = "[" + deeper + "%s," + deeper + "%s" + inner + "]"
+            body = ("," + inner).join([pair] * len(items)) % tuple(
+                map(float.__repr__, chain.from_iterable(items))
+            )
+        else:
+            body = ("," + inner).join(map(float.__repr__, items))
+    except TypeError:  # an item that is not a float
+        return None
+    if "n" in body:  # nan or inf, which JSON spells NaN and Infinity
+        return None
+    return "[" + inner + body + inner[:-2] + "]"
+
+
 def run(argv=None, out=None) -> int:
     """Parse argv, execute, write the JSON report, return the exit code."""
     out = sys.stdout if out is None else out
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors; we reserve 2 for
         # precondition violations, so usage maps onto the parse code
@@ -304,7 +350,7 @@ def run(argv=None, out=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = _dumps(payload) + "\n"
     if getattr(args, "output", None):
         Path(args.output).write_text(text)
     else:

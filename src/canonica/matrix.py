@@ -117,7 +117,7 @@ def matrix_to_json(a) -> dict:
     [re, im] pairs."""
     a = as_matrix(a)
     rows, cols = a.shape
-    data = [[float(z.real), float(z.imag)] for z in a.reshape(-1)]
+    data = np.ascontiguousarray(a).view(np.float64).reshape(-1, 2).tolist()
     return {"rows": rows, "cols": cols, "data": data}
 
 
@@ -138,19 +138,45 @@ def matrix_from_json(obj) -> np.ndarray:
             f"data must list rows*cols = {rows * cols} entries, got "
             f"{len(data) if isinstance(data, list) else type(data).__name__}"
         )
-    values = []
-    for entry in data:
-        if (
-            not isinstance(entry, (list, tuple))
-            or len(entry) != 2
-            or not all(isinstance(part, (int, float)) for part in entry)
-        ):
-            raise ParseError(f"each data entry must be an [re, im] pair, got {entry!r}")
-        re, im = entry
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise ParseError("matrix entries must be finite")
-        values.append(complex(re, im))
-    return np.array(values, dtype=np.complex128).reshape(rows, cols)
+    return _pairs_from_json(data, "data", "matrix").reshape(rows, cols)
+
+
+def _pairs_from_json(entries: list, noun: str, owner: str) -> np.ndarray:
+    """complex128 vector of a list of [re, im] pairs.
+
+    One np.array call converts the whole list.  Anything it does not
+    turn into a numeric (len(entries), 2) array is scanned entry by
+    entry for the first one that is not a finite pair of numbers, named
+    in the message as "each {noun} entry" or "{owner} entries".
+    """
+    try:
+        pairs = np.array(entries) if entries else np.empty((0, 2))
+        numeric = pairs.dtype.kind in "bif" and pairs.shape == (len(entries), 2)
+    except (ValueError, TypeError, OverflowError):
+        numeric = False
+    if not numeric:
+        for entry in entries:
+            if (
+                not isinstance(entry, (list, tuple))
+                or len(entry) != 2
+                or not all(isinstance(part, (int, float)) for part in entry)
+            ):
+                raise ParseError(
+                    f"each {noun} entry must be an [re, im] pair, got {entry!r}"
+                )
+            try:
+                finite = math.isfinite(entry[0]) and math.isfinite(entry[1])
+            except OverflowError:  # an integer beyond the float range
+                finite = False
+            if not finite:
+                raise ParseError(f"{owner} entries must be finite")
+        # Valid, but with integers numpy keeps as objects (beyond int64).
+        pairs = np.array(entries, dtype=np.float64)
+    pairs = np.ascontiguousarray(pairs, dtype=np.float64)
+    if not np.isfinite(pairs).all():
+        raise ParseError(f"{owner} entries must be finite")
+    # Viewing the pairs keeps the sign of a zero, which re + 1j * im loses.
+    return pairs.view(np.complex128).reshape(-1)
 
 
 def loads_matrix(text: str) -> np.ndarray:
@@ -169,16 +195,4 @@ def vector_from_json(obj) -> np.ndarray:
     """Decode a vector given as a list of [re, im] pairs."""
     if not isinstance(obj, list):
         raise ParseError("vector JSON must be a list of [re, im] pairs")
-    values = []
-    for entry in obj:
-        if (
-            not isinstance(entry, (list, tuple))
-            or len(entry) != 2
-            or not all(isinstance(part, (int, float)) for part in entry)
-        ):
-            raise ParseError(f"each vector entry must be an [re, im] pair, got {entry!r}")
-        re, im = entry
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise ParseError("vector entries must be finite")
-        values.append(complex(re, im))
-    return np.array(values, dtype=np.complex128)
+    return _pairs_from_json(obj, "vector", "vector")

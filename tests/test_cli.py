@@ -16,6 +16,7 @@ import pytest
 from canonica import cli
 
 FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def fx(name):
@@ -220,11 +221,81 @@ class TestExitCodes:
         )
         assert code == cli.EXIT_PARSE
 
+    def test_integer_beyond_float_range_in_matrix(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"rows": 1, "cols": 1, "data": [[1%s, 0]]}' % ("0" * 400))
+        code, _ = run_cli("classify", str(path))
+        assert code == cli.EXIT_PARSE
+        assert capsys.readouterr().err == "parse error: matrix entries must be finite\n"
+
+    def test_integer_beyond_float_range_in_start_vector(self, tmp_path, capsys):
+        path = tmp_path / "huge_x0.json"
+        path.write_text("[[0, -1%s], [0, 0]]" % ("0" * 400))
+        code, _ = run_cli(
+            "simulate", "--congruence", "--x0", str(path), fx("rotation.json")
+        )
+        assert code == cli.EXIT_PARSE
+        assert capsys.readouterr().err == "parse error: vector entries must be finite\n"
+
     def test_bad_steps_value(self):
         code, _ = run_cli(
             "simulate", "--star", "--steps", "0", fx("rotation.json")
         )
         assert code == cli.EXIT_PARSE
+
+
+def _golden(stem, slug):
+    return json.loads((GOLDEN / f"{stem}.{slug}.json").read_text())
+
+
+def test_one_parser_serves_a_mixed_sequence_of_runs(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    sequence = [
+        (["canon", "--star", "--verify", fx("h2_i.json")], ("h2_i", "canon-star-verify")),
+        (["canon", "--star", fx("h2_i.json")], ("h2_i", "canon-star")),
+        (["canon", "--star", "--triangular", fx("weighted.json")],
+         ("weighted", "canon-star-triangular")),
+        (["canon", fx("weighted.json")], None),
+        (["canon", "--star", fx("weighted.json")], ("weighted", "canon-star")),
+        (["classify", fx("rotation.json"), "--output", str(report)],
+         ("rotation", "classify")),
+        (["classify", fx("rotation.json")], ("rotation", "classify")),
+        (["canon", "--congruence", "--style", "real_orthogonal", fx("rotation.json")],
+         ("rotation", "canon-unitary-real-orthogonal")),
+        (["compare", "--congruence", fx("coninvolutory.json"), fx("coninvolutory.json")],
+         ("coninvolutory", "compare-congruence-self")),
+        (["regularize", "--star", fx("singular_mixed.json")],
+         ("singular_mixed", "regularize-star")),
+        (["canon", "--congruence", fx("upper.json")], ("upper", "canon-congruence")),
+        (["classify", fx("bad_shape.json")], ("bad_shape", "classify")),
+        (["canon", "--congruence", fx("coninvolutory.json")],
+         ("coninvolutory", "canon-congruence")),
+    ]
+    cli._parser.cache_clear()
+    capsys.readouterr()
+    for argv, golden in sequence:
+        code, text = run_cli(*argv)
+        err = capsys.readouterr().err
+        if golden is None:
+            # A usage error between runs leaves the parser as it was.
+            assert code == cli.EXIT_PARSE
+            assert err.startswith("usage: canonica canon")
+            assert "one of the arguments --congruence --star is required" in err
+            continue
+        expected = _golden(*golden)
+        assert (code, err) == (expected["exit"], expected["stderr"]), argv
+        if "--output" in argv:
+            assert text == ""
+            text = report.read_text()
+        assert text == expected["stdout"], argv
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(sequence) - 1)
+
+
+def test_build_parser_returns_a_new_parser_each_call():
+    first = cli.build_parser()
+    assert cli.build_parser() is not first
+    assert cli.build_parser() is not cli._parser()
 
 
 def test_selftest_command_passes():
