@@ -115,12 +115,11 @@ def _reduce_fixed(value, block, tol):
     return v.conj().T, [], [(float(t), complex(-1.0)) for t in taus]
 
 
-def _mu_first(mean: complex, radius: float) -> bool:
+def _mu_first(values: np.ndarray, radius: float) -> np.ndarray:
     # The stored mu lies inside the unit circle, or on it with positive
     # imaginary part.
-    if abs(abs(mean) - 1.0) <= radius:
-        return mean.imag > 0.0
-    return abs(mean) < 1.0
+    modulus = np.abs(values)
+    return np.where(np.abs(modulus - 1.0) <= radius, values.imag > 0.0, modulus < 1.0)
 
 
 _CONGRUENCE = _Mode(

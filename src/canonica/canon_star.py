@@ -131,7 +131,7 @@ def _reduce_unimodular(lam: complex, block, tol):
 _STAR = _Mode(
     name="star",
     partner=lambda z: 1.0 / z.conjugate(),
-    mu_first=lambda mean, radius: abs(mean) < 1.0,
+    mu_first=lambda values, radius: np.abs(values) < 1.0,
     normalize_pair=normalize_star_pair,
     one_key=star_one_key,
     two_key=star_two_key,
@@ -354,8 +354,15 @@ def canon_quadratic(a, tol: ToleranceConfig = DEFAULT_TOL) -> QuadraticForm:
     coeffs, *_ = np.linalg.lstsq(design, (a @ a).reshape(-1), rcond=None)
     c1, c0 = complex(coeffs[0]), complex(coeffs[1])
     disc = cmath.sqrt(c1 * c1 - 4.0 * c0)
-    roots = sorted([(c1 + disc) / 2.0, (c1 - disc) / 2.0], key=star_one_key)
-    lam1, lam2 = roots
+    lam1, lam2 = sorted([(c1 + disc) / 2.0, (c1 - disc) / 2.0], key=star_one_key)
+    band = tol.cluster_rtol * abs(lam1)
+    if abs(abs(lam1) - abs(lam2)) <= band:
+        # Equal moduli leave the order to rounding: the root above the
+        # real axis, or on it to the right of 0, comes first.
+        lam1, lam2 = sorted(
+            (lam1, lam2),
+            key=lambda r: not (r.imag > band or (abs(r.imag) <= band and r.real > 0.0)),
+        )
 
     residual = norm((a - lam1 * np.eye(n)) @ (a - lam2 * np.eye(n)))
     bound = tol.residual_rtol * max(

@@ -20,7 +20,7 @@ from .errors import ConvergenceError, PreconditionError
 from .factorizations import cluster_real_sorted, polar, svd
 from .matrix import DEFAULT_TOL, ToleranceConfig, as_matrix, norm, rank
 from .pipeline import _canon
-from .predicates import classify
+from .predicates import _class_residual
 from .regularization import MODES, _adjoint, _gate
 
 __all__ = [
@@ -275,16 +275,11 @@ def upgrade_congruence_to_unitary(
         if rank(m, tol) < n:
             raise PreconditionError(f"matrix {name} must be nonsingular")
 
-    ra = classify(a, tol)
-    rb = classify(b, tol)
-    if mode == "congruence":
-        weak = (ra["unitary"] and rb["unitary"]) or (
-            ra["coninvolutory"] and rb["coninvolutory"]
-        )
-    else:
-        weak = (ra["unitary"] and rb["unitary"]) or (
-            ra["involutory"] and rb["involutory"]
-        )
+    other = "coninvolutory" if mode == "congruence" else "involutory"
+    weak = any(
+        all(_class_residual(m, flag, tol) <= tol.residual_rtol for m in (a, b))
+        for flag in ("unitary", other)
+    )
 
     scale_s = norm(s, kind="spectral")
     res = norm(a - s @ b @ _adjoint(s, mode))

@@ -108,49 +108,40 @@ def cluster_complex(values: np.ndarray, radius: float) -> list[list[int]]:
 
 
 def _pair_clusters(
-    values: np.ndarray, partner, radius: float
-) -> tuple[list[tuple[complex, list[int]]], list[tuple[tuple[complex, list[int]], ...]]]:
-    """Match the single-linkage clusters of values under an involution.
+    values: np.ndarray, partner, mu_first, radius: float
+) -> tuple[list[tuple[complex, list[int]]], list[tuple[list[int], list[int]]]]:
+    """Pair the values under an involution by folding them onto one side.
 
-    partner maps a value to the value it pairs with (z -> 1/z, 1/conj(z)
-    or conj(z)).  Each cluster, in order, is matched to the unused
-    cluster whose mean lies nearest the image of its own mean, counting
-    itself; a cluster matched to itself is a fixed cluster.  Returns
-    (fixed, pairs): fixed lists (mean, indices), pairs lists
-    ((mean, indices), (mean, indices)) with the earlier cluster first.
-    Raises PreconditionError when no unused cluster lies within the
-    match tolerance of an image, or when paired clusters differ in size.
+    partner maps values to the values they pair with (z -> 1/z or
+    1/conj(z)), and mu_first(values, radius) marks those on the mu side.
+    Each value off that side is replaced by its partner, and the folded
+    values are clustered once.  A cluster the partner map fixes is a
+    fixed cluster: one of its folded values lies within radius of its
+    own image, as single linkage would join the two.  Any other cluster
+    splits into its mu-side indices and the indices of their partners.
+    Returns (fixed, pairs): fixed lists (mean of the unfolded values,
+    indices), pairs lists (mu indices, partner indices), both by each
+    cluster's smallest index.  Raises PreconditionError when the two
+    sides of a cluster differ in size.
     """
-    clusters = cluster_complex(values, radius)
-    means = [complex(np.mean(values[idx])) for idx in clusters]
+    on_mu_side = mu_first(values, radius)
+    folded = values.copy()
+    folded[~on_mu_side] = partner(values[~on_mu_side])
+    moved = np.abs(partner(folded) - folded)
     fixed: list[tuple[complex, list[int]]] = []
-    pairs: list[tuple[tuple[complex, list[int]], ...]] = []
-    used = [False] * len(clusters)
-    for ci, idx in enumerate(clusters):
-        if used[ci]:
+    pairs: list[tuple[list[int], list[int]]] = []
+    for idx in cluster_complex(folded, radius):
+        if np.min(moved[idx]) <= radius:
+            fixed.append((complex(np.mean(values[idx])), idx))
             continue
-        rep = means[ci]
-        target = partner(rep)
-        best = min(
-            (cj for cj in range(len(clusters)) if not used[cj]),
-            key=lambda cj: abs(means[cj] - target),
-        )
-        # Each of the three maps stretches distances near rep by
-        # |partner(rep)| / |rep|, so the tolerance grows with it.
-        stretch = abs(target) / abs(rep) if rep else 1.0
-        match_tol = 10.0 * radius * max(1.0, stretch)
-        if abs(means[best] - target) > match_tol:
+        mu_idx = [i for i in idx if on_mu_side[i]]
+        partner_idx = [i for i in idx if not on_mu_side[i]]
+        if len(mu_idx) != len(partner_idx):
             raise PreconditionError(
-                "spectrum is not closed under its pairing map; "
+                "eigenvalues do not pair up under the pairing map; "
                 "input is not numerically in class"
             )
-        used[ci] = used[best] = True
-        if best == ci:
-            fixed.append((rep, list(idx)))
-            continue
-        if len(clusters[best]) != len(idx):
-            raise PreconditionError("paired eigenvalue groups differ in size")
-        pairs.append(((rep, list(idx)), (means[best], list(clusters[best]))))
+        pairs.append((mu_idx, partner_idx))
     return fixed, pairs
 
 

@@ -2,11 +2,12 @@
 
 Both canonical forms come out of one method: split off the singular
 part, take the cosquare adj(r)^{-1} r of the nonsingular part r,
-diagonalize it, pair its eigenvalue clusters under the involution of
-the transformation kind, and reduce each spectral summand of r to
-blocks.  The two kinds differ only in the adjoint (transpose or
-conjugate transpose) and in what the _Mode record below holds;
-canon_congruence and canon_star each define one record and call _canon.
+diagonalize it, fold its eigenvalues onto the mu side of the pairing
+map of the transformation kind, cluster them once, and reduce each
+spectral summand of r to blocks.  The two kinds differ only in the
+adjoint (transpose or conjugate transpose) and in what the _Mode record
+below holds; canon_congruence and canon_star each define one record and
+call _canon.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ class _Mode:
     """What the pipeline needs to know about one transformation kind.
 
     name is the regularization mode, which also selects the adjoint.
-    partner maps a cosquare eigenvalue to the one it pairs with, and
-    mu_first(mean, radius) tells whether the cluster at mean carries the
-    mu of its pair.  normalize_pair, one_key and two_key pick the
-    canonical representative of a 2-by-2 block and sort the blocks, and
-    form is the canonical-form class.  fixed_groups turns the clusters
+    partner maps cosquare eigenvalues to the ones they pair with, and
+    mu_first(values, radius) marks those that are the mu of their pair.
+    normalize_pair, one_key and two_key pick the canonical
+    representative of a 2-by-2 block and sort the blocks, and form is
+    the canonical-form class.  fixed_groups turns the clusters
     that are their own partner into (eigenvalue, indices) summands, and
     reduce_fixed(eigenvalue, block, tol) reduces one of those summands
     to (local unitary, 1-by-1 entries, 2-by-2 (tau, mu) pairs), with
@@ -40,8 +41,8 @@ class _Mode:
     """
 
     name: str
-    partner: Callable[[complex], complex]
-    mu_first: Callable[[complex, float], bool]
+    partner: Callable[[np.ndarray], np.ndarray]
+    mu_first: Callable[[np.ndarray, float], np.ndarray]
     normalize_pair: Callable
     one_key: Callable
     two_key: Callable
@@ -77,17 +78,11 @@ def _canon(a, mode: _Mode, tol: ToleranceConfig, s_product=None):
         # The split has checked that reg is nonsingular.
         lam, u_eig = eig_normal(np.linalg.solve(adj(reg), reg), tol)
         radius = tol.cluster_rtol * max(float(np.max(np.abs(lam))), 1.0)
-        fixed, pairs = _pair_clusters(lam, mode.partner, radius)
+        fixed, pairs = _pair_clusters(lam, mode.partner, mode.mu_first, radius)
         groups = mode.fixed_groups(fixed)
-        pairs = [
-            (first, second) if mode.mu_first(first[0], radius) else (second, first)
-            for first, second in pairs
-        ]
 
         order = [i for _, idx in groups for i in idx]
-        for (_, idx_mu), (_, idx_inv) in pairs:
-            order.extend(idx_mu)
-            order.extend(idx_inv)
+        order += [i for idx_mu, idx_inv in pairs for i in idx_mu + idx_inv]
         u_g = u_eig[:, order]
         b = adj(u_g) @ reg @ u_g
 
@@ -108,7 +103,7 @@ def _canon(a, mode: _Mode, tol: ToleranceConfig, s_product=None):
             for t in taus:
                 twos.append((t, [offset, offset + 1]))
                 offset += 2
-        for (_, idx_mu), _ in pairs:
+        for idx_mu, _ in pairs:
             g = len(idx_mu)
             bj = b[offset : offset + 2 * g, offset : offset + 2 * g]
             y = bj[:g, g:]

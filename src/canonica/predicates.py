@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PreconditionError
-from .factorizations import svd
+from .factorizations import cluster_real_sorted, svd
 from .matrix import DEFAULT_TOL, ToleranceConfig, as_matrix, norm, rank, rel_residual
 
 __all__ = [
@@ -200,8 +200,6 @@ def _polar_parts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _sigma_cluster_blocks(sigma: np.ndarray, tol: ToleranceConfig) -> list[list[int]]:
-    from .factorizations import cluster_real_sorted
-
     radius = tol.cluster_rtol * float(sigma[0]) if len(sigma) else 0.0
     return cluster_real_sorted(sigma, radius)
 
@@ -344,8 +342,7 @@ def bar_block_dualities(a, tol: ToleranceConfig = DEFAULT_TOL) -> dict:
     a = as_matrix(a, square=True)
     n = a.shape[0]
     d = bar_double(a)
-    rep_a = classify(a, tol)
-    rep_d = classify(d, tol)
+    pa, pd = _Products(a, tol), _Products(d, tol)
 
     def entry(left: float, right: float) -> dict:
         lh = left <= tol.residual_rtol
@@ -360,16 +357,16 @@ def bar_block_dualities(a, tol: ToleranceConfig = DEFAULT_TOL) -> dict:
 
     out = {
         "squared_vs_congruence": entry(
-            rep_a.residuals["squared_normal"], rep_d.residuals["congruence_normal"]
+            _IDENTITIES["squared_normal"](pa), _IDENTITIES["congruence_normal"](pd)
         ),
         "congruence_vs_squared": entry(
-            rep_a.residuals["congruence_normal"], rep_d.residuals["squared_normal"]
+            _IDENTITIES["congruence_normal"](pa), _IDENTITIES["squared_normal"](pd)
         ),
         "normal_vs_conjugate": entry(
-            rep_a.residuals["normal"], rep_d.residuals["conjugate_normal"]
+            _IDENTITIES["normal"](pa), _IDENTITIES["conjugate_normal"](pd)
         ),
         "conjugate_vs_normal": entry(
-            rep_a.residuals["conjugate_normal"], rep_d.residuals["normal"]
+            _IDENTITIES["conjugate_normal"](pa), _IDENTITIES["normal"](pd)
         ),
         "cubic_transpose": entry(
             rel_residual(d @ d.conj() @ d.T, d.T @ d.conj() @ d),

@@ -130,6 +130,56 @@ def test_canon_congruence_random_instances_agree():
         assert_realizes(got, t, a)
 
 
+# Planted forms (ones, twos) whose cosquare has repeated clusters: mu
+# repeated at |mu| = 0.04, 0.5 and 0.9, unimodular pairs (mu and 1/mu
+# both on the unit circle), and the +1 and -1 summands.
+CLUSTER_LAYOUTS = {
+    "repeated_mu": (
+        [2.0],
+        [
+            (1.5, 0.04j),
+            (1.5, 0.04j),
+            (0.7, 0.04j),
+            (1.1, 0.5),
+            (1.1, 0.5),
+            (0.9, 0.9 * np.exp(2.0j)),
+            (1.3, 0.9 * np.exp(2.0j)),
+        ],
+    ),
+    "unimodular_pairs": (
+        [1.0],
+        [(1.0, np.exp(0.7j)), (1.0, np.exp(0.7j)), (2.0, 1.0j), (0.6, np.exp(2.5j))],
+    ),
+    "plus_minus_one": ([3.0, 1.0, 1.0, 0.5], [(2.0, -1.0), (2.0, -1.0), (0.7, -1.0)]),
+}
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("layout", CLUSTER_LAYOUTS)
+def test_canon_congruence_recovers_clustered_layouts(layout, seed):
+    want = CongruenceCanonicalForm.build(*CLUSTER_LAYOUTS[layout])
+    b = want.assemble()
+    u = random_unitary(b.shape[0], default_rng(900 + seed))
+    a = u @ b @ u.T
+    got, t = canon_congruence(a)
+    assert got.one_by_one == pytest.approx(want.one_by_one, abs=1e-7)
+    assert len(got.two_by_two) == len(want.two_by_two)
+    for (tau, mu), (wtau, wmu) in zip(got.two_by_two, want.two_by_two):
+        assert tau == pytest.approx(wtau, abs=1e-7)
+        assert abs(mu - wmu) <= 1e-7
+    assert_realizes(got, t, a)
+
+
+def test_canon_congruence_close_mu_fails_to_converge():
+    # Two mu 4e-8 apart near 0.04 fall into one cluster of the cosquare
+    # spectrum while their partners near 25 stay apart.  The input is in
+    # class, so the failure must not claim otherwise.
+    u = random_unitary(4, default_rng(1))
+    b = direct_sum([antidiag_block(1.0, 0.04), antidiag_block(1.0, 0.04 * (1.0 + 1e-6))])
+    with pytest.raises(ConvergenceError):
+        canon_congruence(u @ b @ u.T)
+
+
 @pytest.mark.parametrize(
     "a",
     [

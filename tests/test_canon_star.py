@@ -7,7 +7,7 @@ of [[1, 1], [0, -1]], an involution with one nontrivial block.
 import numpy as np
 import pytest
 
-from canonica.blocks import h2_to_triangular
+from canonica.blocks import antidiag_block, direct_sum, h2_to_triangular
 from canonica.canon_star import (
     QuadraticForm,
     StarCanonicalForm,
@@ -22,7 +22,7 @@ from canonica.canon_star import (
 )
 from canonica.errors import ConvergenceError, PreconditionError
 from canonica.matrix import norm
-from canonica.sampling import default_rng, random_star_instance
+from canonica.sampling import default_rng, random_star_instance, random_unitary
 
 J2 = np.array([[0.0, 1.0], [0.0, 0.0]])
 HALF = np.array([[0.0, 1.0], [0.5, 0.0]])
@@ -144,6 +144,54 @@ def test_canon_star_random_instances_agree():
             assert tau == pytest.approx(wtau, abs=1e-6)
             assert abs(mu - wmu) <= 1e-6
         assert_realizes(got, t, a)
+
+
+# Planted forms (ones, twos) whose *cosquare has repeated clusters: mu
+# repeated at |mu| = 0.04, 0.5 and 0.9, and the +1 and -1 summands
+# (real and imaginary 1-by-1 entries).
+CLUSTER_LAYOUTS = {
+    "repeated_mu": (
+        [2.0 * np.exp(0.3j)],
+        [
+            (1.5, 0.04j),
+            (1.5, 0.04j),
+            (0.7, 0.04j),
+            (1.1, 0.5),
+            (1.1, 0.5),
+            (0.9, 0.9 * np.exp(2.0j)),
+            (1.3, 0.9 * np.exp(2.0j)),
+        ],
+    ),
+    "plus_minus_one": ([2.0, 2.0, -1.0, 0.5j, -3.0j], [(1.2, 0.5j)]),
+}
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("layout", CLUSTER_LAYOUTS)
+def test_canon_star_recovers_clustered_layouts(layout, seed):
+    want = StarCanonicalForm.build(*CLUSTER_LAYOUTS[layout])
+    b = want.assemble()
+    u = random_unitary(b.shape[0], default_rng(910 + seed))
+    a = u @ b @ u.conj().T
+    got, t = canon_star(a)
+    assert len(got.one_by_one) == len(want.one_by_one)
+    for v, w in zip(got.one_by_one, want.one_by_one):
+        assert abs(v - w) <= 1e-7
+    assert len(got.two_by_two) == len(want.two_by_two)
+    for (tau, mu), (wtau, wmu) in zip(got.two_by_two, want.two_by_two):
+        assert tau == pytest.approx(wtau, abs=1e-7)
+        assert abs(mu - wmu) <= 1e-7
+    assert_realizes(got, t, a)
+
+
+def test_canon_star_close_mu_fails_to_converge():
+    # Two mu 4e-8 apart near 0.04 fall into one cluster of the *cosquare
+    # spectrum while their partners near 25 stay apart.  The input is in
+    # class, so the failure must not claim otherwise.
+    u = random_unitary(4, default_rng(1))
+    b = direct_sum([antidiag_block(1.0, 0.04), antidiag_block(1.0, 0.04 * (1.0 + 1e-6))])
+    with pytest.raises(ConvergenceError):
+        canon_star(u @ b @ u.conj().T)
 
 
 def test_canon_star_rejects_out_of_class():

@@ -1,5 +1,7 @@
 """Equivalence decisions, the polar-factor upgrade, and class signatures."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,18 @@ class TestUpgrade:
             upgrade_congruence_to_unitary(J2, J2, np.eye(2))
         with pytest.raises(PreconditionError):
             upgrade_congruence_to_unitary(np.eye(2), np.eye(2), J2)
+
+    def test_reads_class_flags_without_calling_classify(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("upgrade_congruence_to_unitary called classify")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("canonica") and hasattr(module, "classify"):
+                monkeypatch.setattr(module, "classify", refuse)
+        self.test_recovers_the_polar_factor()
+        self.test_weak_hypothesis_for_unitary_pair()
+        self.test_star_mode_involutory_pair()
+        self.test_rejects_missing_pair_hypothesis()
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 import canonica.factorizations as factorizations
 from canonica.blocks import sqrt_dplus
+from canonica.canon_congruence import _CONGRUENCE
+from canonica.canon_star import _STAR
 from canonica.errors import PreconditionError
 from canonica.factorizations import (
     cluster_complex,
@@ -403,56 +405,63 @@ def test_hua_skew_rejects_bad_inputs():
 RADIUS = 1e-8
 Z = 2.0 + 1.0j
 PAIRING_CASES = {
-    # map: (values, fixed (mean, indices), pairs ((mean, indices), (mean, indices)))
+    # map: (partner, mu_first, values, fixed (mean, indices),
+    #       pairs (mu indices, partner indices))
     "reciprocal": (
-        lambda z: 1.0 / z,
-        [Z, 1.0, -1.0, 1.0 / Z, -1.0 + 1e-12j, Z * (1.0 + 1e-12), 1.0 / Z],
-        [(1.0, [1]), (-1.0, [2, 4])],
-        [((Z, [0, 5]), (1.0 / Z, [3, 6]))],
+        _CONGRUENCE.partner,
+        _CONGRUENCE.mu_first,
+        [Z, 1.0, -1.0, -2.0j, 1.0 / Z, -1.0 + 1e-12j, Z * (1.0 + 1e-12), 1.0 / Z,
+         0.5j, np.exp(-0.7j), np.exp(0.7j)],
+        [(1.0, [1]), (-1.0, [2, 5])],
+        [([4, 7], [0, 6]), ([8], [3]), ([10], [9])],
     ),
     "conjugate_reciprocal": (
-        lambda z: 1.0 / z.conjugate(),
-        [0.3j, np.exp(0.7j), 1.0 / (-0.3j), np.exp(0.7j) * (1.0 + 1e-12)],
+        _STAR.partner,
+        _STAR.mu_first,
+        [1.0 / (-0.3j), np.exp(0.7j), 0.3j, np.exp(0.7j) * (1.0 + 1e-12)],
         [(np.exp(0.7j), [1, 3])],
-        [((0.3j, [0]), (1.0 / (-0.3j), [2]))],
+        [([2], [0])],
     ),
     "conjugate": (
-        complex.conjugate,
+        np.conj,
+        lambda z, radius: z.imag > 0.0,
         [1.0 - 1.0j, 2.0, 1.0 + 1.0j, -3.0, -3.0 + 1e-12j],
         [(2.0, [1]), (-3.0, [3, 4])],
-        [((1.0 - 1.0j, [0]), (1.0 + 1.0j, [2]))],
+        [([2], [0])],
     ),
 }
 
 
 @pytest.mark.parametrize("kind", PAIRING_CASES)
 def test_pair_clusters_fixed_clusters_and_pairs(kind):
-    partner, values, want_fixed, want_pairs = PAIRING_CASES[kind]
-    fixed, pairs = factorizations._pair_clusters(
-        np.array(values, dtype=np.complex128), partner, RADIUS
-    )
-    # A cluster that is its own image is fixed; a pair lists the
-    # cluster met first (by smallest index) first.
+    partner, mu_first, values, want_fixed, want_pairs = PAIRING_CASES[kind]
+    values = np.array(values, dtype=np.complex128)
+    fixed, pairs = factorizations._pair_clusters(values, partner, mu_first, RADIUS)
+    # A cluster that is its own image is fixed, with the mean of its
+    # values as given (not as folded); a pair lists its mu-side indices
+    # first, and the pairs come by their smallest index.
     assert [idx for _, idx in fixed] == [idx for _, idx in want_fixed]
     assert [m for m, _ in fixed] == pytest.approx([m for m, _ in want_fixed])
-    assert [(p[1], q[1]) for p, q in pairs] == [(p[1], q[1]) for p, q in want_pairs]
-    for (p, q), (wp, wq) in zip(pairs, want_pairs):
-        assert (p[0], q[0]) == pytest.approx((wp[0], wq[0]))
+    assert [m for m, _ in fixed] == [complex(np.mean(values[idx])) for _, idx in fixed]
+    assert pairs == want_pairs
 
 
 @pytest.mark.parametrize(
-    "partner,lonely,twin",
+    "partner,mu_first,lonely,twin",
     [
-        (lambda z: 1.0 / z, 0.5, 2.0),
-        (lambda z: 1.0 / z.conjugate(), 0.5j, 2.0j),
-        (complex.conjugate, 1.0 + 1.0j, 1.0 - 1.0j),
+        (_CONGRUENCE.partner, _CONGRUENCE.mu_first, 0.5, 2.0),
+        (_STAR.partner, _STAR.mu_first, 0.5j, 2.0j),
+        (np.conj, lambda z, radius: z.imag > 0.0, 1.0 + 1.0j, 1.0 - 1.0j),
     ],
     ids=list(PAIRING_CASES),
 )
 def test_pair_clusters_rejects_a_missing_partner_and_a_size_mismatch(
-    partner, lonely, twin
+    partner, mu_first, lonely, twin
 ):
-    with pytest.raises(PreconditionError, match="not closed under its pairing map"):
-        factorizations._pair_clusters(np.array([lonely]), partner, RADIUS)
-    with pytest.raises(PreconditionError, match="differ in size"):
-        factorizations._pair_clusters(np.array([lonely, twin, twin]), partner, RADIUS)
+    # A lone cluster and clusters of unequal size are one error: the two
+    # sides of a folded cluster differ in size.
+    for values in ([lonely], [lonely, twin, twin], [twin, twin, lonely]):
+        with pytest.raises(PreconditionError, match="do not pair up"):
+            factorizations._pair_clusters(
+                np.array(values, dtype=np.complex128), partner, mu_first, RADIUS
+            )

@@ -1,5 +1,7 @@
 """Class membership flags and the equivalence-of-conditions checks."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,34 @@ def test_characterizations_unknown_family():
 def test_bar_block_dualities_agree_on_probes():
     for a in PROBES:
         assert bar_block_dualities(a)["agree"], a
+
+
+DUALITY_FLAGS = {
+    "squared_vs_congruence": ("squared_normal", "congruence_normal"),
+    "congruence_vs_squared": ("congruence_normal", "squared_normal"),
+    "normal_vs_conjugate": ("normal", "conjugate_normal"),
+    "conjugate_vs_normal": ("conjugate_normal", "normal"),
+}
+
+
+def test_bar_block_dualities_reads_classify_residuals_without_calling_it(monkeypatch):
+    want = {}
+    for i, a in enumerate(PROBES):
+        rep_a, rep_d = classify(a), classify(bar_double(a))
+        for key, (left, right) in DUALITY_FLAGS.items():
+            want[i, key] = (rep_a.residuals[left], rep_d.residuals[right])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("bar_block_dualities called classify")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("canonica") and hasattr(module, "classify"):
+            monkeypatch.setattr(module, "classify", refuse)
+    for i, a in enumerate(PROBES):
+        out = bar_block_dualities(a)
+        for key in DUALITY_FLAGS:
+            got = (out[key]["left_residual"], out[key]["right_residual"])
+            assert got == want[i, key], (a, key)
 
 
 def test_bar_block_dualities_extra_entries_need_inverses():

@@ -142,12 +142,24 @@ def test_lambda_projection_repeated_blocks_match_svd(lam):
 def test_quadratic_matches_svd(n, seed, opposite):
     a, roots = random_quadratic_instance(n, default_rng(760 + 10 * n + seed), opposite=opposite)
     q = canon_quadratic(a)
-    # Opposite roots have equal moduli, so which one comes first is for
-    # the fitted roots to say.
-    assert all(min(abs(r - z) for z in q.roots) <= 1e-7 for r in roots)
-    blocks, sigmas = quadratic_blocks(a, *q.roots)
+    # Opposite roots have equal moduli; the one above the real axis
+    # comes first.
+    if opposite and roots[0].imag < 0.0:
+        roots = roots[::-1]
+    assert q.roots == pytest.approx(roots, abs=1e-7)
+    blocks, sigmas = quadratic_blocks(a, *roots)
     assert_blocks_close(list(q.blocks), blocks)
     assert np.allclose(q.predicted_singular_values, sigmas, rtol=0.0, atol=1e-7)
+
+
+def test_quadratic_opposite_roots_come_in_one_order_on_every_basis():
+    lam = 1.2 * np.exp(0.7j)
+    b = np.array([[lam, 0.9], [0.0, -lam]])
+    for seed in range(40):
+        u = random_unitary(2, default_rng(seed))
+        q = canon_quadratic(u @ b @ u.conj().T)
+        assert q.roots == pytest.approx((lam, -lam), abs=1e-9)
+        assert_blocks_close(list(q.blocks), [b])
 
 
 def test_quadratic_repeated_blocks_match_svd():
