@@ -54,9 +54,11 @@ def classify_bounded(
     decidable at tolerance.
     """
     a = _gate(a, mode, tol)
+    if a.shape[0] == 0:
+        return "bounded"
     cos = -_iteration_matrix(a, mode)
     threshold = 1.0 + tol.cluster_rtol
-    if _class_residual(a, _GATE_FLAGS[mode]) <= tol.residual_rtol:
+    if _class_residual(a, _GATE_FLAGS[mode], tol) <= tol.residual_rtol:
         try:
             lam, _ = eig_normal(cos, tol)
         except PreconditionError:

@@ -1,11 +1,16 @@
 """Seeded random constructors for the matrix families.
 
 Every sampler takes a numpy Generator so suites stay reproducible, and
-keeps block parameters separated well above the clustering tolerances:
-moduli of interior mu stay in [0.15, 0.8], distinct parameters at least
-0.08 apart, unimodular angles away from 0 and pi.  That is deliberate;
-the pipelines are exact on these families and the tests should fail on
-logic errors, not on manufactured near-degeneracies.
+keeps block parameters apart by construction, so it reaches any n: a
+spread puts one value in each of count equal bins, at a seeded offset
+in [0.2, 0.8] of the bin, so neighbours lie at least 0.4 bin widths
+apart.  Unimodular angles stay away from 0 and pi, and interior mu
+have moduli in [0.15, 0.8].  Forms reuse a palette of star rays and of
+mu values, so clusters of any multiplicity occur; distinct mu from a
+palette of size values lie at least 0.3 sin(0.4 pi/size) apart, about
+0.38/size, far above cluster_rtol.  That is deliberate; the pipelines
+are exact on these families and the tests should fail on logic
+errors, not on manufactured near-degeneracies.
 """
 
 from __future__ import annotations
@@ -69,7 +74,8 @@ def random_nonsingular(
     v = random_unitary(n, gen)
     lo, hi = 1.0 / np.sqrt(cond), np.sqrt(cond)
     s = np.exp(gen.uniform(np.log(lo), np.log(hi), size=n))
-    s[0], s[-1] = hi, lo  # pin the extremes so cond is exact
+    if n:
+        s[0], s[-1] = hi, lo  # pin the extremes so cond is exact
     return u @ np.diag(s.astype(np.complex128)) @ v.conj().T
 
 
@@ -79,66 +85,82 @@ def random_normal(n: int, gen: np.random.Generator) -> np.ndarray:
     return u @ np.diag(lam) @ u.conj().T
 
 
-def _separated(
-    gen: np.random.Generator,
-    count: int,
-    draw,
-    min_dist: float,
-    max_tries: int = 200,
-) -> list:
-    vals: list = []
-    for _ in range(count):
-        for _ in range(max_tries):
-            v = draw()
-            if all(abs(v - w) >= min_dist for w in vals):
-                vals.append(v)
-                break
-        else:
-            raise RuntimeError("failed to draw separated parameters")
-    return vals
+def _spread(
+    gen: np.random.Generator, count: int, lo: float, hi: float
+) -> list[float]:
+    """count increasing values in [lo, hi], one in each of count equal
+    bins at a seeded offset in [0.2, 0.8] of it, so neighbours lie at
+    least 0.4 bin widths apart."""
+    width = (hi - lo) / max(count, 1)
+    return [lo + width * (j + float(gen.uniform(0.2, 0.8))) for j in range(count)]
+
+
+def _hide(x: np.ndarray, gen: np.random.Generator, transpose: bool) -> np.ndarray:
+    """u x u^T (transpose) or u x u* for a Haar unitary u drawn now."""
+    u = random_unitary(x.shape[0], gen)
+    return u @ x @ (u.T if transpose else u.conj().T)
 
 
 def _tau(gen: np.random.Generator) -> float:
     return float(gen.uniform(0.5, 3.0))
 
 
-def _interior_mu(gen: np.random.Generator) -> complex:
-    rho = gen.uniform(0.15, 0.8)
-    phi = gen.uniform(-np.pi, np.pi)
-    return complex(rho * np.exp(1j * phi))
+def _singular_part(
+    n: int, gen: np.random.Generator, singular: bool, nilpotent: bool = True
+) -> tuple[list[float], list[tuple[float, complex]], int]:
+    """(ones, twos, dimension left) of a form's zero summands.
+
+    A singular form of positive dimension gets 1-2 zero entries, then,
+    where the class allows them (nilpotent), elementary (tau, 0) blocks.
+    """
+    ones: list[float] = []
+    twos: list[tuple[float, complex]] = []
+    left = n
+    if singular and n:
+        zeros = min(int(gen.integers(1, 3)), n)
+        ones, left = [0.0] * zeros, n - zeros
+        while nilpotent and left >= 2 and gen.random() < 0.4:
+            twos.append((_tau(gen), 0j))
+            left -= 2
+    return ones, twos, left
+
+
+def _interior_mus(gen: np.random.Generator, count: int) -> list[complex]:
+    """count mu with moduli in [0.15, 0.8], cycling through a palette of
+    1..count values with spread arguments, so mu may repeat."""
+    if count == 0:
+        return []
+    size = int(gen.integers(1, count + 1))
+    palette = [
+        complex(gen.uniform(0.15, 0.8) * np.exp(1j * phi))
+        for phi in _spread(gen, size, -np.pi, np.pi)
+    ]
+    return [palette[i % size] for i in range(count)]
+
+
+def _congruence_form(
+    n: int, gen: np.random.Generator, singular: bool, conjugate_normal: bool
+) -> CongruenceCanonicalForm:
+    # A conjugate-normal form has no nilpotent and no interior-mu blocks.
+    ones, twos, left = _singular_part(n, gen, singular, not conjugate_normal)
+    pairs = int(gen.integers(0, left // 2 + 1))
+    ones.extend(_tau(gen) for _ in range(left - 2 * pairs))
+    weights = (0.3, 0.7, 0.0) if conjugate_normal else (0.25, 0.25, 0.5)
+    n_minus, n_circle, n_inner = (int(k) for k in gen.multinomial(pairs, weights))
+    twos.extend((_tau(gen), -1.0 + 0j) for _ in range(n_minus))
+    twos.extend(
+        (_tau(gen), complex(np.exp(1j * t)))
+        for t in _spread(gen, n_circle, 0.3, np.pi - 0.3)
+    )
+    twos.extend((_tau(gen), mu) for mu in _interior_mus(gen, n_inner))
+    return CongruenceCanonicalForm.build(ones, twos)
 
 
 def random_congruence_form(
     n: int, gen: np.random.Generator, singular: bool = False
 ) -> CongruenceCanonicalForm:
     """Random valid congruence-form block multiset of dimension n."""
-    ones: list[float] = []
-    twos: list[tuple[float, complex]] = []
-    left = n
-    if singular and left:
-        zeros = min(int(gen.integers(1, 3)), left)
-        ones.extend([0.0] * zeros)
-        left -= zeros
-        while left >= 2 and gen.random() < 0.4:
-            twos.append((_tau(gen), 0.0 + 0.0j))
-            left -= 2
-
-    pair_budget = int(gen.integers(0, left // 2 + 1))
-    ones.extend(float(gen.uniform(0.5, 3.0)) for _ in range(left - 2 * pair_budget))
-
-    kinds = [gen.random() for _ in range(pair_budget)]
-    n_minus = sum(1 for r in kinds if r < 0.25)
-    n_circle = sum(1 for r in kinds if 0.25 <= r < 0.5)
-    n_inner = pair_budget - n_minus - n_circle
-
-    twos.extend((_tau(gen), complex(-1.0)) for _ in range(n_minus))
-    thetas = _separated(
-        gen, n_circle, lambda: float(gen.uniform(0.3, np.pi - 0.3)), 0.1
-    )
-    twos.extend((_tau(gen), complex(np.exp(1j * t))) for t in thetas)
-    mus = _separated(gen, n_inner, lambda: _interior_mu(gen), 0.08)
-    twos.extend((_tau(gen), mu) for mu in mus)
-    return CongruenceCanonicalForm.build(ones, twos)
+    return _congruence_form(n, gen, singular, conjugate_normal=False)
 
 
 def random_congruence_instance(
@@ -146,42 +168,25 @@ def random_congruence_instance(
 ) -> tuple[CongruenceCanonicalForm, np.ndarray]:
     """(form, u @ assemble(form) @ u.T) for a random unitary u."""
     form = random_congruence_form(n, gen, singular=singular)
-    u = random_unitary(n, gen)
-    return form, u @ form.assemble() @ u.T
+    return form, _hide(form.assemble(), gen, transpose=True)
 
 
 def random_star_form(
     n: int, gen: np.random.Generator, singular: bool = False
 ) -> StarCanonicalForm:
     """Random valid *congruence-form block multiset of dimension n."""
-    ones: list[complex] = []
-    twos: list[tuple[float, complex]] = []
-    left = n
-    if singular and left:
-        zeros = min(int(gen.integers(1, 3)), left)
-        ones.extend([0.0 + 0.0j] * zeros)
-        left -= zeros
-        while left >= 2 and gen.random() < 0.4:
-            twos.append((_tau(gen), 0.0 + 0.0j))
-            left -= 2
-
-    pair_budget = int(gen.integers(0, left // 2 + 1))
-    n_ones = left - 2 * pair_budget
-
+    ones, twos, left = _singular_part(n, gen, singular)
+    pairs = int(gen.integers(0, left // 2 + 1))
+    n_ones = left - 2 * pairs
     if n_ones:
         n_rays = int(gen.integers(1, n_ones + 1))
-        rays = _separated(
-            gen, n_rays, lambda: float(gen.uniform(0.05, np.pi - 0.05)), 0.1
-        )
+        rays = _spread(gen, n_rays, 0.05, np.pi - 0.05)
         for i in range(n_ones):
-            theta = rays[i % n_rays]
             sign = 1.0 if gen.random() < 0.5 else -1.0
             ones.append(
-                complex(sign * gen.uniform(0.5, 2.0) * np.exp(1j * theta))
+                complex(sign * gen.uniform(0.5, 2.0) * np.exp(1j * rays[i % n_rays]))
             )
-
-    mus = _separated(gen, pair_budget, lambda: _interior_mu(gen), 0.08)
-    twos.extend((_tau(gen), mu) for mu in mus)
+    twos.extend((_tau(gen), mu) for mu in _interior_mus(gen, pairs))
     return StarCanonicalForm.build(ones, twos)
 
 
@@ -190,50 +195,26 @@ def random_star_instance(
 ) -> tuple[StarCanonicalForm, np.ndarray]:
     """(form, u @ assemble(form) @ u*) for a random unitary u."""
     form = random_star_form(n, gen, singular=singular)
-    u = random_unitary(n, gen)
-    return form, u @ form.assemble() @ u.conj().T
+    return form, _hide(form.assemble(), gen, transpose=False)
 
 
 def random_conjugate_normal_instance(
     n: int, gen: np.random.Generator, singular: bool = False
 ) -> tuple[CongruenceCanonicalForm, np.ndarray]:
     """Conjugate-normal instance: positive ones, unimodular twos, zeros."""
-    ones: list[float] = []
-    twos: list[tuple[float, complex]] = []
-    left = n
-    if singular and left:
-        zeros = min(int(gen.integers(1, 3)), left)
-        ones.extend([0.0] * zeros)
-        left -= zeros
-    pair_budget = int(gen.integers(0, left // 2 + 1))
-    ones.extend(float(gen.uniform(0.5, 3.0)) for _ in range(left - 2 * pair_budget))
-    kinds = [gen.random() for _ in range(pair_budget)]
-    n_minus = sum(1 for r in kinds if r < 0.3)
-    thetas = _separated(
-        gen,
-        pair_budget - n_minus,
-        lambda: float(gen.uniform(0.3, np.pi - 0.3)),
-        0.1,
-    )
-    twos.extend((_tau(gen), complex(-1.0)) for _ in range(n_minus))
-    twos.extend((_tau(gen), complex(np.exp(1j * t))) for t in thetas)
-    form = CongruenceCanonicalForm.build(ones, twos)
-    u = random_unitary(n, gen)
-    return form, u @ form.assemble() @ u.T
+    form = _congruence_form(n, gen, singular, conjugate_normal=True)
+    return form, _hide(form.assemble(), gen, transpose=True)
 
 
 def random_coninvolutory(n: int, gen: np.random.Generator) -> np.ndarray:
     """Random coninvolutory matrix (conj(a) a = I)."""
     q = int(gen.integers(0, n // 2 + 1))
-    sigmas = _separated(
-        gen, q, lambda: float(gen.uniform(1.2, 2.5)), 0.05
-    )
     blocks = [np.eye(n - 2 * q, dtype=np.complex128)]
     blocks.extend(
-        np.array([[0.0, 1.0 / s], [s, 0.0]], dtype=np.complex128) for s in sigmas
+        np.array([[0.0, 1.0 / s], [s, 0.0]], dtype=np.complex128)
+        for s in _spread(gen, q, 1.2, 2.5)
     )
-    u = random_unitary(n, gen)
-    return u @ direct_sum(blocks) @ u.T
+    return _hide(direct_sum(blocks), gen, transpose=True)
 
 
 def random_involution(
@@ -263,8 +244,7 @@ def random_involution(
     blocks.extend(
         np.array([[0.0, 1.0 / s], [s, 0.0]], dtype=np.complex128) for s in sigmas
     )
-    u = random_unitary(n, gen)
-    return u @ direct_sum(blocks) @ u.conj().T
+    return _hide(direct_sum(blocks), gen, transpose=False)
 
 
 def random_lambda_projection(
@@ -285,8 +265,7 @@ def random_lambda_projection(
         for _ in range(m2)
     )
     blocks.append(np.zeros((rest - eig_count, rest - eig_count), dtype=np.complex128))
-    u = random_unitary(n, gen)
-    return u @ direct_sum(blocks) @ u.conj().T
+    return _hide(direct_sum(blocks), gen, transpose=False)
 
 
 def random_quadratic_instance(
@@ -299,8 +278,10 @@ def random_quadratic_instance(
 
     opposite=True forces l2 = -l1, which keeps the square normal so the
     canonical *congruence pipeline applies as well.  Returns the matrix
-    and the roots.
+    and the roots.  Needs n >= 2.
     """
+    if n < 2:
+        raise ValueError(f"a quadratic minimal polynomial needs n >= 2, got n={n}")
     if roots is None:
         l1 = complex(
             gen.uniform(1.0, 2.0) * np.exp(1j * gen.uniform(-np.pi, np.pi))
@@ -326,5 +307,4 @@ def random_quadratic_instance(
     blocks.extend(
         np.array([[l2]], dtype=np.complex128) for _ in range(rest - n1_extra)
     )
-    u = random_unitary(n, gen)
-    return u @ direct_sum(blocks) @ u.conj().T, (l1, l2)
+    return _hide(direct_sum(blocks), gen, transpose=False), (l1, l2)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .blocks import antidiag_block, direct_sum, h2_to_triangular, triangular_block
-from .canon_congruence import canon_congruence
+from .canon_congruence import CongruenceCanonicalForm, canon_congruence
 from .canon_star import canon_lambda_projection, canon_quadratic, canon_star
 from .equivalence import (
     decide_unitary_star_congruence,
@@ -33,6 +33,8 @@ from .iteration import classify_bounded, simulate
 from .predicates import bar_block_dualities, verify_characterizations
 from .regularization import regularize
 from .sampling import (
+    _hide,
+    _spread,
     random_congruence_form,
     random_congruence_instance,
     random_conjugate_normal_instance,
@@ -236,18 +238,15 @@ def _criterion_5(gen: np.random.Generator) -> tuple[bool, str]:
         else:
             x = random_matrix(2, gen)
             y = x
-        u = random_unitary(2, gen)
-        v = random_unitary(2, gen)
         verdict = decide_unitary_star_congruence(
-            u @ x @ u.conj().T, v @ y @ v.conj().T
+            _hide(x, gen, transpose=False), _hide(y, gen, transpose=False)
         )
         if verdict.method != "pearcy" or not verdict.equivalent:
             failures.append(i)
     for i in range(500):
         x = random_matrix(2, gen)
         x *= 2.0 / norm(x)
-        u = random_unitary(2, gen)
-        y = u @ x @ u.conj().T
+        y = _hide(x, gen, transpose=False)
         style = i % 3
         if style == 0:
             delta = 1e-3 * (1.0 + abs(np.trace(x))) * float(gen.uniform(1.0, 2.0))
@@ -322,8 +321,7 @@ def _criterion_7(gen: np.random.Generator) -> tuple[bool, str]:
         n = 3 + i % 4
         a, roots = random_quadratic_instance(n, gen, opposite=True)
         if i % 2 == 0:
-            w = random_unitary(n, gen)
-            b = w @ a @ w.conj().T
+            b = _hide(a, gen, transpose=False)
         else:
             scaled = (roots[0] * 1.15, roots[1] * 1.15)
             b, _ = random_quadratic_instance(n, gen, roots=scaled)
@@ -388,36 +386,21 @@ def _criterion_8(gen: np.random.Generator) -> tuple[bool, str]:
     return _fail_list(failures, 100, "polar upgrades verified")
 
 
-def _stratified_angles(
-    gen: np.random.Generator, count: int, lo: float, hi: float
-) -> list[float]:
-    # one angle per bin keeps them separated without rejection sampling
-    if count == 0:
-        return []
-    width = (hi - lo) / count
-    return [
-        lo + width * (j + float(gen.uniform(0.2, 0.8))) for j in range(count)
-    ]
-
-
 def _criterion_9(gen: np.random.Generator) -> tuple[bool, str]:
     """Boundedness classifier against the 1000-step simulator."""
-    from .canon_congruence import CongruenceCanonicalForm
-
     failures = []
     for i in range(100):
         n = 2 + i % 5
         if i < 50:
             k = int(gen.integers(0, n // 2 + 1))
-            thetas = _stratified_angles(gen, k, 0.3, np.pi - 0.3)
+            thetas = _spread(gen, k, 0.3, np.pi - 0.3)
             ones = [float(gen.uniform(0.5, 3.0)) for _ in range(n - 2 * k)]
             twos = [
                 (float(gen.uniform(0.5, 3.0)), complex(np.exp(1j * t)))
                 for t in thetas
             ]
             form = CongruenceCanonicalForm.build(ones, twos)
-            u = random_unitary(n, gen)
-            a = u @ form.assemble() @ u.T
+            a = _hide(form.assemble(), gen, transpose=True)
             want = "bounded"
         elif i < 75:
             mu = complex(
@@ -427,8 +410,7 @@ def _criterion_9(gen: np.random.Generator) -> tuple[bool, str]:
             form = CongruenceCanonicalForm.build(
                 ones, [(float(gen.uniform(0.5, 3.0)), mu)]
             )
-            u = random_unitary(n, gen)
-            a = u @ form.assemble() @ u.T
+            a = _hide(form.assemble(), gen, transpose=True)
             want = "unbounded"
         else:
             f = direct_sum(
