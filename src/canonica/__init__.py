@@ -42,8 +42,6 @@ from .canon_star import (
 from .equivalence import (
     BLOCK_ATOL,
     EquivalenceVerdict,
-    RaySignature,
-    congruence_class_signature,
     decide_unitary_congruence,
     decide_unitary_star_congruence,
     forms_match,
@@ -94,7 +92,6 @@ __all__ = [
     "ParseError",
     "PreconditionError",
     "QuadraticForm",
-    "RaySignature",
     "ReducedForm",
     "RegularSplit",
     "StarCanonicalForm",
@@ -116,7 +113,6 @@ __all__ = [
     "canon_unitary",
     "classify",
     "classify_bounded",
-    "congruence_class_signature",
     "cosquare",
     "decide_unitary_congruence",
     "decide_unitary_star_congruence",

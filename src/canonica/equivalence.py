@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canon_congruence import _CONGRUENCE, CongruenceCanonicalForm, canon_conjugate_normal
+from .canon_congruence import _CONGRUENCE, CongruenceCanonicalForm
 from .canon_star import _STAR, StarCanonicalForm, canon_quadratic, pearcy_equal_2x2
 from .errors import ConvergenceError, PreconditionError
-from .factorizations import cluster_real_sorted, polar, svd
+from .factorizations import polar, svd
 from .matrix import DEFAULT_TOL, ToleranceConfig, as_matrix, norm, rank
 from .pipeline import _canon
 from .predicates import _class_residual
@@ -26,13 +26,11 @@ from .regularization import MODES, _adjoint, _gate
 __all__ = [
     "BLOCK_ATOL",
     "EquivalenceVerdict",
-    "RaySignature",
     "decide_unitary_congruence",
     "decide_unitary_star_congruence",
     "forms_match",
     "quadratic_invariants_equal",
     "upgrade_congruence_to_unitary",
-    "congruence_class_signature",
 ]
 
 # Absolute tolerance for comparing canonical block parameters; the
@@ -310,61 +308,3 @@ def upgrade_congruence_to_unitary(
             f"polar factor misses the unitary congruence by {res_final:.3e}"
         )
     return w
-
-
-@dataclass(frozen=True)
-class RaySignature:
-    """Congruence-class invariant of a conjugate-normal matrix.
-
-    positive_count counts positive eigenvalues of conj(a) a,
-    zero_count the nullity, and rays holds (theta, count) pairs: count
-    canonical 2-by-2 blocks on the open ray of angle theta in (0, pi].
-    Two conjugate-normal matrices are congruent (by any nonsingular
-    matrix, not just unitary) iff these data agree.
-    """
-
-    positive_count: int
-    zero_count: int
-    rays: tuple[tuple[float, int], ...]
-
-    def to_json(self) -> dict:
-        return {
-            "positive_count": self.positive_count,
-            "zero_count": self.zero_count,
-            "rays": [{"theta": t, "count": c} for t, c in self.rays],
-        }
-
-    def matches(self, other: "RaySignature", angle_tol: float = BLOCK_ATOL) -> bool:
-        if (
-            self.positive_count != other.positive_count
-            or self.zero_count != other.zero_count
-        ):
-            return False
-        mine = [t for t, c in self.rays for _ in range(c)]
-        theirs = [t for t, c in other.rays for _ in range(c)]
-        if len(mine) != len(theirs):
-            return False
-        return all(abs(x - y) <= angle_tol for x, y in zip(mine, theirs))
-
-
-def congruence_class_signature(
-    a, tol: ToleranceConfig = DEFAULT_TOL
-) -> RaySignature:
-    """Ray signature of a conjugate-normal matrix.
-
-    Built from the canonical form: 1-by-1 blocks sort into positive and
-    zero counts, and the angles of the unimodular mu parameters are
-    grouped into rays.
-    """
-    form = canon_conjugate_normal(a, tol)
-    positive = sum(1 for v in form.one_by_one if v > 0.0)
-    zeros = len(form.one_by_one) - positive
-    angles = sorted(float(np.angle(m)) for _, m in form.two_by_two)
-    rays: list[tuple[float, int]] = []
-    if angles:
-        arr = np.array(angles)
-        for idx in cluster_real_sorted(arr, tol.cluster_rtol):
-            rays.append((float(np.mean(arr[idx])), len(idx)))
-    return RaySignature(
-        positive_count=positive, zero_count=zeros, rays=tuple(rays)
-    )

@@ -200,8 +200,7 @@ def eig_normal(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.nd
     clusters = [idx for idx in cluster_real_sorted(hvals, radius) if len(idx) > 1]
     bound = tol.residual_rtol * max(1.0, fro)
     _diagonalize_clusters(u, clusters, h, k, None)
-    lam = np.sum(u.conj() * (a @ u), axis=0)
-    recon = norm(a - (u * lam) @ u.conj().T)
+    lam, recon = _rayleigh(a, u)
     if recon > bound:
         # Inside a cluster the skew part can be rounding noise, and its
         # eigh then rotates vectors that h still tells apart (by less
@@ -209,13 +208,22 @@ def eig_normal(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.nd
         # Start over and let h decide within each skew-part sub-cluster.
         _, u = np.linalg.eigh(h)
         _diagonalize_clusters(u, clusters, h, k, radius)
-        lam = np.sum(u.conj() * (a @ u), axis=0)
-        recon = norm(a - (u * lam) @ u.conj().T)
+        lam, recon = _rayleigh(a, u)
     if recon > bound:
         raise ConvergenceError(
             f"eigendecomposition residual {recon:.3e} exceeds {bound:.3e}"
         )
     return lam, u
+
+
+def _rayleigh(a: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, float]:
+    """The Rayleigh quotients lam of a on the columns of u, and the
+    reconstruction residual ||a u - u diag(lam)||.  With u unitary to
+    rounding, that is the backward error ||a - u diag(lam) u*||, and the
+    one product a u serves both."""
+    au = a @ u
+    lam = np.sum(u.conj() * au, axis=0)
+    return lam, norm(au - u * lam)
 
 
 def _diagonalize_clusters(u, clusters, h, k, radius) -> None:

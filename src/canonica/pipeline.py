@@ -84,17 +84,22 @@ def _canon(a, mode: _Mode, tol: ToleranceConfig, s_product=None):
         order = [i for _, idx in groups for i in idx]
         order += [i for idx_mu, idx_inv in pairs for i in idx_mu + idx_inv]
         u_g = u_eig[:, order]
-        b = adj(u_g) @ reg @ u_g
+        # The summands are the diagonal blocks of adj(u_g) reg u_g; each
+        # is formed from its own columns of one product reg u_g.
+        ru = reg @ u_g
+
+        def summand(lo: int, hi: int) -> np.ndarray:
+            return adj(u_g[:, lo:hi]) @ ru[:, lo:hi]
 
         # t_reg = direct_sum(locals) @ adj(u_g), one row block per
         # summand.  np.dot, unlike @, multiplies by a 1-by-1 local as by
         # a scalar, which rounds as the dense product does.
-        t_reg = np.empty_like(b)
+        t_reg = np.empty_like(ru)
         offset = 0
         for value, idx in groups:
             c = len(idx)
             local, values, taus = mode.reduce_fixed(
-                value, b[offset : offset + c, offset : offset + c], tol
+                value, summand(offset, offset + c), tol
             )
             t_reg[offset : offset + c] = np.dot(local, adj(u_g[:, offset : offset + c]))
             for v in values:
@@ -105,7 +110,7 @@ def _canon(a, mode: _Mode, tol: ToleranceConfig, s_product=None):
                 offset += 2
         for idx_mu, _ in pairs:
             g = len(idx_mu)
-            bj = b[offset : offset + 2 * g, offset : offset + 2 * g]
+            bj = summand(offset, offset + 2 * g)
             y = bj[:g, g:]
             z = bj[g:, :g]
             # Least squares fit of z = mu * adj(y).

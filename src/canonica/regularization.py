@@ -56,9 +56,9 @@ class ReducedForm:
     # decided m1; split_regular_singular measures its rank identity
     # against it instead of factorizing the input again.
     _spectral_norm: float = field(default=0.0, repr=False)
-    # transform @ a @ adjoint(transform), the product regularize checks
-    # its residual on; split_regular_singular checks its own on the same
-    # product with rows and columns permuted.
+    # transform @ a @ adjoint(transform), the product regularize reads
+    # the core from and checks its residual on; split_regular_singular
+    # checks its own on the same product with rows and columns permuted.
     _image: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def assembled(self) -> np.ndarray:
@@ -160,16 +160,17 @@ def regularize(a, mode: str, tol: ToleranceConfig = DEFAULT_TOL) -> ReducedForm:
         x_h = np.roll(g.u.conj().T, -m2, axis=0)
         transform = np.vstack([x_h @ v1_h, _adjoint(g.v, mode) @ v2_h])
         sigma = g.sigma[:m2].copy()
-    t1 = transform[:r]
     image = transform @ a @ _adjoint(transform, mode)
 
     form = ReducedForm(
         mode=mode,
         m1=n - r,
         m2=m2,
-        # Adding 0.0 turns a -0.0 entry, a sum of negative zeros, into
-        # 0.0: the zeros of the reduced form print without a sign.
-        core=t1 @ a @ _adjoint(t1, mode) + 0.0,
+        # The core t1 a adj(t1), t1 the transform's leading r rows, is
+        # the image's leading block.  Adding 0.0 copies it and turns a
+        # -0.0 entry, a sum of negative zeros, into 0.0: the zeros of
+        # the reduced form print without a sign.
+        core=image[:r, :r] + 0.0,
         sigma=sigma,
         transform=transform,
         _spectral_norm=spectral_norm,

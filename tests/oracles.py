@@ -4,8 +4,10 @@ The library renders every special-class form from canon_congruence or
 canon_star.  The functions here derive the same blocks the classical
 way, from a spectrum or an SVD of the input and plain numpy, so a test
 that compares the two compares independent routes.  They assume the
-well-separated instances of canonica.sampling: every cut below is a
-fixed relative radius, with no clustering.
+instances of canonica.sampling, whose forms reuse a palette of mu and
+of star rays: a block parameter either repeats exactly or lies far from
+every other one.  So every cut below is a fixed relative radius, and no
+cluster of nearby but unequal values needs resolving.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Equivalence decisions, the polar-factor upgrade, and class signatures."""
+"""Equivalence decisions and the polar-factor upgrade."""
 
 import sys
 
@@ -8,7 +8,6 @@ import pytest
 from canonica.canon_congruence import canon_congruence
 from canonica.canon_star import canon_star
 from canonica.equivalence import (
-    congruence_class_signature,
     decide_unitary_congruence,
     decide_unitary_star_congruence,
     forms_match,
@@ -22,7 +21,6 @@ from canonica.sampling import default_rng, random_unitary
 
 J2 = np.array([[0.0, 1.0], [0.0, 0.0]])
 H2_I = np.array([[0.0, 1.0], [1.0j, 0.0]])
-ROT90 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def test_decide_congruence_equivalent_pair():
@@ -194,37 +192,3 @@ class TestUpgrade:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             upgrade_congruence_to_unitary(np.eye(2), np.eye(2), np.eye(2), mode="both")
-
-
-def test_signature_of_partial_isometry():
-    sig = congruence_class_signature(np.diag([1.0, 0.0]))
-    assert sig.positive_count == 1
-    assert sig.zero_count == 1
-    assert sig.rays == ()
-
-
-def test_signature_of_rotation():
-    sig = congruence_class_signature(ROT90)
-    assert sig.positive_count == 0
-    assert len(sig.rays) == 1
-    theta, count = sig.rays[0]
-    assert theta == pytest.approx(np.pi)
-    assert count == 1
-
-
-def test_signature_is_scale_free_on_rays():
-    # Scaling moves tau but stays on the same ray, which is the whole
-    # point of the signature: it captures general congruence, not just
-    # the unitary kind.
-    assert congruence_class_signature(ROT90).matches(
-        congruence_class_signature(5.0 * ROT90)
-    )
-    assert not congruence_class_signature(np.diag([1.0, 0.0])).matches(
-        congruence_class_signature(np.eye(2))
-    )
-
-
-def test_signature_json():
-    obj = congruence_class_signature(ROT90).to_json()
-    assert obj["positive_count"] == 0
-    assert obj["rays"][0]["count"] == 1

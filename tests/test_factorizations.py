@@ -14,7 +14,7 @@ import canonica.factorizations as factorizations
 from canonica.blocks import sqrt_dplus
 from canonica.canon_congruence import _CONGRUENCE
 from canonica.canon_star import _STAR
-from canonica.errors import PreconditionError
+from canonica.errors import ConvergenceError, PreconditionError
 from canonica.factorizations import (
     cluster_complex,
     cluster_real_sorted,
@@ -188,6 +188,18 @@ def test_eig_normal_resolves_hermitian_eigenvalues_inside_a_cluster():
 def test_eig_normal_rejects_nonnormal():
     with pytest.raises(PreconditionError):
         eig_normal([[0.0, 1.0], [0.0, 2.0]])
+
+
+def test_eig_normal_reports_a_missed_reconstruction():
+    # A Jordan-like block passes the normality pre-check (residual about
+    # 5e-11), but no unitary u diagonalizes it to within the bound: the
+    # reconstruction check, on both tries, must raise.
+    a = [[1.0, 1e-5], [0.0, 1.0]]
+    with pytest.raises(
+        ConvergenceError,
+        match=r"^eigendecomposition residual 7\.071e-06 exceeds 1\.414e-09$",
+    ):
+        eig_normal(a)
 
 
 def test_eig_normal_empty():

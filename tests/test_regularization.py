@@ -327,6 +327,23 @@ def test_regularize_agrees_with_the_reduction_formulas(mode, coupled, scale):
         assert norm(red.transform - transform) <= bound
 
 
+@pytest.mark.parametrize("n", [3, 9, 33, 64])
+@pytest.mark.parametrize("mode", ["congruence", "star"])
+def test_core_is_the_transform_leading_rows_applied_to_a(mode, n):
+    # regularize reads the core off the image transform a adj(transform);
+    # the reference forms it from the leading rows t1 alone, t1 a adj(t1).
+    gen = np.random.default_rng(20261019 + n)
+    sample = random_congruence_instance if mode == "congruence" else random_star_instance
+    cases = [_hidden_singular(n, r, coupled, mode, gen)
+             for coupled in (False, True) for r in sorted({1, n // 2, n - 1})]
+    cases += [sample(n, gen, singular=True)[1] for _ in range(2)]
+    assert any(regularize(a, mode).m2 > 0 for a in cases)
+    for a in cases:
+        red = regularize(a, mode)
+        t1 = red.transform[: n - red.m1]
+        assert norm(red.core - apply(t1, a, mode)) <= 1e-13 * norm(a)
+
+
 @pytest.mark.parametrize("mode", ["congruence", "star"])
 def test_split_checks_the_reduction_against_its_own_image(mode):
     # The split checks its residual on the image that regularize formed,
