@@ -21,7 +21,7 @@ from .factorizations import polar, svd
 from .matrix import DEFAULT_TOL, ToleranceConfig, as_matrix, norm, rank
 from .pipeline import _canon
 from .predicates import _class_residual
-from .regularization import MODES, _adjoint, _gate
+from .regularization import MODES, _adjoint, _gate, _gate_spectrum, _split
 
 __all__ = [
     "BLOCK_ATOL",
@@ -33,8 +33,10 @@ __all__ = [
     "upgrade_congruence_to_unitary",
 ]
 
-# Absolute tolerance for comparing canonical block parameters; the
-# canonical pipelines are accurate well past this.
+# Tolerance for comparing canonical block parameters: forms_match
+# matches tau and the 1-by-1 entries within BLOCK_ATOL times the larger
+# spectral norm of the two forms, and mu, which is scale-free, within
+# BLOCK_ATOL.  The canonical pipelines are accurate well past this.
 BLOCK_ATOL = 1e-7
 
 
@@ -55,8 +57,9 @@ class EquivalenceVerdict:
         return {"verdict": self.verdict, "method": self.method, "detail": self.detail}
 
 
-def _greedy_match(avals, bvals, dist) -> tuple[bool, list[dict]]:
-    """Match two canonically sorted block lists within BLOCK_ATOL.
+def _greedy_match(avals, bvals, close) -> tuple[bool, list[dict]]:
+    """Match two canonically sorted block lists, av with the first
+    untaken bv for which close(av, bv) holds.
 
     Greedy first-fit is exact here because both lists arrive in
     canonical order; the report lists every pairing and leftover.
@@ -67,7 +70,7 @@ def _greedy_match(avals, bvals, dist) -> tuple[bool, list[dict]]:
     for av in avals:
         hit = None
         for j, bv in enumerate(bvals):
-            if not taken[j] and dist(av, bv) <= BLOCK_ATOL:
+            if not taken[j] and close(av, bv):
                 hit = j
                 break
         if hit is None:
@@ -95,17 +98,31 @@ def forms_match(
     fa: CongruenceCanonicalForm | StarCanonicalForm,
     fb: CongruenceCanonicalForm | StarCanonicalForm,
 ) -> tuple[bool, dict]:
-    """Compare two canonical forms block by block at BLOCK_ATOL."""
+    """Compare two canonical forms block by block at BLOCK_ATOL, relative
+    to the larger form for tau and the 1-by-1 entries."""
+    atol = BLOCK_ATOL * max(_spectral_norm(fa), _spectral_norm(fb))
     ones_ok, ones_report = _greedy_match(
-        fa.one_by_one, fb.one_by_one, lambda x, y: abs(complex(x) - complex(y))
+        fa.one_by_one,
+        fb.one_by_one,
+        lambda x, y: abs(complex(x) - complex(y)) <= atol,
     )
     twos_ok, twos_report = _greedy_match(
         fa.two_by_two,
         fb.two_by_two,
-        lambda x, y: max(abs(x[0] - y[0]), abs(x[1] - y[1])),
+        lambda x, y: abs(x[0] - y[0]) <= atol and abs(x[1] - y[1]) <= BLOCK_ATOL,
     )
     detail = {"one_by_one": ones_report, "two_by_two": twos_report}
     return ones_ok and twos_ok, detail
+
+
+def _spectral_norm(f: CongruenceCanonicalForm | StarCanonicalForm) -> float:
+    """||f.assemble()||_2, that of its largest block: |v| for a 1-by-1
+    block v, tau max(1, |mu|) for tau [[0, 1], [mu, 0]]."""
+    return max(
+        [abs(complex(v)) for v in f.one_by_one]
+        + [t * max(1.0, abs(m)) for t, m in f.two_by_two],
+        default=0.0,
+    )
 
 
 def _shape_gate(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -122,18 +139,23 @@ def _gated_forms(a, b, mode, tol: ToleranceConfig):
     """(ra, rb, forms): the class-gate residuals of a and b and, when
     both pass, their canonical forms under the pipeline mode.
 
-    Each input's gate product is formed once.  Its split needs only the
-    product's singular values, and dropping the products keeps two
-    n x n arrays out of the pipelines' peak memory.
+    Each input's gate product and its Gram matrix are formed once.  The
+    split needs only a certificate from the Gram matrix or the product's
+    singular values, and dropping both arrays as soon as that is decided
+    keeps them out of the pipelines' peak memory.
     """
-    product_a, ra = _gate(a, mode.name)
-    product_b, rb = _gate(b, mode.name)
+    product_a, ra, gram_a = _gate(a, mode.name)
+    product_b, rb, gram_b = _gate(b, mode.name)
     if not (ra <= tol.residual_rtol and rb <= tol.residual_rtol):
         return ra, rb, None
-    s_a = np.linalg.svd(product_a, compute_uv=False)
-    s_b = np.linalg.svd(product_b, compute_uv=False)
-    del product_a, product_b
-    return ra, rb, (_canon(a, mode, tol, s_a)[0], _canon(b, mode, tol, s_b)[0])
+    s_a = _gate_spectrum(a, product_a, gram_a, tol)
+    del product_a, gram_a
+    s_b = _gate_spectrum(b, product_b, gram_b, tol)
+    del product_b, gram_b
+    return ra, rb, tuple(
+        _canon(x, mode, tol, _split(x, mode.name, tol, s))[0]
+        for x, s in ((a, s_a), (b, s_b))
+    )
 
 
 def decide_unitary_congruence(
@@ -218,12 +240,13 @@ def quadratic_invariants_equal(
     qb = canon_quadratic(b, tol)
     eigs_ok, eig_report = _greedy_match(
         _eigenvalue_multiset(qa), _eigenvalue_multiset(qb),
-        lambda x, y: abs(complex(x) - complex(y)),
+        lambda x, y: abs(complex(x) - complex(y)) <= BLOCK_ATOL,
     )
     sa = svd(np.asarray(a, dtype=np.complex128)).sigma
     sb = svd(np.asarray(b, dtype=np.complex128)).sigma
     svs_ok, sv_report = _greedy_match(
-        [float(v) for v in sa], [float(v) for v in sb], lambda x, y: abs(x - y)
+        [float(v) for v in sa], [float(v) for v in sb],
+        lambda x, y: abs(x - y) <= BLOCK_ATOL,
     )
     detail = {"eigenvalues": eig_report, "singular_values": sv_report}
     return eigs_ok and svs_ok, detail

@@ -8,6 +8,7 @@ PreconditionError when it fails, rather than silently returning junk.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,10 @@ __all__ = [
     "cluster_complex",
     "cluster_real_sorted",
 ]
+
+# Unit roundoff of float64: every rounding error bound below is a
+# multiple of it.
+_UNIT = float(np.finfo(np.float64).eps) / 2.0
 
 
 @dataclass(frozen=True)
@@ -168,16 +173,15 @@ def eig_normal(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.nd
     of the skew-Hermitian part to each eigenvalue cluster; both passes
     are Hermitian eigenproblems.  When that misses the residual bound,
     a second try also diagonalizes the Hermitian part within each
-    cluster of the skew part's eigenvalues.
+    cluster of the skew part's eigenvalues.  Raises PreconditionError
+    when rel_residual(a* a, a a*) exceeds residual_rtol; the first
+    reconstruction usually proves that it does not (_proved_normal),
+    and the two products of that residual are then never formed.
     """
     a = as_matrix(a, square=True)
     n = a.shape[0]
     if n == 0:
         return np.zeros(0, dtype=np.complex128), np.zeros((0, 0), dtype=np.complex128)
-
-    res = rel_residual(a.conj().T @ a, a @ a.conj().T)
-    if res > tol.residual_rtol:
-        raise PreconditionError("matrix is not normal", residual=res)
 
     h = (a + a.conj().T) / 2.0
     k = (a - a.conj().T) / 2.0j
@@ -201,6 +205,10 @@ def eig_normal(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.nd
     bound = tol.residual_rtol * max(1.0, fro)
     _diagonalize_clusters(u, clusters, h, k, None)
     lam, recon = _rayleigh(a, u)
+    if not _proved_normal(lam, recon, fro, tol.residual_rtol / 2.0):
+        res = rel_residual(a.conj().T @ a, a @ a.conj().T)
+        if res > tol.residual_rtol:
+            raise PreconditionError("matrix is not normal", residual=res)
     if recon > bound:
         # Inside a cluster the skew part can be rounding noise, and its
         # eigh then rotates vectors that h still tells apart (by less
@@ -224,6 +232,78 @@ def _rayleigh(a: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, float]:
     au = a @ u
     lam = np.sum(u.conj() * au, axis=0)
     return lam, norm(au - u * lam)
+
+
+def _proved_normal(lam: np.ndarray, recon: float, fro: float, target: float) -> bool:
+    """Whether the reconstruction a u = u diag(lam) + r, ||r||_F = recon
+    as _rayleigh measured it and fro = ||a||_F, proves that
+    rel_residual(a* a, a a*), as eig_normal computes it, is at most
+    target.
+
+    u comes from eigh and from rotations by eigh's eigenvectors, which
+    LAPACK makes unitary to a modest multiple of n eps (measured below
+    0.2 n eps at n = 128 and 250); the bound takes ||u* u - I||_2 <= d =
+    64 n eps.  With g = 4 (n + 2) unit roundoffs for a complex product of
+    length n, the exact ||r||_F is at most recon + g fro sqrt(2 n) +
+    3 u sqrt(2) ||lam||.  If u = q p is the polar
+    decomposition, ||p - I||_2 <= d and a = q diag(lam) q* + f with
+    ||f||_F <= (||r||_F + 2 d ||lam||) / sqrt(1 - d).  Then
+    ||a* a - a a*||_F <= 2 phi with phi = ||f||_F (2 max|lam| +
+    ||f||_F), and ||a* a||_F = ||a a*||_F >= sqrt(sum |lam|^4) - phi.
+    The products and their difference, as formed, add at most
+    (2 g + 3 u) fro^2 to the numerator and take g fro^2 each from the
+    denominator.  A relative 1e-6 covers the rounding in the norms.
+    """
+    n = len(lam)
+    u = _UNIT
+    g = 4.0 * (n + 2) * u
+    d = 128.0 * n * u
+    # Sums of powers of |lam| relative to the largest, which cannot
+    # overflow; the scalars are Python floats, which overflow to inf.
+    mag = np.abs(lam)
+    top = float(np.max(mag))
+    rel = mag / top if top > 0.0 else mag
+    lam_max = top * (1.0 + 1e-6)
+    lam_fro = top * float(np.sqrt(np.sum(rel * rel))) * (1.0 + 1e-6)
+    quartic = top * top * float(np.sqrt(np.sum(rel**4))) * (1.0 - 1e-6)
+    fro = fro * (1.0 + 1e-6)
+    r = (
+        recon * (1.0 + 1e-6)
+        + g * fro * math.sqrt(2.0 * n)
+        + 3.0 * u * math.sqrt(2.0) * lam_fro
+    )
+    f = (r + 2.0 * d * lam_fro) / math.sqrt(1.0 - d)
+    phi = f * (2.0 * lam_max + f)
+    numerator = 2.0 * phi + (2.0 * g + 3.0 * u) * fro * fro
+    denominator = max(1.0, 2.0 * (quartic - phi - g * fro * fro))
+    return numerator <= target * denominator
+
+
+def _gram_proves_full_rank(
+    given: np.ndarray, skew: np.ndarray, evals: np.ndarray, tol: ToleranceConfig
+) -> bool:
+    """Whether the eigenvalues evals that eigh computed for the Gram
+    matrix of skew = (given - given^T) / 2, formed and symmetrized as
+    hua_skew does, prove rank(given, tol) == n without its SVD.
+
+    With F = ||given||_F >= ||skew||_F and g = 4 (n + 2) unit
+    roundoffs, the formed Gram matrix is within g F^2 of skew* skew, and
+    eigh and the SVD each compute their values to within 8 n^2 u times
+    the norm (u the unit roundoff).  So sigma_i(skew)^2 lies within
+    eta = (g + 8 n^2 u) F^2 of the computed eigenvalue, sigma_i(given)
+    within e = ||given - skew||_F of sigma_i(skew), and rank()'s own
+    values within 8 n^2 u F of sigma_i(given).  The bounds below are
+    doubled, and a relative 1e-6 covers the rounding in F, e and the
+    cutoff.
+    """
+    n = given.shape[0]
+    u = _UNIT
+    fro = norm(given) * (1.0 + 1e-6)
+    eta = 2.0 * (4.0 * (n + 2) * u + 8.0 * n * n * u) * fro * fro
+    spread = norm(given - skew) * (1.0 + 1e-6) + 16.0 * n * n * u * fro
+    low = math.sqrt(max(0.0, float(evals[0]) - eta)) - spread
+    high = math.sqrt(float(evals[-1]) + eta) + spread
+    return low > tol.rank_rtol * high * n * (1.0 + 1e-6)
 
 
 def _diagonalize_clusters(u, clusters, h, k, radius) -> None:
@@ -339,8 +419,7 @@ def hua_skew(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndar
         raise PreconditionError("matrix is not skew-symmetric", residual=res)
     if n % 2 == 1:
         raise PreconditionError("skew-symmetric input must have even order")
-    if rank(a, tol) < n:
-        raise PreconditionError("matrix is singular")
+    given = a
     a = (a - a.T) / 2.0
     if n == 0:
         return np.zeros(0, dtype=np.float64), np.zeros((0, 0), dtype=np.complex128)
@@ -348,6 +427,8 @@ def hua_skew(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndar
     gram = a.conj().T @ a
     gram = (gram + gram.conj().T) / 2.0
     evals, q = np.linalg.eigh(gram)
+    if not _gram_proves_full_rank(given, a, evals, tol) and rank(given, tol) < n:
+        raise PreconditionError("matrix is singular")
     svals = np.sqrt(np.clip(evals, 0.0, None))
     order = np.argsort(svals)[::-1]
     svals = svals[order]

@@ -21,7 +21,7 @@ from .blocks import direct_sum, permutation_matrix
 from .errors import ConvergenceError
 from .factorizations import _pair_clusters, eig_normal, svd
 from .matrix import ToleranceConfig, as_matrix, norm
-from .regularization import _adjoint, _split, split_regular_singular
+from .regularization import RegularSplit, _adjoint, split_regular_singular
 
 
 @dataclass(frozen=True)
@@ -51,19 +51,17 @@ class _Mode:
     reduce_fixed: Callable
 
 
-def _canon(a, mode: _Mode, tol: ToleranceConfig, s_product=None):
+def _canon(a, mode: _Mode, tol: ToleranceConfig, split: RegularSplit | None = None):
     """(form, t) with t unitary and t a adj(t) equal to form.assemble().
 
     A caller that has already passed a through the class gate
-    (regularization._gate) hands on the singular values s_product of
-    the gate product, so that the split does not form it again.
+    (regularization._gate) hands on the split of a, so that the split
+    does not form the gate product again.
     """
     a = as_matrix(a, square=True)
     n = a.shape[0]
-    if s_product is None:
+    if split is None:
         split = split_regular_singular(a, mode.name, tol)
-    else:
-        split = _split(a, mode.name, tol, s_product)
     k = split.regular.shape[0]
 
     def adj(m: np.ndarray) -> np.ndarray:
@@ -139,7 +137,12 @@ def _canon(a, mode: _Mode, tol: ToleranceConfig, s_product=None):
     for j in range(split.zero_count):
         ones.append((0.0, [k + 2 * m2 + j]))
 
-    t_pre = direct_sum([t_reg, np.eye(n - k, dtype=np.complex128)]) @ split.transform
+    if k == n:
+        # The split is trivial and its transform the identity.  Adding
+        # 0.0 turns a -0.0 entry into 0.0, as a product with it does.
+        t_pre = t_reg + 0.0
+    else:
+        t_pre = direct_sum([t_reg, np.eye(n - k, dtype=np.complex128)]) @ split.transform
     ones.sort(key=lambda rec: mode.one_key(rec[0]))
     twos.sort(key=lambda rec: mode.two_key(rec[0]))
     transform = permutation_matrix([i for _, idx in ones + twos for i in idx]) @ t_pre

@@ -66,8 +66,11 @@ def _commutator_residual(x: np.ndarray, y: np.ndarray) -> float:
     return rel_residual(x @ y, y @ x)
 
 
-def _normality_residual(x: np.ndarray) -> float:
-    return _commutator_residual(x.conj().T, x)
+def _normality_residual(x: np.ndarray) -> tuple[float, np.ndarray]:
+    """rel_residual(x* x, x x*), and the Gram matrix x* x it was measured
+    on: the class gate hands that on to the split's certificate."""
+    gram = x.conj().T @ x
+    return rel_residual(gram, x @ x.conj().T), gram
 
 
 _GATE_PRODUCTS = {
@@ -123,8 +126,8 @@ class _Products:
 _IDENTITIES = {
     "normal": lambda p: rel_residual(p.gram_right, p.gram_left),
     "conjugate_normal": lambda p: rel_residual(p.gram_right, p.gram_left.conj()),
-    "congruence_normal": lambda p: _normality_residual(p.a_bar_a),
-    "squared_normal": lambda p: _normality_residual(p.a_sq),
+    "congruence_normal": lambda p: _normality_residual(p.a_bar_a)[0],
+    "squared_normal": lambda p: _normality_residual(p.a_sq)[0],
     "unitary": lambda p: rel_residual(p.gram_right, p.eye),
     "coninvolutory": lambda p: rel_residual(p.a_bar_a, p.eye),
     "involutory": lambda p: rel_residual(p.a_sq, p.eye),
@@ -242,24 +245,24 @@ def verify_characterizations(
 
     if which == "congruence_normal_idents":
         b = a.conj() @ a
-        conditions["gram_normal"] = _condition(_normality_residual(b), tol)
+        conditions["gram_normal"] = _condition(_normality_residual(b)[0], tol)
         conditions["cubic_identity"] = _condition(
             rel_residual(a @ a.conj() @ a.T, a.T @ a.conj() @ a), tol
         )
         nonsingular_only.add("cosquare_normal")
         if nonsingular:
             cosq = np.linalg.solve(a.T, a)
-            conditions["cosquare_normal"] = _condition(_normality_residual(cosq), tol)
+            conditions["cosquare_normal"] = _condition(_normality_residual(cosq)[0], tol)
     elif which == "squared_normal_idents":
         c = a @ a
-        conditions["square_normal"] = _condition(_normality_residual(c), tol)
+        conditions["square_normal"] = _condition(_normality_residual(c)[0], tol)
         conditions["cubic_identity"] = _condition(
             rel_residual(c @ a.conj().T, a.conj().T @ c), tol
         )
         nonsingular_only.add("cosquare_normal")
         if nonsingular:
             cosq = np.linalg.solve(a.conj().T, a)
-            conditions["cosquare_normal"] = _condition(_normality_residual(cosq), tol)
+            conditions["cosquare_normal"] = _condition(_normality_residual(cosq)[0], tol)
     elif which == "conjugate_normal_afd":
         s = (a + a.T) / 2.0
         c = (a - a.T) / 2.0
@@ -305,7 +308,7 @@ def verify_characterizations(
             _commutator_residual(herm_part, skew_part), tol
         )
         conditions["definition"] = _condition(
-            _normality_residual(a.conj() @ a), tol
+            _normality_residual(a.conj() @ a)[0], tol
         )
         w, p, q = _polar_parts(a)
         nonsingular_only.update(("polar_intertwine", "polar_family"))
@@ -385,7 +388,7 @@ def bar_block_dualities(a, tol: ToleranceConfig = DEFAULT_TOL) -> dict:
         star_d = np.linalg.solve(d.conj().T, d)
         eye2 = np.eye(2 * n, dtype=np.complex128)
         checks = {
-            "normal": lambda x, m: _normality_residual(x),
+            "normal": lambda x, m: _normality_residual(x)[0],
             "hermitian": lambda x, m: rel_residual(x, x.conj().T),
             "unitary": lambda x, m: rel_residual(x.conj().T @ x, m),
         }

@@ -13,12 +13,13 @@ into a nonsingular part and elementary singular blocks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
-from .factorizations import svd
+from .factorizations import _UNIT, svd
 from .matrix import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -199,53 +200,119 @@ def split_regular_singular(
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     a = as_matrix(a, square=True)
-    product, gate = _gate(a, mode)
+    product, gate, gram = _gate(a, mode)
     if not gate <= tol.residual_rtol:
         raise PreconditionError(
             f"input is not {_GATE_FLAGS[mode].replace('_', ' ')}", residual=gate
         )
-    s_product = np.linalg.svd(product, compute_uv=False)
+    s_product = _gate_spectrum(a, product, gram, tol)
     # Only the spectrum goes on; the split's reduction runs without the
-    # product (an n x n array) held.
-    del product
+    # product and its Gram matrix (n x n arrays) held.
+    del product, gram
     return _split(a, mode, tol, s_product)
 
 
-def _gate(a: np.ndarray, mode: str) -> tuple[np.ndarray, float]:
-    """The class gate of the mode: (conj(a) a or a^2, its normality
-    residual).  The split's rank identity needs the singular values of
-    the same product."""
+def _gate(a: np.ndarray, mode: str) -> tuple[np.ndarray, float, np.ndarray]:
+    """The class gate of the mode: (p, its normality residual, p* p)
+    with p = conj(a) a or a^2.  The split's rank identity needs the
+    singular values of the same p, or a certificate from p* p."""
     product = _GATE_PRODUCTS[_GATE_FLAGS[mode]](a)
-    return product, _normality_residual(product)
+    residual, gram = _normality_residual(product)
+    return product, residual, gram
+
+
+def _gate_spectrum(
+    a: np.ndarray, product: np.ndarray, gram: np.ndarray, tol: ToleranceConfig
+) -> np.ndarray | None:
+    """What _split needs of the gate product p of an a that passed the
+    gate: None when the Cholesky certificate on gram = p* p proves the
+    split trivial, else the singular values of p.  Overwrites the
+    diagonal of gram."""
+    if a.shape[0] > 0 and _certifies_trivial_split(gram, *_weyl_terms(a, tol)):
+        return None
+    return np.linalg.svd(product, compute_uv=False)
+
+
+def _weyl_terms(a: np.ndarray, tol: ToleranceConfig) -> tuple[float, float]:
+    """(slack, cutoff) of the test that proves a nonempty a nonsingular
+    from the smallest singular value s of its gate product: s - slack >
+    cutoff.  It is the Weyl margin of _split_by_reduction with F =
+    ||a||_F in place of ||a||_2 <= F, which only makes it stricter, and
+    with a zero residual widened by e = 1e-12 n F, far beyond the
+    rounding in p.  As sigma_min(p) <= sigma_min(a) ||a||_2 for p =
+    conj(a) a or a^2, it implies all three checks of that route: the
+    rank cutoff finds a nonsingular, the rank identity holds, and the
+    regular part, a itself, is nonsingular."""
+    n = a.shape[0]
+    fro = norm(a)
+    e = 1e-12 * n * fro
+    return (2.0 * (fro + e) + e) * e, tol.rank_rtol * (fro + e) ** 2 * n
+
+
+# The smallest normal and the largest float64.
+_TINY = float(np.finfo(np.float64).tiny)
+_HUGE = float(np.finfo(np.float64).max)
+
+
+def _certifies_trivial_split(gram: np.ndarray, slack: float, cutoff: float) -> bool:
+    """Whether gram - tau I has a Cholesky factor, for a tau that makes
+    that a proof of the test s - slack > cutoff (see _weyl_terms) on the
+    singular values s that np.linalg.svd computes for the gate product p
+    whose computed Gram matrix p* p is gram.  Overwrites gram's diagonal.
+
+    Let f2 = trace(gram) = ||p||_F^2 to rounding and g = 4 (n + 2) u, u
+    the unit roundoff, which bounds complex inner products of length n
+    (Higham, Accuracy and Stability of Numerical Algorithms, 3.6).  Then
+    gram = p* p + E with ||E||_2 <= g f2, and a Cholesky factorization
+    that runs to completion is one of gram - tau I + D, ||D||_2 <= g f2
+    (Thm 10.5, with || |R*| |R| ||_2 <= trace(R* R) <= f2 and complex
+    constants).  So sigma_min(p)^2 >= tau - 2 g f2, less the rounding
+    of the shift itself, u (f2 + tau).  The SVD
+    computes sigma_min(p) to within 8 n^2 u ||p||_F (Householder
+    bidiagonalization, then a relatively accurate bidiagonal SVD).  tau
+    below is twice what those bounds need, plus a term for underflow;
+    above f2 / n >= lambda_min(gram) no factor can exist.
+    """
+    n = gram.shape[0]
+    with np.errstate(over="ignore"):
+        f2 = float(np.trace(gram).real)
+    if not 0.0 < f2 < _HUGE / (8.0 * n):
+        return False
+    # s >= theta rounds s - slack to above cutoff.
+    theta = (slack + cutoff) * (1.0 + 16.0 * _UNIT)
+    if not theta < math.sqrt(f2):
+        return False
+    g = 4.0 * (n + 2) * _UNIT
+    bound = theta + 8.0 * n * n * _UNIT * math.sqrt(f2)
+    tau = 2.0 * (bound * bound + 2.0 * g * f2) + 16.0 * n * n * _TINY
+    if not tau < f2 / n:
+        return False
+    gram.flat[:: n + 1] -= tau
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _split(
-    a: np.ndarray, mode: str, tol: ToleranceConfig, s_product: np.ndarray
+    a: np.ndarray, mode: str, tol: ToleranceConfig, s_product: np.ndarray | None
 ) -> RegularSplit:
     """split_regular_singular of an a that passed the class gate, given
-    the singular values s_product of its gate product."""
+    what _gate_spectrum returned for its gate product."""
     n = a.shape[0]
-    if n > 0:
-        # The rank identity's spectrum alone can prove a nonsingular,
-        # and the split trivial.  The test below is the Weyl margin of
-        # _split_by_reduction with F = ||a||_F in place of ||a||_2 <= F,
-        # which only makes it stricter, and with a zero residual widened
-        # by e = 1e-12 n F, far beyond the rounding in p.  As
-        # sigma_min(p) <= sigma_min(a) ||a||_2 for p = conj(a) a or a^2,
-        # it implies all three checks of that route: the rank cutoff
-        # finds a nonsingular, the rank identity holds, and the regular
-        # part, a itself, is nonsingular.
-        fro = norm(a)
-        e = 1e-12 * n * fro
-        margin = float(s_product[-1]) - (2.0 * (fro + e) + e) * e
-        if margin > tol.rank_rtol * (fro + e) ** 2 * n:
-            return RegularSplit(
-                mode=mode,
-                regular=a.copy(),
-                singular_sigmas=np.zeros(0, dtype=np.float64),
-                zero_count=0,
-                transform=np.eye(n, dtype=np.complex128),
-            )
+    trivial = s_product is None
+    if not trivial and n > 0:
+        slack, cutoff = _weyl_terms(a, tol)
+        trivial = float(s_product[-1]) - slack > cutoff
+    if trivial:
+        return RegularSplit(
+            mode=mode,
+            regular=a.copy(),
+            singular_sigmas=np.zeros(0, dtype=np.float64),
+            zero_count=0,
+            transform=np.eye(n, dtype=np.complex128),
+        )
     return _split_by_reduction(a, mode, tol, s_product)
 
 

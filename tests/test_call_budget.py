@@ -1,15 +1,16 @@
 """Factorization budget of the canonical-form paths.
 
 The class gate is one identity, never the full classify, and decide_*
-evaluate it once per input.  The split's rank identity takes one
-values-only SVD of the gate's own product (decide_* take it and hand
-the singular values on).  On nonsingular input that spectrum alone
-proves the split trivial, so regularize does not run; on singular
-input regularize takes one full SVD of the input.  The rank identity
-also proves the regular part nonsingular here, so the cosquare takes
-no SVD; eig_normal brackets its cluster radius and takes no SVD when
-the bracket decides the clusters.  The budgets count SVDs whose input
-has the size of the matrix handed in.
+evaluate it once per input.  The split first tries one Cholesky
+factorization of the shifted Gram matrix of the gate's own product,
+which the gate has formed.  On well-conditioned nonsingular input that
+certificate proves the split trivial, so neither the rank identity's
+values-only SVD of the product nor regularize runs.  Otherwise the
+split takes that SVD, and on singular input regularize takes one full
+SVD of the input.  The rank identity also proves the regular part
+nonsingular here, so the cosquare takes no SVD; eig_normal brackets its
+cluster radius and takes no SVD when the bracket decides the clusters.
+The budgets count SVDs whose input has the size of the matrix handed in.
 """
 
 import inspect
@@ -28,17 +29,19 @@ from canonica.equivalence import (
 from canonica.factorizations import eig_normal
 from canonica.sampling import default_rng, random_unitary
 
-# regularize: one full SVD of a; split: values SVD of a^2.
+# regularize: one full SVD of a; split: values SVD of a^2, after the
+# certificate's Cholesky factorization fails on singular input.
 CANON_STAR_SINGULAR_BUDGET = 2
-# Per canon_congruence of nonsingular input: the split's values SVD of
-# conj(a) a, whose spectrum spares regularize.
-DECIDE_CONGRUENCE_BUDGET = 2 * 1
+# Per canon_congruence of nonsingular input: none, as the certificate
+# proves the split trivial.
+DECIDE_CONGRUENCE_BUDGET = 0
 
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Record the shape of every SVD input and every classify call."""
-    record = {"svd": [], "classify": 0}
+    """Record the shape of every SVD and Cholesky input and every
+    classify call."""
+    record = {"svd": [], "cholesky": [], "classify": 0}
     # numpy.linalg.norm calls svd from the implementation module.
     spaces = [np.linalg] + [
         getattr(np.linalg, inner)
@@ -46,11 +49,12 @@ def counts(monkeypatch):
         if inspect.ismodule(getattr(np.linalg, inner, None))
     ]
     for space in spaces:
-        def counted_svd(a, *args, _svd=space.svd, **kwargs):
-            record["svd"].append(np.shape(a))
-            return _svd(a, *args, **kwargs)
+        for name in ("svd", "cholesky"):
+            def counted(a, *args, _name=name, _f=getattr(space, name), **kwargs):
+                record[_name].append(np.shape(a))
+                return _f(a, *args, **kwargs)
 
-        monkeypatch.setattr(space, "svd", counted_svd)
+            monkeypatch.setattr(space, name, counted)
 
     original_classify = predicates.classify
 
@@ -118,6 +122,7 @@ def test_canon_star_singular_budget(counts):
     assert form.dimension == a.shape[0]
     assert counts["classify"] == 0
     assert _full_size(counts, a.shape[0]) <= CANON_STAR_SINGULAR_BUDGET
+    assert counts["cholesky"] == [a.shape]
     # Nothing factorizes the regular part (20 nonzero 1-by-1 blocks and
     # 4 pair blocks, order 28) or its cosquare: neither a rank check
     # nor a spectral norm for the cluster radius.
@@ -129,7 +134,8 @@ def test_decide_unitary_congruence_budget(counts):
     verdict = decide_unitary_congruence(a, b)
     assert verdict.verdict == "equivalent"
     assert counts["classify"] == 0
-    assert _full_size(counts, a.shape[0]) <= DECIDE_CONGRUENCE_BUDGET
+    assert _full_size(counts, a.shape[0]) == DECIDE_CONGRUENCE_BUDGET
+    assert counts["cholesky"] == [a.shape, b.shape]
 
 
 @pytest.fixture
@@ -173,12 +179,15 @@ def test_eig_normal_takes_no_svd_on_a_separated_spectrum(counts):
 
 
 def test_budget_counter_sees_the_gate(counts):
-    # The counters see a direct classify call and the SVD inside the
-    # spectral norm, so a zero above is not a blind spot.
+    # The counters see a direct classify call, the SVD inside the
+    # spectral norm and a Cholesky factorization, so a zero above is not
+    # a blind spot.
     from canonica.matrix import norm
 
     a = _singular_star_instance()
     predicates.classify(a)
     norm(a, "spectral")
+    np.linalg.cholesky(np.eye(3))
     assert counts["classify"] == 1
     assert _full_size(counts, a.shape[0]) == 3
+    assert counts["cholesky"] == [(3, 3)]

@@ -17,7 +17,12 @@ from canonica.equivalence import (
 from canonica.errors import PreconditionError
 from canonica.matrix import norm
 from canonica.predicates import classify
-from canonica.sampling import default_rng, random_unitary
+from canonica.sampling import (
+    default_rng,
+    random_congruence_instance,
+    random_star_instance,
+    random_unitary,
+)
 
 J2 = np.array([[0.0, 1.0], [0.0, 0.0]])
 H2_I = np.array([[0.0, 1.0], [1.0j, 0.0]])
@@ -102,6 +107,25 @@ def test_decide_star_unsupported():
     assert v.method == "none"
     residual = classify(a).residuals["squared_normal"]
     assert v.detail["residuals"] == {"a": residual, "b": residual}
+
+
+@pytest.mark.parametrize("s", [1e-9, 1e-7, 1.0, 1e9])
+@pytest.mark.parametrize("mode", ["congruence", "star"])
+def test_decide_compares_blocks_at_the_forms_scale(mode, s):
+    # tau and the 1-by-1 entries are matched relative to the forms: at
+    # an absolute tolerance, s = 1e-9 called the 1.5 times scaled pair
+    # equivalent and s = 1e9 called the rotated pair inequivalent.
+    u = random_unitary(6, default_rng(6))
+    if mode == "star":
+        _, x = random_star_instance(6, default_rng(5))
+        y = u @ x @ u.conj().T
+        decide = decide_unitary_star_congruence
+    else:
+        _, x = random_congruence_instance(6, default_rng(5))
+        y = u @ x @ u.T
+        decide = decide_unitary_congruence
+    assert decide(s * x, 1.5 * s * x).verdict == "not_equivalent"
+    assert decide(s * x, s * y).verdict == "equivalent"
 
 
 def test_forms_match_reports_pairings():

@@ -24,7 +24,7 @@ from canonica.factorizations import (
     svd,
     takagi_symmetric,
 )
-from canonica.matrix import DEFAULT_TOL, norm
+from canonica.matrix import DEFAULT_TOL, norm, rank, rel_residual
 from canonica.sampling import default_rng, random_unitary
 
 gen = np.random.default_rng(20260819)
@@ -200,6 +200,100 @@ def test_eig_normal_reports_a_missed_reconstruction():
         match=r"^eigendecomposition residual 7\.071e-06 exceeds 1\.414e-09$",
     ):
         eig_normal(a)
+
+
+def _eig_normal_checked_first(a, tol=DEFAULT_TOL):
+    # eig_normal with its normality check taken first, before any
+    # reconstruction could prove it.
+    a = np.asarray(a, dtype=np.complex128)
+    res = rel_residual(a.conj().T @ a, a @ a.conj().T)
+    if res > tol.residual_rtol:
+        raise PreconditionError("matrix is not normal", residual=res)
+    return eig_normal(a, tol)
+
+
+def _outcome(decompose, a):
+    try:
+        lam, u = decompose(a)
+    except (PreconditionError, ConvergenceError) as exc:
+        return type(exc), str(exc)
+    return lam.tobytes(), u.tobytes()
+
+
+def _just_above_the_residual_bound():
+    # A normal matrix plus t e_0 e_1^T, hidden; the normality residual
+    # grows linearly in t, which puts it just above residual_rtol.
+    base = np.diag([1.0, 2.0, 3.0j, -1.0 + 0.5j]).astype(np.complex128)
+    q = random_unitary(4, default_rng(20261023))
+
+    def pushed(t):
+        b = base.copy()
+        b[0, 1] = t
+        return q @ b @ q.conj().T
+
+    def residual(x):
+        return rel_residual(x.conj().T @ x, x @ x.conj().T)
+
+    slope = residual(pushed(1e-6)) / 1e-6
+    a = pushed(1.2 * DEFAULT_TOL.residual_rtol / slope)
+    assert DEFAULT_TOL.residual_rtol < residual(a) < 1.5 * DEFAULT_TOL.residual_rtol
+    return a
+
+
+def _seeded_complex(n, seed):
+    g = np.random.default_rng(seed)
+    return g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
+
+
+NON_NORMAL = {
+    "gaussian 1e-3": lambda: 1e-3 * _seeded_complex(6, 20261024),
+    "gaussian 1": lambda: _seeded_complex(6, 20261024),
+    "gaussian 1e3": lambda: 1e3 * _seeded_complex(6, 20261024),
+    "nilpotent jordan": lambda: np.diag(np.ones(2), 1),
+    "jordan": lambda: 2.0 * np.eye(3) + np.diag(np.ones(2), 1),
+    "just above": _just_above_the_residual_bound,
+}
+
+
+@pytest.mark.parametrize("kind", list(NON_NORMAL))
+def test_eig_normal_deferred_check_raises_as_checking_first(kind):
+    # The normality check now runs after the first reconstruction, and
+    # only when that cannot prove it; non-normal input must still raise
+    # the same PreconditionError with the same residual.
+    a = NON_NORMAL[kind]()
+    expected = _outcome(_eig_normal_checked_first, a)
+    assert expected[0] is PreconditionError
+    assert _outcome(eig_normal, a) == expected
+
+
+@settings(deadline=None, max_examples=80)
+@example(3, -9.0, 0.0, 1)
+@example(5, -6.0, -6.0, 2)
+@given(
+    st.integers(1, 9),
+    st.floats(-15.0, -3.0),
+    st.floats(-6.0, 6.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_eig_normal_deferred_check_matches_checking_first(n, log_push, log_scale, seed):
+    # Normal input pushed off the class by 10^log_push relative, across
+    # the residual bound: same eigenpairs bit for bit, or the same error.
+    g = np.random.default_rng(seed)
+    lam = g.standard_normal(n) + 1j * g.standard_normal(n)
+    scale = 10.0**log_scale
+    a = _hidden_normal(lam, seed, scale)
+    a = a + 10.0**log_push * scale * _seeded_complex(n, seed + 1)
+    assert _outcome(eig_normal, a) == _outcome(_eig_normal_checked_first, a)
+
+
+@pytest.mark.parametrize("n", [2, 12, 64])
+def test_eig_normal_proves_normality_without_its_products(monkeypatch, n):
+    def unexpected(*args):
+        raise AssertionError("normality residual evaluated")
+
+    monkeypatch.setattr(factorizations, "rel_residual", unexpected)
+    lam = np.arange(1, n + 1) * np.exp(0.3j * np.arange(n))
+    eig_normal(_hidden_normal(lam, n, 1.0))
 
 
 def test_eig_normal_empty():
@@ -412,6 +506,39 @@ def test_hua_skew_rejects_bad_inputs():
         hua_skew(np.zeros((2, 2)))
     with pytest.raises(PreconditionError):
         hua_skew(np.zeros((3, 3)))
+
+
+def _hidden_skew(taus, seed):
+    v = random_unitary(2 * len(taus), default_rng(seed))
+    s = np.zeros((2 * len(taus),) * 2, dtype=np.complex128)
+    for j, t in enumerate(taus):
+        s[2 * j, 2 * j + 1] = t
+        s[2 * j + 1, 2 * j] = -t
+    return v @ s @ v.T
+
+
+@pytest.mark.parametrize("log_tau", [0.0, -4.0, -7.0, -8.5, -9.0, -9.5, -10.0, -12.0, -16.0])
+def test_hua_skew_rank_decision_matches_rank(log_tau):
+    # The Gram eigenvalues decide the rank check when their bound can;
+    # across the rank cutoff the decision is rank()'s either way.
+    a = _hidden_skew([1.0, 2.0, 10.0**log_tau], 20261025)
+    if rank(a) < a.shape[0]:
+        with pytest.raises(PreconditionError, match="^matrix is singular$"):
+            hua_skew(a)
+    else:
+        try:
+            hua_skew(a)
+        except ConvergenceError:
+            pass
+
+
+def test_hua_skew_proves_full_rank_without_an_svd(monkeypatch):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("rank() called")
+
+    monkeypatch.setattr(factorizations, "rank", unexpected)
+    tau, _ = hua_skew(_hidden_skew([1.0, 2.0, 0.5, 3.0], 20261026))
+    assert tau == pytest.approx([3.0, 2.0, 1.0, 0.5])
 
 
 RADIUS = 1e-8

@@ -1,6 +1,7 @@
 """Reduction of singular matrices and the in-class block split."""
 
 import dataclasses
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 import canonica.regularization as regularization
 from canonica.canon_congruence import canon_congruence
 from canonica.canon_star import canon_star
-from canonica.errors import ConvergenceError, PreconditionError
+from canonica.errors import ConvergenceError, ParseError, PreconditionError
 from canonica.factorizations import svd
 from canonica.matrix import DEFAULT_TOL, norm, rank
 from canonica.predicates import classify
@@ -200,7 +201,7 @@ def test_split_rejects_a_singular_regular_part(mode, name, coupling):
 
 def _by_reduction(a, mode):
     """The split through regularize, whatever the rank identity proves."""
-    product, _ = regularization._gate(a, mode)
+    product, _, _ = regularization._gate(a, mode)
     s_product = np.linalg.svd(product, compute_uv=False)
     return regularization._split_by_reduction(a, mode, DEFAULT_TOL, s_product)
 
@@ -234,6 +235,83 @@ def test_proved_split_equals_the_reduction_route(seed, n, mode, log_scale):
     assert _bits(split) == _bits(_by_reduction(a, mode))
     assert split.regular.tobytes() == a.tobytes()
     assert len(split.singular_sigmas) == 0 and split.zero_count == 0
+
+
+def _outcome(split_at):
+    try:
+        return _bits(split_at())
+    except (PreconditionError, ConvergenceError) as exc:
+        return type(exc), str(exc)
+
+
+def _swept(n, mode, log_gap, gen):
+    """v diag(d) adj(v) with sigma_min(p) = 10^log_gap ||a||_F^2 for its
+    gate product p, whose singular values are d^2."""
+    d = gen.uniform(0.5, 2.0, n)
+    if n > 1:
+        rest = float(np.sum(d[1:] ** 2))
+        d[0] = np.sqrt(10.0**log_gap * rest / (1.0 - 10.0**log_gap))
+    v = random_unitary(n, gen)
+    return apply(v, np.diag(d).astype(np.complex128), mode)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 10),
+    st.sampled_from(["congruence", "star"]),
+    st.sampled_from(["sampled", "singular", "swept"]),
+    st.floats(-14.0, -1.0),
+    st.floats(-150.0, 150.0),
+)
+def test_certificate_never_proves_a_split_the_svd_would_not(
+    seed, n, mode, kind, log_gap, log_scale
+):
+    gen = default_rng(seed)
+    if kind == "swept":
+        a = _swept(n, mode, log_gap, gen)
+    else:
+        sample = random_congruence_instance if mode == "congruence" else random_star_instance
+        a = sample(n, gen, singular=kind == "singular")[1]
+    a = a * 10.0**log_scale
+    # The gate itself overflows at the largest scales, and past about
+    # 1e77 its Gram matrix is not finite: the gate rejects it, and no
+    # split runs.  The certificate is checked on what the gate hands on.
+    with np.errstate(all="ignore"):
+        try:
+            product, _, gram = regularization._gate(a, mode)
+        except ParseError:
+            assert log_scale > 70.0
+            return
+    s_product = np.linalg.svd(product, compute_uv=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        certified = regularization._gate_spectrum(a, product, gram, DEFAULT_TOL) is None
+        if certified:
+            slack, cutoff = regularization._weyl_terms(a, DEFAULT_TOL)
+            assert float(s_product[-1]) - slack > cutoff
+        by_svd = _outcome(lambda: regularization._split(a, mode, DEFAULT_TOL, s_product))
+        by_certificate = _outcome(lambda: regularization._split(
+            a, mode, DEFAULT_TOL, None if certified else s_product
+        ))
+        assert by_certificate == by_svd
+        if certified:
+            assert by_certificate == _outcome(lambda: regularization._split_by_reduction(
+                a, mode, DEFAULT_TOL, s_product
+            ))
+
+
+@pytest.mark.parametrize("mode", ["congruence", "star"])
+def test_certificate_decides_well_conditioned_input_only(mode):
+    # The certificate proves the split trivial far from the SVD test's
+    # threshold (sigma_min(p) about 1e-10 n ||a||_F^2) and leaves input
+    # near it to the SVD.
+    gen = default_rng(20261027)
+    for log_gap, expected in ((-2.0, True), (-5.0, True), (-9.0, False), (-12.0, False)):
+        a = _swept(12, mode, log_gap, gen)
+        product, _, gram = regularization._gate(a, mode)
+        got = regularization._gate_spectrum(a, product, gram, DEFAULT_TOL) is None
+        assert got is expected, log_gap
 
 
 @pytest.mark.parametrize("mode", ["congruence", "star"])
