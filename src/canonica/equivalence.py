@@ -21,7 +21,13 @@ from .factorizations import polar, svd
 from .matrix import DEFAULT_TOL, ToleranceConfig, as_matrix, norm, rank
 from .pipeline import _canon
 from .predicates import _class_residual
-from .regularization import MODES, _adjoint, _gate, _gate_spectrum, _split
+from .regularization import (
+    MODES,
+    _adjoint,
+    _certifies_trivial_split,
+    _gate,
+    _split,
+)
 
 __all__ = [
     "BLOCK_ATOL",
@@ -36,7 +42,9 @@ __all__ = [
 # Tolerance for comparing canonical block parameters: forms_match
 # matches tau and the 1-by-1 entries within BLOCK_ATOL times the larger
 # spectral norm of the two forms, and mu, which is scale-free, within
-# BLOCK_ATOL.  The canonical pipelines are accurate well past this.
+# BLOCK_ATOL; quadratic_invariants_equal matches eigenvalues and
+# singular values within BLOCK_ATOL times the larger spectral norm of
+# the two inputs.  The canonical pipelines are accurate well past this.
 BLOCK_ATOL = 1e-7
 
 
@@ -139,22 +147,22 @@ def _gated_forms(a, b, mode, tol: ToleranceConfig):
     """(ra, rb, forms): the class-gate residuals of a and b and, when
     both pass, their canonical forms under the pipeline mode.
 
-    Each input's gate product and its Gram matrix are formed once.  The
-    split needs only a certificate from the Gram matrix or the product's
-    singular values, and dropping both arrays as soon as that is decided
-    keeps them out of the pipelines' peak memory.
+    Each input's gate is evaluated once.  The split needs only the
+    certificate drawn from the gate's Gram matrix, and dropping that as
+    soon as the certificate is decided keeps it out of the pipelines'
+    peak memory.
     """
-    product_a, ra, gram_a = _gate(a, mode.name)
-    product_b, rb, gram_b = _gate(b, mode.name)
+    ra, gram_a = _gate(a, mode.name)
+    rb, gram_b = _gate(b, mode.name)
     if not (ra <= tol.residual_rtol and rb <= tol.residual_rtol):
         return ra, rb, None
-    s_a = _gate_spectrum(a, product_a, gram_a, tol)
-    del product_a, gram_a
-    s_b = _gate_spectrum(b, product_b, gram_b, tol)
-    del product_b, gram_b
+    certified_a = _certifies_trivial_split(a, gram_a, tol)
+    del gram_a
+    certified_b = _certifies_trivial_split(b, gram_b, tol)
+    del gram_b
     return ra, rb, tuple(
-        _canon(x, mode, tol, _split(x, mode.name, tol, s))[0]
-        for x, s in ((a, s_a), (b, s_b))
+        _canon(x, mode, tol, _split(x, mode.name, tol, certified))[0]
+        for x, certified in ((a, certified_a), (b, certified_b))
     )
 
 
@@ -233,20 +241,24 @@ def quadratic_invariants_equal(
     """Unitary *congruence test for degree-2 minimal polynomials.
 
     Eigenvalue multiset plus singular value multiset is a complete
-    invariant in this class, so no canonical form is needed.  Raises
+    invariant in this class, so no canonical form is needed; both are
+    matched within BLOCK_ATOL times the larger spectral norm.  Raises
     PreconditionError when either input has no quadratic annihilator.
     """
     qa = canon_quadratic(a, tol)
     qb = canon_quadratic(b, tol)
-    eigs_ok, eig_report = _greedy_match(
-        _eigenvalue_multiset(qa), _eigenvalue_multiset(qb),
-        lambda x, y: abs(complex(x) - complex(y)) <= BLOCK_ATOL,
-    )
     sa = svd(np.asarray(a, dtype=np.complex128)).sigma
     sb = svd(np.asarray(b, dtype=np.complex128)).sigma
+    # Eigenvalues and singular values scale with the matrix: compare
+    # them relative to the larger spectral norm.
+    atol = BLOCK_ATOL * float(max([*sa[:1], *sb[:1]], default=0.0))
+    eigs_ok, eig_report = _greedy_match(
+        _eigenvalue_multiset(qa), _eigenvalue_multiset(qb),
+        lambda x, y: abs(complex(x) - complex(y)) <= atol,
+    )
     svs_ok, sv_report = _greedy_match(
         [float(v) for v in sa], [float(v) for v in sb],
-        lambda x, y: abs(x - y) <= BLOCK_ATOL,
+        lambda x, y: abs(x - y) <= atol,
     )
     detail = {"eigenvalues": eig_report, "singular_values": sv_report}
     return eigs_ok and svs_ok, detail

@@ -55,8 +55,8 @@ def _canon(a, mode: _Mode, tol: ToleranceConfig, split: RegularSplit | None = No
     """(form, t) with t unitary and t a adj(t) equal to form.assemble().
 
     A caller that has already passed a through the class gate
-    (regularization._gate) hands on the split of a, so that the split
-    does not form the gate product again.
+    (regularization._gate) hands on the split of a, so that the gate
+    is not evaluated twice.
     """
     a = as_matrix(a, square=True)
     n = a.shape[0]

@@ -4,13 +4,14 @@ The class gate is one identity, never the full classify, and decide_*
 evaluate it once per input.  The split first tries one Cholesky
 factorization of the shifted Gram matrix of the gate's own product,
 which the gate has formed.  On well-conditioned nonsingular input that
-certificate proves the split trivial, so neither the rank identity's
-values-only SVD of the product nor regularize runs.  Otherwise the
-split takes that SVD, and on singular input regularize takes one full
-SVD of the input.  The rank identity also proves the regular part
-nonsingular here, so the cosquare takes no SVD; eig_normal brackets its
-cluster radius and takes no SVD when the bracket decides the clusters.
-The budgets count SVDs whose input has the size of the matrix handed in.
+certificate proves the split trivial, so regularize does not run.
+Otherwise regularize takes one full SVD of the input, and on singular
+input its singular values prove the rank identity, so the split takes
+no values-only SVD of the gate product.  The rank identity also proves
+the regular part nonsingular here, so the cosquare takes no SVD;
+eig_normal brackets its cluster radius and takes no SVD when the
+bracket decides the clusters.  The budgets count SVDs whose input has
+the size of the matrix handed in.
 """
 
 import inspect
@@ -29,12 +30,16 @@ from canonica.equivalence import (
 from canonica.factorizations import eig_normal
 from canonica.sampling import default_rng, random_unitary
 
-# regularize: one full SVD of a; split: values SVD of a^2, after the
-# certificate's Cholesky factorization fails on singular input.
-CANON_STAR_SINGULAR_BUDGET = 2
+# regularize: one full SVD of a, after the certificate's Cholesky
+# factorization fails on singular input; its singular values prove the
+# rank identity.
+CANON_STAR_SINGULAR_BUDGET = 1
 # Per canon_congruence of nonsingular input: none, as the certificate
 # proves the split trivial.
 DECIDE_CONGRUENCE_BUDGET = 0
+# Per decide_unitary_star_congruence of two singular inputs: one full
+# SVD of each, in regularize.
+DECIDE_STAR_SINGULAR_BUDGET = 2
 
 
 @pytest.fixture
@@ -121,7 +126,7 @@ def test_canon_star_singular_budget(counts):
     form, _ = canon_star(a)
     assert form.dimension == a.shape[0]
     assert counts["classify"] == 0
-    assert _full_size(counts, a.shape[0]) <= CANON_STAR_SINGULAR_BUDGET
+    assert _full_size(counts, a.shape[0]) == CANON_STAR_SINGULAR_BUDGET
     assert counts["cholesky"] == [a.shape]
     # Nothing factorizes the regular part (20 nonzero 1-by-1 blocks and
     # 4 pair blocks, order 28) or its cosquare: neither a rank check
@@ -136,6 +141,16 @@ def test_decide_unitary_congruence_budget(counts):
     assert counts["classify"] == 0
     assert _full_size(counts, a.shape[0]) == DECIDE_CONGRUENCE_BUDGET
     assert counts["cholesky"] == [a.shape, b.shape]
+
+
+def test_decide_unitary_star_congruence_singular_budget(counts):
+    a, b = _star_pair()
+    verdict = decide_unitary_star_congruence(a, b)
+    assert verdict.verdict == "equivalent"
+    assert counts["classify"] == 0
+    assert _full_size(counts, a.shape[0]) == DECIDE_STAR_SINGULAR_BUDGET
+    assert counts["cholesky"] == [a.shape, b.shape]
+    assert _full_size(counts, 28) == 0
 
 
 @pytest.fixture

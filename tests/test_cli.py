@@ -8,12 +8,15 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from canonica import cli
+from canonica.matrix import dumps_matrix
+from canonica.sampling import default_rng, random_congruence_instance, random_star_instance
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -141,6 +144,25 @@ def test_simulate_honours_rank_rtol(tmp_path):
         "simulate", "--star", "--steps", "5", "--rank-rtol", "1e-14", str(path)
     )
     assert code == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("mode", ["--star", "--congruence"])
+def test_gate_overflow_is_a_convergence_failure(tmp_path, capsys, mode):
+    # The input is finite and in class, but the Gram matrix of its gate
+    # product overflows float64: a convergence failure that names the
+    # overflow, not a parse error (exit 3).
+    sample = random_star_instance if mode == "--star" else random_congruence_instance
+    path = tmp_path / "huge.json"
+    path.write_text(dumps_matrix(1e80 * sample(6, default_rng(5))[1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _ = run_cli("canon", mode, str(path))
+    assert code != cli.EXIT_PARSE
+    assert code == cli.EXIT_CONVERGENCE
+    assert capsys.readouterr().err == (
+        "convergence failure: the class gate overflows float64 at the "
+        "input's scale\n"
+    )
 
 
 def test_reports_are_byte_identical():

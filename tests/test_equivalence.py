@@ -20,6 +20,7 @@ from canonica.predicates import classify
 from canonica.sampling import (
     default_rng,
     random_congruence_instance,
+    random_quadratic_instance,
     random_star_instance,
     random_unitary,
 )
@@ -126,6 +127,20 @@ def test_decide_compares_blocks_at_the_forms_scale(mode, s):
         decide = decide_unitary_congruence
     assert decide(s * x, 1.5 * s * x).verdict == "not_equivalent"
     assert decide(s * x, s * y).verdict == "equivalent"
+
+
+@pytest.mark.parametrize("s", [1e-2, 1.0, 1e9])
+def test_quadratic_invariants_compare_at_the_inputs_scale(s):
+    # Eigenvalues and singular values are matched relative to the
+    # inputs: at an absolute tolerance, s = 1e9 called the rotated pair
+    # inequivalent and s = 1e-2 called the pair scaled by 1 + 1e-6
+    # equivalent.
+    q = random_quadratic_instance(6, default_rng(3))[0]
+    u = random_unitary(6, default_rng(4))
+    rotated = decide_unitary_star_congruence(s * q, s * u @ q @ u.conj().T)
+    assert (rotated.verdict, rotated.method) == ("equivalent", "quadratic_invariants")
+    scaled = decide_unitary_star_congruence(s * q, (1 + 1e-6) * s * q)
+    assert (scaled.verdict, scaled.method) == ("not_equivalent", "quadratic_invariants")
 
 
 def test_forms_match_reports_pairings():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import canonica.regularization as regularization
 from canonica.canon_congruence import canon_congruence
 from canonica.canon_star import canon_star
-from canonica.errors import ConvergenceError, ParseError, PreconditionError
+from canonica.errors import ConvergenceError, PreconditionError
 from canonica.factorizations import svd
 from canonica.matrix import DEFAULT_TOL, norm, rank
 from canonica.predicates import classify
@@ -199,11 +199,27 @@ def test_split_rejects_a_singular_regular_part(mode, name, coupling):
         split_regular_singular(a, mode)
 
 
+def _svd_of_gate_product(a, mode):
+    return np.linalg.svd(regularization._gate_product(a, mode), compute_uv=False)
+
+
 def _by_reduction(a, mode):
-    """The split through regularize, whatever the rank identity proves."""
-    product, _, _ = regularization._gate(a, mode)
-    s_product = np.linalg.svd(product, compute_uv=False)
-    return regularization._split_by_reduction(a, mode, DEFAULT_TOL, s_product)
+    """The split through regularize, checked by the singular values of
+    the gate product whatever they prove."""
+    return regularization._split_by_reduction(
+        a, mode, DEFAULT_TOL, _svd_of_gate_product(a, mode)
+    )
+
+
+def _by_svd(a, mode):
+    """The split as the gate product's singular values decide it: the
+    test of _weyl_terms proves it trivial, or the reduction route is
+    checked by them."""
+    s_product = _svd_of_gate_product(a, mode)
+    _, slack, cutoff = regularization._weyl_terms(a, DEFAULT_TOL)
+    if a.shape[0] > 0 and float(s_product[-1]) - slack > cutoff:
+        return regularization._trivial_split(a, mode)
+    return _by_reduction(a, mode)
 
 
 def _bits(split):
@@ -229,7 +245,7 @@ def test_proved_split_equals_the_reduction_route(seed, n, mode, log_scale):
     else:
         _, a = random_star_instance(n, gen)
     a = a * 10.0 ** log_scale
-    # The rank identity's spectrum proves a nonsingular: no regularize.
+    # The certificate proves a nonsingular: no regularize.
     with mock.patch.object(regularization, "regularize", side_effect=AssertionError):
         split = split_regular_singular(a, mode)
     assert _bits(split) == _bits(_by_reduction(a, mode))
@@ -274,31 +290,29 @@ def test_certificate_never_proves_a_split_the_svd_would_not(
         sample = random_congruence_instance if mode == "congruence" else random_star_instance
         a = sample(n, gen, singular=kind == "singular")[1]
     a = a * 10.0**log_scale
-    # The gate itself overflows at the largest scales, and past about
-    # 1e77 its Gram matrix is not finite: the gate rejects it, and no
-    # split runs.  The certificate is checked on what the gate hands on.
-    with np.errstate(all="ignore"):
-        try:
-            product, _, gram = regularization._gate(a, mode)
-        except ParseError:
-            assert log_scale > 70.0
-            return
-    s_product = np.linalg.svd(product, compute_uv=False)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        certified = regularization._gate_spectrum(a, product, gram, DEFAULT_TOL) is None
+        # Past about 1e77 the Gram matrix p* p of the gate product
+        # overflows: the gate raises, and no split runs.  The
+        # certificate is checked on what the gate hands on.
+        try:
+            _, gram = regularization._gate(a, mode)
+        except ConvergenceError:
+            assert log_scale > 70.0
+            return
+        product = regularization._gate_product(a, mode)
+        certified = regularization._certifies_trivial_split(a, gram, DEFAULT_TOL)
         if certified:
-            slack, cutoff = regularization._weyl_terms(a, DEFAULT_TOL)
+            s_product = np.linalg.svd(product, compute_uv=False)
+            _, slack, cutoff = regularization._weyl_terms(a, DEFAULT_TOL)
             assert float(s_product[-1]) - slack > cutoff
-        by_svd = _outcome(lambda: regularization._split(a, mode, DEFAULT_TOL, s_product))
+        by_svd = _outcome(lambda: _by_svd(a, mode))
         by_certificate = _outcome(lambda: regularization._split(
-            a, mode, DEFAULT_TOL, None if certified else s_product
+            a, mode, DEFAULT_TOL, certified
         ))
         assert by_certificate == by_svd
         if certified:
-            assert by_certificate == _outcome(lambda: regularization._split_by_reduction(
-                a, mode, DEFAULT_TOL, s_product
-            ))
+            assert by_certificate == _outcome(lambda: _by_reduction(a, mode))
 
 
 @pytest.mark.parametrize("mode", ["congruence", "star"])
@@ -309,9 +323,124 @@ def test_certificate_decides_well_conditioned_input_only(mode):
     gen = default_rng(20261027)
     for log_gap, expected in ((-2.0, True), (-5.0, True), (-9.0, False), (-12.0, False)):
         a = _swept(12, mode, log_gap, gen)
-        product, _, gram = regularization._gate(a, mode)
-        got = regularization._gate_spectrum(a, product, gram, DEFAULT_TOL) is None
+        _, gram = regularization._gate(a, mode)
+        got = regularization._certifies_trivial_split(a, gram, DEFAULT_TOL)
         assert got is expected, log_gap
+
+
+def _reduced_layout(n, gen, log_gap, log_border):
+    """A singular matrix in reduced coordinates: a regular part r of
+    order k0 whose smallest singular value is 10^log_gap, one or two
+    elementary blocks sigma [[0, 1], [0, 0]], zeros, and bordering
+    entries of size 10^log_border between r and the blocks' nonzero
+    row and column, which keep the blocks' zero row and column zero."""
+    m2 = int(gen.integers(1, min(2, (n - 1) // 2) + 1))
+    k0 = int(gen.integers(1, n - 2 * m2 + 1))
+    x = np.zeros((n, n), dtype=np.complex128)
+    q = random_unitary(k0, gen)
+    d = gen.uniform(0.5, 2.0, k0)
+    d[0] = 10.0**log_gap
+    x[:k0, :k0] = (q * d) @ random_unitary(k0, gen)
+    border = 10.0**log_border
+    for i in range(m2):
+        row, col = k0 + 2 * i, k0 + 2 * i + 1
+        x[row, col] = gen.uniform(0.5, 2.0)
+        x[:k0, col] = border * gen.standard_normal(k0)
+        x[row, :k0] = border * gen.standard_normal(k0)
+    return x
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(3, 10),
+    st.sampled_from(["congruence", "star"]),
+    st.sampled_from(["sampled", "layout"]),
+    st.floats(-9.0, -1.0),
+    st.one_of(st.just(-300.0), st.floats(-14.0, -6.0)),
+    st.floats(-150.0, 150.0),
+)
+def test_rank_identity_proof_agrees_with_the_svd_route(
+    seed, n, mode, kind, log_gap, log_border, log_scale
+):
+    # The route that proves the rank identity from regularize's singular
+    # values gives the same split bits, or the same error, as the route
+    # that takes the singular values of the gate product, on singular
+    # input whose sigma_r sweeps across the proof's threshold, whose
+    # bordering blocks are perturbed, and whose scale spans 1e-150 to
+    # 1e150.
+    gen = default_rng(seed)
+    if kind == "layout":
+        x = _reduced_layout(n, gen, log_gap, log_border)
+        a = apply(random_unitary(n, gen), x, mode)
+    else:
+        sample = random_congruence_instance if mode == "congruence" else random_star_instance
+        a = sample(n, gen, singular=True)[1]
+    a = a * 10.0**log_scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        by_proof = _outcome(lambda: regularization._split(a, mode, DEFAULT_TOL, False))
+        assert by_proof == _outcome(lambda: _by_svd(a, mode))
+
+
+def _values_only_svds(monkeypatch, n):
+    """Record each values-only SVD of an n x n matrix."""
+    record = []
+    original = np.linalg.svd
+
+    def counted(x, *args, **kwargs):
+        if np.shape(x) == (n, n) and not kwargs.get("compute_uv", True):
+            record.append(1)
+        return original(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return record
+
+
+@pytest.mark.parametrize("mode", ["congruence", "star"])
+def test_rank_identity_is_proved_without_the_gate_products_svd(monkeypatch, mode):
+    gen = default_rng(20261030)
+    sample = random_congruence_instance if mode == "congruence" else random_star_instance
+    cases = [sample(n, gen, singular=True)[1] for n in (3, 8, 24, 64)]
+    cases.append(_reduced_layout(9, gen, -1.0, -12.0))
+    for a in cases:
+        expected = _by_svd(a, mode)
+        svds = _values_only_svds(monkeypatch, a.shape[0])
+        split = regularization._split(a, mode, DEFAULT_TOL, False)
+        monkeypatch.undo()
+        assert svds == []
+        assert _bits(split) == _bits(expected)
+
+
+@pytest.mark.parametrize(
+    "log_gap,log_border", [(-6.0, -300.0), (-1.0, -8.0), (-1.0, -6.0)]
+)
+@pytest.mark.parametrize("mode", ["congruence", "star"])
+def test_split_takes_the_gate_products_svd_when_the_proof_fails(
+    monkeypatch, mode, log_gap, log_border
+):
+    # A regular part with sigma_min = 1e-6, whose square is below the
+    # rank identity's cutoff (about 1e-10 n ||a||_2^2), or bordering
+    # blocks of 1e-8 or 1e-6, leave the proof undecided: the split forms
+    # the gate product once, takes its values-only SVD, and decides as
+    # that route does (a mismatched rank identity, a split, and
+    # bordering blocks that did not vanish).
+    gen = default_rng(20261031)
+    a = apply(random_unitary(9, gen), _reduced_layout(9, gen, log_gap, log_border), mode)
+    expected = _outcome(lambda: _by_svd(a, mode))
+    proofs = []
+    original = regularization._proves_rank_identity
+
+    def recorded(*args):
+        proofs.append(original(*args))
+        return proofs[-1]
+
+    monkeypatch.setattr(regularization, "_proves_rank_identity", recorded)
+    svds = _values_only_svds(monkeypatch, 9)
+    got = _outcome(lambda: regularization._split(a, mode, DEFAULT_TOL, False))
+    assert proofs == [False]
+    assert svds == [1]
+    assert got == expected
 
 
 @pytest.mark.parametrize("mode", ["congruence", "star"])
@@ -451,3 +580,101 @@ def test_reduced_form_keeps_its_image_private():
     assert "_image" not in red.to_json()
     compared = {f.name for f in dataclasses.fields(red) if f.compare}
     assert "_image" not in compared
+
+
+def test_rank_identity_proof_is_exactly_its_documented_bound():
+    # _proves_rank_identity succeeds exactly when its documented bounds
+    # clear the cutoffs: s_k0+1 <= 2 (d + w) <= c, and s_k0 >= l^2 -
+    # 2 (d + w) > c with l = sigma_r - 2 (h + e).  Both are probed one
+    # part in 1e6 (the residual) and 1e9 (sigma_r) either side of
+    # where they bind, which pins every error term at its full size.
+    gen = default_rng(20261101)
+    a = apply(random_unitary(9, gen), _reduced_layout(9, gen, -1.0, -300.0), "star")
+    reduced = regularize(a, "star")
+    fro, slack, cutoff = regularization._weyl_terms(a, DEFAULT_TOL)
+    n, r = 9, 9 - reduced.m1
+    s1 = float(reduced._sigma[0])
+    u = np.finfo(np.float64).eps / 2
+    h = 8 * n * n * u * fro
+    w = (4 * (n + 2) * u + 8 * n * n * u) * fro**2
+    c = DEFAULT_TOL.rank_rtol * s1**2 * n
+
+    def noise(res):
+        e = res + 1e-12 * n * s1
+        return 2 * ((2 * (s1 + h + e) + e) * e + w)
+
+    def proves(res, sigma_r=None):
+        sigma = reduced._sigma.copy()
+        if sigma_r is not None:
+            sigma[r - 1] = sigma_r
+        trial = dataclasses.replace(reduced, _sigma=sigma)
+        return regularization._proves_rank_identity(
+            trial, res, fro, slack, cutoff, DEFAULT_TOL
+        )
+
+    # The residual at which 2 (d + w) = c: 3 e^2 + 2 (s1 + h) e + w - c/2 = 0.
+    e = (-(s1 + h) + np.sqrt((s1 + h) ** 2 - 3 * (w - c / 2))) / 3
+    res_bound = e - 1e-12 * n * s1
+    assert noise(res_bound) == pytest.approx(c, rel=1e-9)
+    assert proves(res_bound * (1 - 1e-6))
+    assert not proves(res_bound * (1 + 1e-6))
+
+    e = 1e-12 * n * s1
+    sigma_bound = 2 * (h + e) + np.sqrt(c + noise(0.0))
+    assert sigma_bound < reduced._sigma[r - 1]
+    assert proves(0.0, sigma_bound * (1 + 1e-9))
+    assert not proves(0.0, sigma_bound * (1 - 1e-9))
+
+
+def _nilpotent_at(scale):
+    a = np.zeros((3, 3))
+    a[0, 1] = scale
+    return a
+
+
+@pytest.mark.parametrize("canon", [canon_congruence, canon_star])
+def test_split_threshold_overflow_is_a_convergence_error(canon):
+    # The gate product of this nilpotent matrix is zero, so it passes the
+    # gate; ||a||_F^2, the scale of the split's thresholds, overflows.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            ConvergenceError,
+            match="^the split's threshold overflows float64 at the input's scale$",
+        ):
+            canon(_nilpotent_at(1e160))
+        # Within range the same matrix reduces to one elementary block.
+        form, _ = canon(_nilpotent_at(1e150))
+        assert form.two_by_two[0][0] == pytest.approx(1e150)
+
+
+@pytest.mark.parametrize("mode", ["congruence", "star"])
+def test_gate_overflow_is_a_convergence_error(mode):
+    sample = random_congruence_instance if mode == "congruence" else random_star_instance
+    a = 1e80 * sample(6, default_rng(5))[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            ConvergenceError,
+            match="^the class gate overflows float64 at the input's scale$",
+        ):
+            split_regular_singular(a, mode)
+
+
+@pytest.mark.parametrize("mode", ["congruence", "star"])
+def test_gate_measures_past_where_its_norms_overflow(mode):
+    # From about ||a||_F = 1e38 on, the Frobenius norms of p* p overflow
+    # although p* p does not.  The gate then measures its relative
+    # residual on p scaled by a power of two: scaling a by 2^166 (about
+    # 1e50) is exact, so residual and Gram matrix are a's to the bit.
+    sample = random_congruence_instance if mode == "congruence" else random_star_instance
+    a = sample(6, default_rng(5))[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        residual, gram = regularization._gate(a, mode)
+        big_residual, big_gram = regularization._gate(2.0**166 * a, mode)
+        split = split_regular_singular(2.0**166 * a, mode)
+    assert big_residual == residual
+    assert np.array_equal(big_gram, 2.0**664 * gram)
+    expected = 2.0**166 * split_regular_singular(a, mode).assembled()
+    assert norm(split.assembled() - expected) <= 1e-12 * norm(expected)
