@@ -141,8 +141,9 @@ _STAR = _Mode(
 )
 
 
-def _triangular_rotation(tau: float, mu: complex) -> np.ndarray:
-    """Unitary g with g (tau H2(mu)) g* = [[nu, r], [0, -nu]], |mu| < 1."""
+def _triangular_rotation(mu: complex) -> np.ndarray:
+    """Unitary g with g (tau H2(mu)) g* = [[nu, r], [0, -nu]] for every
+    tau > 0, |mu| < 1."""
     mu = complex(mu)
     if mu == 0:
         return np.eye(2, dtype=np.complex128)
@@ -175,7 +176,7 @@ def canon_star(
         # The rotations are unitary, so the residual _canon checked on
         # the h2 rendering carries over.
         rotations = [np.eye(len(form.one_by_one), dtype=np.complex128)]
-        rotations.extend(_triangular_rotation(t, m) for t, m in form.two_by_two)
+        rotations.extend(_triangular_rotation(m) for _, m in form.two_by_two)
         transform = direct_sum(rotations) @ transform
         form = replace(form, representation="triangular")
     return form, transform

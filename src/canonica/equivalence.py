@@ -21,13 +21,7 @@ from .factorizations import polar, svd
 from .matrix import DEFAULT_TOL, ToleranceConfig, as_matrix, norm, rank
 from .pipeline import _canon
 from .predicates import _class_residual
-from .regularization import (
-    MODES,
-    _adjoint,
-    _certifies_trivial_split,
-    _gate,
-    _split,
-)
+from .regularization import MODES, _adjoint, _gate, _split
 
 __all__ = [
     "BLOCK_ATOL",
@@ -147,19 +141,13 @@ def _gated_forms(a, b, mode, tol: ToleranceConfig):
     """(ra, rb, forms): the class-gate residuals of a and b and, when
     both pass, their canonical forms under the pipeline mode.
 
-    Each input's gate is evaluated once.  The split needs only the
-    certificate drawn from the gate's Gram matrix, and dropping that as
-    soon as the certificate is decided keeps it out of the pipelines'
-    peak memory.
+    Each input's gate is evaluated once, and its certificate is handed
+    on to the split.
     """
-    ra, gram_a = _gate(a, mode.name)
-    rb, gram_b = _gate(b, mode.name)
+    ra, certified_a = _gate(a, mode.name, tol)
+    rb, certified_b = _gate(b, mode.name, tol)
     if not (ra <= tol.residual_rtol and rb <= tol.residual_rtol):
         return ra, rb, None
-    certified_a = _certifies_trivial_split(a, gram_a, tol)
-    del gram_a
-    certified_b = _certifies_trivial_split(b, gram_b, tol)
-    del gram_b
     return ra, rb, tuple(
         _canon(x, mode, tol, _split(x, mode.name, tol, certified))[0]
         for x, certified in ((a, certified_a), (b, certified_b))

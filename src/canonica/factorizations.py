@@ -15,7 +15,15 @@ import numpy as np
 
 from .blocks import sqrt_dplus
 from .errors import ConvergenceError, PreconditionError
-from .matrix import DEFAULT_TOL, ToleranceConfig, as_matrix, norm, rank, rel_residual
+from .matrix import (
+    DEFAULT_TOL,
+    ToleranceConfig,
+    _normality_residual,
+    as_matrix,
+    norm,
+    rank,
+    rel_residual,
+)
 
 __all__ = [
     "SvdResult",
@@ -206,8 +214,8 @@ def eig_normal(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.nd
     _diagonalize_clusters(u, clusters, h, k, None)
     lam, recon = _rayleigh(a, u)
     if not _proved_normal(lam, recon, fro, tol.residual_rtol / 2.0):
-        res = rel_residual(a.conj().T @ a, a @ a.conj().T)
-        if res > tol.residual_rtol:
+        res = _normality_residual(a)[0]
+        if not res <= tol.residual_rtol:
             raise PreconditionError("matrix is not normal", residual=res)
     if recon > bound:
         # Inside a cluster the skew part can be rounding noise, and its
@@ -325,7 +333,7 @@ def _diagonalize_clusters(u, clusters, h, k, radius) -> None:
         u[:, idx] = cols @ w
 
 
-def polar(a, side: str = "right", tol: ToleranceConfig = DEFAULT_TOL) -> PolarResult:
+def polar(a, side: str = "right") -> PolarResult:
     """Polar decomposition via the SVD; valid for singular input too."""
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")

@@ -112,6 +112,25 @@ def rel_residual(lhs, rhs) -> float:
     return norm(lhs - rhs) / denom
 
 
+def _normality_residual(x: np.ndarray) -> tuple[float, np.ndarray]:
+    """rel_residual(x* x, x x*), and the Gram matrix x* x it was measured
+    on.  The norms of x* x overflow long before x* x does, from about
+    ||x||_F = 1e77 on; the residual is then measured on x scaled by a
+    power of two, which is exact and keeps the norms in range (and above
+    the residual's floor of 1).  The Gram matrix is scaled back in the
+    caller's floating-point error state."""
+    with np.errstate(over="raise"):
+        try:
+            gram = x.conj().T @ x
+            return rel_residual(gram, x @ x.conj().T), gram
+        except FloatingPointError:
+            pass
+    scale = 2.0 ** (10 - math.frexp(float(np.abs(x).max()))[1])
+    x = x * scale
+    gram = x.conj().T @ x
+    return rel_residual(gram, x @ x.conj().T), gram / scale / scale
+
+
 def matrix_to_json(a) -> dict:
     """Encode as {"rows", "cols", "data"} with data a row-major list of
     [re, im] pairs."""

@@ -13,8 +13,16 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PreconditionError
-from .factorizations import cluster_real_sorted, svd
-from .matrix import DEFAULT_TOL, ToleranceConfig, as_matrix, norm, rank, rel_residual
+from .factorizations import SvdResult, cluster_real_sorted, svd
+from .matrix import (
+    DEFAULT_TOL,
+    ToleranceConfig,
+    _normality_residual,
+    as_matrix,
+    norm,
+    rank,
+    rel_residual,
+)
 
 __all__ = [
     "ClassReport",
@@ -66,19 +74,6 @@ def _commutator_residual(x: np.ndarray, y: np.ndarray) -> float:
     return rel_residual(x @ y, y @ x)
 
 
-def _normality_residual(x: np.ndarray) -> tuple[float, np.ndarray]:
-    """rel_residual(x* x, x x*), and the Gram matrix x* x it was measured
-    on: the class gate hands that on to the split's certificate."""
-    gram = x.conj().T @ x
-    return rel_residual(gram, x @ x.conj().T), gram
-
-
-_GATE_PRODUCTS = {
-    "congruence_normal": lambda a: a.conj() @ a,
-    "squared_normal": lambda a: a @ a,
-}
-
-
 class _Products:
     """The products the class identities are measured on, each formed on
     first use and shared by every identity that needs it."""
@@ -101,11 +96,19 @@ class _Products:
 
     @cached_property
     def a_bar_a(self) -> np.ndarray:
-        return _GATE_PRODUCTS["congruence_normal"](self.a)
+        return self.a.conj() @ self.a
 
     @cached_property
     def a_sq(self) -> np.ndarray:
-        return _GATE_PRODUCTS["squared_normal"](self.a)
+        return self.a @ self.a
+
+    @cached_property
+    def cosquare(self) -> np.ndarray:
+        return np.linalg.solve(self.a.T, self.a)
+
+    @cached_property
+    def star_cosquare(self) -> np.ndarray:
+        return np.linalg.solve(self.a_star, self.a)
 
     @cached_property
     def eye(self) -> np.ndarray:
@@ -122,7 +125,8 @@ class _Products:
 
 # The defining identity of each class, as a residual of the products.
 # classify reports those in FLAG_NAMES; "hermitian_cosquare" (conj(a) a
-# Hermitian) only gates canon_hermitian_cosquare.
+# Hermitian) gates canon_hermitian_cosquare, and the rest serve the
+# characterizations and the dualities.
 _IDENTITIES = {
     "normal": lambda p: rel_residual(p.gram_right, p.gram_left),
     "conjugate_normal": lambda p: rel_residual(p.gram_right, p.gram_left.conj()),
@@ -135,6 +139,11 @@ _IDENTITIES = {
     "range_hermitian": lambda p: _range_projector_residual(p.a, p.tol),
     "lambda_projection": lambda p: rel_residual(p.a_sq, p.lam * p.a),
     "hermitian_cosquare": lambda p: rel_residual(p.a_bar_a, p.a_bar_a.conj().T),
+    "congruence_cubic": lambda p: rel_residual(
+        p.a @ p.a.conj() @ p.a.T, p.a.T @ p.a.conj() @ p.a
+    ),
+    "squared_cubic": lambda p: rel_residual(p.a_sq @ p.a_star, p.a_star @ p.a_sq),
+    "hermitian": lambda p: rel_residual(p.a, p.a_star),
 }
 
 
@@ -192,10 +201,9 @@ def bar_double(a) -> np.ndarray:
     return out
 
 
-def _polar_parts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # w unitary, p = left positive factor, q = right positive factor,
-    # so a = p w = w q; for singular a, w comes from the SVD factors.
-    f = svd(a)
+def _polar_parts(f: SvdResult) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # a = p w = w q from the SVD f of a: w unitary (for singular a too),
+    # p the left and q the right positive factor.
     w = f.u @ f.v.conj().T
     p = (f.u * f.sigma) @ f.u.conj().T
     q = (f.v * f.sigma) @ f.v.conj().T
@@ -243,36 +251,36 @@ def verify_characterizations(
     # nonsingular input; they are still evaluated and reported.
     nonsingular_only: set[str] = set()
 
+    products = _Products(a, tol)
+
+    def identity(name: str) -> dict:
+        return _condition(_IDENTITIES[name](products), tol)
+
     if which == "congruence_normal_idents":
-        b = a.conj() @ a
-        conditions["gram_normal"] = _condition(_normality_residual(b)[0], tol)
-        conditions["cubic_identity"] = _condition(
-            rel_residual(a @ a.conj() @ a.T, a.T @ a.conj() @ a), tol
-        )
+        conditions["gram_normal"] = identity("congruence_normal")
+        conditions["cubic_identity"] = identity("congruence_cubic")
         nonsingular_only.add("cosquare_normal")
         if nonsingular:
-            cosq = np.linalg.solve(a.T, a)
-            conditions["cosquare_normal"] = _condition(_normality_residual(cosq)[0], tol)
+            conditions["cosquare_normal"] = _condition(
+                _normality_residual(products.cosquare)[0], tol
+            )
     elif which == "squared_normal_idents":
-        c = a @ a
-        conditions["square_normal"] = _condition(_normality_residual(c)[0], tol)
-        conditions["cubic_identity"] = _condition(
-            rel_residual(c @ a.conj().T, a.conj().T @ c), tol
-        )
+        conditions["square_normal"] = identity("squared_normal")
+        conditions["cubic_identity"] = identity("squared_cubic")
         nonsingular_only.add("cosquare_normal")
         if nonsingular:
-            cosq = np.linalg.solve(a.conj().T, a)
-            conditions["cosquare_normal"] = _condition(_normality_residual(cosq)[0], tol)
+            conditions["cosquare_normal"] = _condition(
+                _normality_residual(products.star_cosquare)[0], tol
+            )
     elif which == "conjugate_normal_afd":
         s = (a + a.T) / 2.0
         c = (a - a.T) / 2.0
         conditions["part_identity"] = _condition(
             rel_residual(s @ c.conj(), c @ s.conj()), tol
         )
-        conditions["definition"] = _condition(
-            rel_residual(a.conj().T @ a, (a @ a.conj().T).conj()), tol
-        )
-        w, p, q = _polar_parts(a)
+        conditions["definition"] = identity("conjugate_normal")
+        f = svd(a)
+        w, p, q = _polar_parts(f)
         nonsingular_only.update(("polar_conjugate", "polar_intertwine"))
         conditions["polar_conjugate"] = _condition(rel_residual(q, p.conj()), tol)
         conditions["polar_intertwine"] = _condition(
@@ -282,7 +290,6 @@ def verify_characterizations(
         # unitary polar factor must be block diagonal along singular
         # value clusters (sum condition), with unitary blocks (real
         # orthogonal rendering exists per block).
-        f = svd(a)
         m = f.v.conj().T @ f.u.conj()
         blocks = _sigma_cluster_blocks(f.sigma, tol)
         mask = np.zeros((n, n), dtype=bool)
@@ -307,10 +314,8 @@ def verify_characterizations(
         conditions["part_commute"] = _condition(
             _commutator_residual(herm_part, skew_part), tol
         )
-        conditions["definition"] = _condition(
-            _normality_residual(a.conj() @ a)[0], tol
-        )
-        w, p, q = _polar_parts(a)
+        conditions["definition"] = identity("congruence_normal")
+        w, p, q = _polar_parts(svd(a))
         nonsingular_only.update(("polar_intertwine", "polar_family"))
         conditions["polar_intertwine"] = _condition(
             rel_residual(a @ p.conj(), q.conj() @ a), tol
@@ -359,46 +364,31 @@ def bar_block_dualities(a, tol: ToleranceConfig = DEFAULT_TOL) -> dict:
         }
 
     out = {
-        "squared_vs_congruence": entry(
-            _IDENTITIES["squared_normal"](pa), _IDENTITIES["congruence_normal"](pd)
-        ),
-        "congruence_vs_squared": entry(
-            _IDENTITIES["congruence_normal"](pa), _IDENTITIES["squared_normal"](pd)
-        ),
-        "normal_vs_conjugate": entry(
-            _IDENTITIES["normal"](pa), _IDENTITIES["conjugate_normal"](pd)
-        ),
-        "conjugate_vs_normal": entry(
-            _IDENTITIES["conjugate_normal"](pa), _IDENTITIES["normal"](pd)
-        ),
-        "cubic_transpose": entry(
-            rel_residual(d @ d.conj() @ d.T, d.T @ d.conj() @ d),
-            rel_residual(a.conj().T @ (a @ a), (a @ a) @ a.conj().T),
-        ),
-        "cubic_star": entry(
-            rel_residual(d.conj().T @ (d @ d), (d @ d) @ d.conj().T),
-            rel_residual(a @ a.conj() @ a.T, a.T @ a.conj() @ a),
-        ),
+        name: entry(_IDENTITIES[left](p), _IDENTITIES[right](q))
+        for name, p, left, q, right in (
+            ("squared_vs_congruence", pa, "squared_normal", pd, "congruence_normal"),
+            ("congruence_vs_squared", pa, "congruence_normal", pd, "squared_normal"),
+            ("normal_vs_conjugate", pa, "normal", pd, "conjugate_normal"),
+            ("conjugate_vs_normal", pa, "conjugate_normal", pd, "normal"),
+            ("cubic_transpose", pd, "congruence_cubic", pa, "squared_cubic"),
+            ("cubic_star", pd, "squared_cubic", pa, "congruence_cubic"),
+        )
     }
 
     if rank(a, tol) == n:
-        cos_a = np.linalg.solve(a.T, a)
-        star_a = np.linalg.solve(a.conj().T, a)
-        cos_d = np.linalg.solve(d.T, d)
-        star_d = np.linalg.solve(d.conj().T, d)
-        eye2 = np.eye(2 * n, dtype=np.complex128)
+        # Each cosquare of a against the other one of the doubled matrix.
+        pairs = {
+            "transpose_cosquare": (pa.cosquare, pd.star_cosquare),
+            "star_cosquare": (pa.star_cosquare, pd.cosquare),
+        }
         checks = {
-            "normal": lambda x, m: _normality_residual(x)[0],
-            "hermitian": lambda x, m: rel_residual(x, x.conj().T),
-            "unitary": lambda x, m: rel_residual(x.conj().T @ x, m),
+            "normal": lambda x: _normality_residual(x)[0],
+            "hermitian": lambda x: _IDENTITIES["hermitian"](_Products(x, tol)),
+            "unitary": lambda x: _IDENTITIES["unitary"](_Products(x, tol)),
         }
         for kind, fn in checks.items():
-            out[f"transpose_cosquare_{kind}"] = entry(
-                fn(cos_a, np.eye(n)), fn(star_d, eye2)
-            )
-            out[f"star_cosquare_{kind}"] = entry(
-                fn(star_a, np.eye(n)), fn(cos_d, eye2)
-            )
+            for name, (x, y) in pairs.items():
+                out[f"{name}_{kind}"] = entry(fn(x), fn(y))
 
     out["agree"] = all(v["agree"] for k, v in out.items() if isinstance(v, dict))
     return out

@@ -26,11 +26,12 @@ from .matrix import (
     ToleranceConfig,
     as_matrix,
     matrix_to_json,
+    _normality_residual,
     _rank_of_values,
     norm,
     rank,
 )
-from .predicates import _GATE_PRODUCTS, _normality_residual
+from .predicates import _Products
 
 __all__ = ["ReducedForm", "RegularSplit", "regularize", "split_regular_singular"]
 
@@ -178,8 +179,9 @@ def regularize(a, mode: str, tol: ToleranceConfig = DEFAULT_TOL) -> ReducedForm:
         _sigma=f.sigma,
         _image=image,
     )
-    res = norm(image - form.assembled())
-    bound = tol.residual_rtol * max(1.0, norm(a))
+    with _overflow_raises("the regularization residual"):
+        res = norm(image - form.assembled())
+        bound = tol.residual_rtol * max(1.0, norm(a))
     if res > bound:
         raise ConvergenceError(
             f"regularization residual {res:.3e} exceeds {bound:.3e}"
@@ -202,15 +204,11 @@ def split_regular_singular(
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     a = as_matrix(a, square=True)
-    gate, gram = _gate(a, mode)
+    gate, certified = _gate(a, mode, tol)
     if not gate <= tol.residual_rtol:
         raise PreconditionError(
             f"input is not {_GATE_FLAGS[mode].replace('_', ' ')}", residual=gate
         )
-    certified = _certifies_trivial_split(a, gram, tol)
-    # The split's reduction runs without the Gram matrix (an n x n
-    # array) held.
-    del gram
     return _split(a, mode, tol, certified)
 
 
@@ -229,26 +227,21 @@ def _overflow_raises(what: str):
 
 def _gate_product(a: np.ndarray, mode: str) -> np.ndarray:
     """The gate product p of the mode, conj(a) a or a^2."""
-    return _GATE_PRODUCTS[_GATE_FLAGS[mode]](a)
+    products = _Products(a, DEFAULT_TOL)
+    return products.a_bar_a if mode == "congruence" else products.a_sq
 
 
-def _gate(a: np.ndarray, mode: str) -> tuple[float, np.ndarray]:
+def _gate(a: np.ndarray, mode: str, tol: ToleranceConfig) -> tuple[float, bool]:
     """The class gate of the mode: the normality residual of its gate
-    product p, and the Gram matrix p* p it was measured on, from which
-    the split draws its certificate."""
+    product p, and whether the certificate on the Gram matrix p* p it
+    was measured on proves the split trivial.  The certificate runs only
+    when the gate passes, and the Gram matrix (an n x n array) is
+    dropped before the split runs."""
     with _overflow_raises("the class gate"):
-        product = _gate_product(a, mode)
-        try:
-            return _normality_residual(product)
-        except FloatingPointError:
-            pass
-        # The norms of p* p overflow long before p* p does, from about
-        # ||a||_F = 1e38 on.  The residual is relative: measure it on p
-        # scaled by a power of two, which is exact and keeps the norms
-        # in range (and above the residual's floor of 1).
-        scale = 2.0 ** (10 - math.frexp(float(np.abs(product).max()))[1])
-        residual, gram = _normality_residual(product * scale)
-        return residual, gram / scale / scale
+        residual, gram = _normality_residual(_gate_product(a, mode))
+    return residual, (
+        residual <= tol.residual_rtol and _certifies_trivial_split(a, gram, tol)
+    )
 
 
 def _weyl_terms(a: np.ndarray, tol: ToleranceConfig) -> tuple[float, float, float]:

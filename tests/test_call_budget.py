@@ -1,10 +1,12 @@
 """Factorization budget of the canonical-form paths.
 
 The class gate is one identity, never the full classify, and decide_*
-evaluate it once per input.  The split first tries one Cholesky
-factorization of the shifted Gram matrix of the gate's own product,
-which the gate has formed.  On well-conditioned nonsingular input that
-certificate proves the split trivial, so regularize does not run.
+evaluate it once per input.  When it passes, the gate tries one
+Cholesky factorization of the shifted Gram matrix of its own product,
+which it has formed for the normality residual, and hands the verdict
+on to the split.  On well-conditioned nonsingular input that
+certificate proves the split trivial, so regularize does not run; a
+pair with an input outside the class stops at the gates.
 Otherwise regularize takes one full SVD of the input, and on singular
 input its singular values prove the rank identity, so the split takes
 no values-only SVD of the gate product.  The rank identity also proves
@@ -21,6 +23,7 @@ import numpy as np
 import pytest
 
 import canonica.predicates as predicates
+import canonica.regularization as regularization
 from canonica.blocks import antidiag_block, direct_sum
 from canonica.canon_star import canon_star
 from canonica.equivalence import (
@@ -28,7 +31,13 @@ from canonica.equivalence import (
     decide_unitary_star_congruence,
 )
 from canonica.factorizations import eig_normal
-from canonica.sampling import default_rng, random_unitary
+from canonica.sampling import (
+    default_rng,
+    random_congruence_instance,
+    random_matrix,
+    random_star_instance,
+    random_unitary,
+)
 
 # regularize: one full SVD of a, after the certificate's Cholesky
 # factorization fails on singular input; its singular values prove the
@@ -45,8 +54,8 @@ DECIDE_STAR_SINGULAR_BUDGET = 2
 @pytest.fixture
 def counts(monkeypatch):
     """Record the shape of every SVD and Cholesky input and every
-    classify call."""
-    record = {"svd": [], "cholesky": [], "classify": 0}
+    classify and regularize call."""
+    record = {"svd": [], "cholesky": [], "classify": 0, "regularize": 0}
     # numpy.linalg.norm calls svd from the implementation module.
     spaces = [np.linalg] + [
         getattr(np.linalg, inner)
@@ -61,17 +70,18 @@ def counts(monkeypatch):
 
             monkeypatch.setattr(space, name, counted)
 
-    original_classify = predicates.classify
+    for owner, name in ((predicates, "classify"), (regularization, "regularize")):
+        original = getattr(owner, name)
 
-    def counted_classify(*args, **kwargs):
-        record["classify"] += 1
-        return original_classify(*args, **kwargs)
+        def counted_call(*args, _name=name, _f=original, **kwargs):
+            record[_name] += 1
+            return _f(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("canonica") and getattr(
-            module, "classify", None
-        ) is original_classify:
-            monkeypatch.setattr(module, "classify", counted_classify)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("canonica") and getattr(
+                module, name, None
+            ) is original:
+                monkeypatch.setattr(module, name, counted_call)
     return record
 
 
@@ -153,6 +163,26 @@ def test_decide_unitary_star_congruence_singular_budget(counts):
     assert _full_size(counts, 28) == 0
 
 
+@pytest.mark.parametrize(
+    "decide,sample",
+    [
+        (decide_unitary_congruence, random_congruence_instance),
+        (decide_unitary_star_congruence, random_star_instance),
+    ],
+)
+def test_a_pair_that_fails_the_gate_stops_at_the_gate(counts, decide, sample):
+    # b is out of class: both gates are measured, only a passes, so at
+    # most a's certificate is tried, and nothing is split or reduced.
+    gen = default_rng(20261022)
+    a = sample(16, gen)[1]
+    b = random_matrix(16, gen)
+    assert decide(a, b).verdict == "unsupported"
+    assert counts["classify"] == 0
+    assert counts["regularize"] == 0
+    assert _full_size(counts, a.shape[0]) == 0
+    assert counts["cholesky"] in ([], [a.shape])
+
+
 @pytest.fixture
 def gate_residuals(monkeypatch):
     """Count evaluations of the class gate's normality residual."""
@@ -203,6 +233,8 @@ def test_budget_counter_sees_the_gate(counts):
     predicates.classify(a)
     norm(a, "spectral")
     np.linalg.cholesky(np.eye(3))
+    regularization.split_regular_singular(a, "star")
     assert counts["classify"] == 1
-    assert _full_size(counts, a.shape[0]) == 3
-    assert counts["cholesky"] == [(3, 3)]
+    assert counts["regularize"] == 1
+    assert _full_size(counts, a.shape[0]) == 4
+    assert counts["cholesky"] == [(3, 3), a.shape]

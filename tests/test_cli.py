@@ -165,6 +165,21 @@ def test_gate_overflow_is_a_convergence_failure(tmp_path, capsys, mode):
     )
 
 
+@pytest.mark.parametrize("mode", ["--star", "--congruence"])
+def test_regularize_overflow_is_a_convergence_failure(tmp_path, capsys, mode):
+    # ||a||_F^2 overflows: the residual check cannot bound the residual.
+    path = tmp_path / "huge.json"
+    path.write_text(dumps_matrix(np.array([[0, 1e160, 0], [0, 0, 0], [0, 0, 0]])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _ = run_cli("regularize", mode, str(path))
+    assert code == cli.EXIT_CONVERGENCE
+    assert capsys.readouterr().err == (
+        "convergence failure: the regularization residual overflows float64 "
+        "at the input's scale\n"
+    )
+
+
 def test_reports_are_byte_identical():
     first = run_cli("canon", "--star", "--verify", fx("h2_i.json"))
     second = run_cli("canon", "--star", "--verify", fx("h2_i.json"))

@@ -5,6 +5,8 @@ came from, plus the structural claims its consumers rely on (unitarity,
 ordering, symmetry class of the factors).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +27,7 @@ from canonica.factorizations import (
     takagi_symmetric,
 )
 from canonica.matrix import DEFAULT_TOL, norm, rank, rel_residual
-from canonica.sampling import default_rng, random_unitary
+from canonica.sampling import default_rng, random_matrix, random_unitary
 
 gen = np.random.default_rng(20260819)
 
@@ -604,3 +606,16 @@ def test_pair_clusters_rejects_a_missing_partner_and_a_size_mismatch(
             factorizations._pair_clusters(
                 np.array(values, dtype=np.complex128), partner, mu_first, RADIUS
             )
+
+
+@pytest.mark.parametrize("scale", [1e80, 1e100, 1e140])
+def test_eig_normal_rejects_non_normal_input_at_any_scale(scale):
+    # The norms of a* a overflow at these scales; the normality residual
+    # is measured on a scaled copy and names the real cause.
+    a = scale * random_matrix(5, default_rng(0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            PreconditionError, match=r"^matrix is not normal \(residual 5\.319e-01\)$"
+        ):
+            eig_normal(a)

@@ -1,5 +1,7 @@
 """Boundedness of the alternating recurrence and its simulator."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,13 @@ from canonica.blocks import antidiag_block
 from canonica.errors import PreconditionError
 from canonica.iteration import classify_bounded, simulate
 from canonica.predicates import classify
-from canonica.sampling import default_rng, random_nonsingular
+from canonica.sampling import (
+    default_rng,
+    random_congruence_instance,
+    random_nonsingular,
+    random_star_instance,
+    random_unitary,
+)
 
 ROT90 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 H2_TWO = np.array([[0.0, 1.0], [2.0, 0.0]])
@@ -100,3 +108,18 @@ def test_trace_json():
     obj = simulate(ROT90, [1.0, 0.0], 3).to_json()
     assert set(obj) == {"norms", "growth_classification"}
     assert len(obj["norms"]) == 4
+
+
+@pytest.mark.parametrize("mode", ["congruence", "star"])
+@pytest.mark.parametrize("k", [130, 166, 230])
+def test_verdict_does_not_depend_on_the_scale(mode, k):
+    # The recurrence is the same at 2^k a, and so is the class gate that
+    # lets the normal cosquare's spectrum decide it.
+    gen = default_rng(7)
+    sample = random_congruence_instance if mode == "congruence" else random_star_instance
+    inputs = [random_unitary(6, gen), sample(6, gen)[1], random_nonsingular(6, gen)]
+    verdicts = [classify_bounded(a, mode) for a in inputs]
+    assert verdicts[0] == "bounded"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [classify_bounded(2.0**k * a, mode) for a in inputs] == verdicts

@@ -1,16 +1,25 @@
 """Class membership flags and the equivalence-of-conditions checks."""
 
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import canonica.regularization as regularization
+from canonica.matrix import DEFAULT_TOL
 from canonica.predicates import (
     FLAG_NAMES,
     bar_block_dualities,
     bar_double,
     classify,
     verify_characterizations,
+)
+from canonica.sampling import (
+    default_rng,
+    random_congruence_instance,
+    random_matrix,
+    random_star_instance,
 )
 
 J2 = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -139,6 +148,28 @@ PROBES = (
 )
 
 
+# The conditions each family reports, in order; the idents families
+# measure cosquare normality on nonsingular input only.
+CONDITIONS = {
+    "congruence_normal_idents": ["gram_normal", "cubic_identity", "cosquare_normal"],
+    "squared_normal_idents": ["square_normal", "cubic_identity", "cosquare_normal"],
+    "conjugate_normal_afd": [
+        "part_identity",
+        "definition",
+        "polar_conjugate",
+        "polar_intertwine",
+        "unitary_sum",
+        "orthogonal_sum",
+    ],
+    "congruence_normal_afd": [
+        "part_commute",
+        "definition",
+        "polar_intertwine",
+        "polar_family",
+    ],
+}
+
+
 @pytest.mark.parametrize("which", FAMILIES)
 def test_characterization_conditions_agree(which):
     # The listed conditions are equivalent, in and out of class alike.
@@ -146,6 +177,11 @@ def test_characterization_conditions_agree(which):
         res = verify_characterizations(a, which)
         assert res["agree"], (which, a)
         assert isinstance(res["nonsingular"], bool)
+        assert list(res["conditions"]) == [
+            name
+            for name in CONDITIONS[which]
+            if res["nonsingular"] or name != "cosquare_normal"
+        ]
         for cond in res["conditions"].values():
             assert set(cond) == {"residual", "holds"}
 
@@ -207,3 +243,36 @@ def test_bar_block_dualities_extra_entries_need_inverses():
     assert "squared_vs_congruence" in singular
     assert "congruence_vs_squared" in singular
     assert singular < nonsingular
+
+
+def _gate_instances():
+    gen = default_rng(5)
+    return {
+        "congruence_normal": random_congruence_instance(6, gen)[1],
+        "squared_normal": random_star_instance(6, gen)[1],
+        "out_of_class": random_matrix(6, gen),
+    }
+
+
+@pytest.mark.parametrize("kind", ["congruence_normal", "squared_normal", "out_of_class"])
+@pytest.mark.parametrize("k", [130, 166, 230])
+def test_class_gate_residuals_do_not_depend_on_the_scale(kind, k):
+    # Scaling by 2^k is exact, and the gate identities are relative: the
+    # residuals at 2^k a are those at a to the bit, past where the norms
+    # of the gate products' Gram matrices overflow, and the canonical
+    # forms' class gate measures the same numbers.
+    a = _gate_instances()[kind]
+    base = classify(a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = classify(2.0**k * a)
+        gates = {
+            flag: regularization._gate(2.0**k * a, mode, DEFAULT_TOL)[0]
+            for mode, flag in regularization._GATE_FLAGS.items()
+        }
+    for flag, gate in gates.items():
+        assert scaled.residuals[flag] == base.residuals[flag]
+        assert scaled.flags[flag] == base.flags[flag]
+        assert gate == base.residuals[flag]
+    assert base.flags["congruence_normal"] == (kind == "congruence_normal")
+    assert base.flags["squared_normal"] == (kind == "squared_normal")

@@ -14,7 +14,7 @@ from canonica.canon_congruence import canon_congruence
 from canonica.canon_star import canon_star
 from canonica.errors import ConvergenceError, PreconditionError
 from canonica.factorizations import svd
-from canonica.matrix import DEFAULT_TOL, norm, rank
+from canonica.matrix import DEFAULT_TOL, _normality_residual, norm, rank
 from canonica.predicates import classify
 from canonica.regularization import regularize, split_regular_singular
 from canonica.blocks import direct_sum
@@ -294,14 +294,13 @@ def test_certificate_never_proves_a_split_the_svd_would_not(
         warnings.simplefilter("error")
         # Past about 1e77 the Gram matrix p* p of the gate product
         # overflows: the gate raises, and no split runs.  The
-        # certificate is checked on what the gate hands on.
+        # certificate is checked as the gate hands it on.
         try:
-            _, gram = regularization._gate(a, mode)
+            _, certified = regularization._gate(a, mode, DEFAULT_TOL)
         except ConvergenceError:
             assert log_scale > 70.0
             return
         product = regularization._gate_product(a, mode)
-        certified = regularization._certifies_trivial_split(a, gram, DEFAULT_TOL)
         if certified:
             s_product = np.linalg.svd(product, compute_uv=False)
             _, slack, cutoff = regularization._weyl_terms(a, DEFAULT_TOL)
@@ -323,8 +322,7 @@ def test_certificate_decides_well_conditioned_input_only(mode):
     gen = default_rng(20261027)
     for log_gap, expected in ((-2.0, True), (-5.0, True), (-9.0, False), (-12.0, False)):
         a = _swept(12, mode, log_gap, gen)
-        _, gram = regularization._gate(a, mode)
-        got = regularization._certifies_trivial_split(a, gram, DEFAULT_TOL)
+        _, got = regularization._gate(a, mode, DEFAULT_TOL)
         assert got is expected, log_gap
 
 
@@ -649,6 +647,23 @@ def test_split_threshold_overflow_is_a_convergence_error(canon):
 
 
 @pytest.mark.parametrize("mode", ["congruence", "star"])
+def test_regularize_residual_overflow_is_a_convergence_error(mode):
+    # ||a||_F^2 overflows, so the residual check's bound would be inf
+    # and pass whatever the residual: the check raises instead, as the
+    # split of the same matrix does.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            ConvergenceError,
+            match="^the regularization residual overflows float64 at the "
+            "input's scale$",
+        ):
+            regularize(_nilpotent_at(1e160), mode)
+        reduced = regularize(_nilpotent_at(1e150), mode)
+    assert reduced.sigma == pytest.approx([1e150])
+
+
+@pytest.mark.parametrize("mode", ["congruence", "star"])
 def test_gate_overflow_is_a_convergence_error(mode):
     sample = random_congruence_instance if mode == "congruence" else random_star_instance
     a = 1e80 * sample(6, default_rng(5))[1]
@@ -666,15 +681,21 @@ def test_gate_measures_past_where_its_norms_overflow(mode):
     # From about ||a||_F = 1e38 on, the Frobenius norms of p* p overflow
     # although p* p does not.  The gate then measures its relative
     # residual on p scaled by a power of two: scaling a by 2^166 (about
-    # 1e50) is exact, so residual and Gram matrix are a's to the bit.
+    # 1e50) is exact, so residual, Gram matrix and certificate are a's
+    # to the bit.
     sample = random_congruence_instance if mode == "congruence" else random_star_instance
     a = sample(6, default_rng(5))[1]
+
+    def gram(x):
+        return _normality_residual(regularization._gate_product(x, mode))[1]
+
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        residual, gram = regularization._gate(a, mode)
-        big_residual, big_gram = regularization._gate(2.0**166 * a, mode)
+        gate = regularization._gate(a, mode, DEFAULT_TOL)
+        big_gate = regularization._gate(2.0**166 * a, mode, DEFAULT_TOL)
+        big_gram = gram(2.0**166 * a)
         split = split_regular_singular(2.0**166 * a, mode)
-    assert big_residual == residual
-    assert np.array_equal(big_gram, 2.0**664 * gram)
+    assert big_gate == gate
+    assert np.array_equal(big_gram, 2.0**664 * gram(a))
     expected = 2.0**166 * split_regular_singular(a, mode).assembled()
     assert norm(split.assembled() - expected) <= 1e-12 * norm(expected)
