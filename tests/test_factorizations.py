@@ -543,6 +543,34 @@ def test_hua_skew_proves_full_rank_without_an_svd(monkeypatch):
     assert tau == pytest.approx([3.0, 2.0, 1.0, 0.5])
 
 
+
+@pytest.mark.parametrize("perturbation,dominant", [(0.0, "eta"), (1e-4, "spread")])
+def test_hua_skew_gram_proof_is_exactly_its_documented_bound(perturbation, dominant):
+    # _gram_proves_full_rank proves rank(given) == n when sqrt(l - eta)
+    # - spread > rank_rtol n (sqrt(h + eta) + spread) (1 + 1e-6), for the
+    # smallest and largest Gram eigenvalues l and h, eta = 2 (g + 8 n^2
+    # u) F^2 and spread = ||given - skew||_F + 16 n^2 u F, each norm
+    # widened by 1e-6.  l, set one part in 1e6 either side of where
+    # that binds, pins eta on a skew input and the spread on one whose
+    # symmetric part is 1e-4.
+    n = 6
+    gen = default_rng(20261103)
+    given = _hidden_skew([1.0, 2.0, 0.5], 20261103) + perturbation * random_matrix(n, gen)
+    skew = (given - given.T) / 2.0
+    u = np.finfo(np.float64).eps / 2
+    fro = norm(given) * (1 + 1e-6)
+    eta = 2 * (4 * (n + 2) * u + 8 * n * n * u) * fro**2
+    spread = norm(given - skew) * (1 + 1e-6) + 16 * n * n * u * fro
+    high = 4.0
+    reach = spread + DEFAULT_TOL.rank_rtol * (np.sqrt(high + eta) + spread) * n * (1 + 1e-6)
+    low = eta + reach**2
+    assert {"eta": eta, "spread": spread**2}[dominant] > 0.5 * low
+    for factor, expected in ((1 + 1e-6, True), (1 - 1e-6, False)):
+        evals = np.array([low * factor, 1.0, high])
+        got = factorizations._gram_proves_full_rank(given, skew, evals, DEFAULT_TOL)
+        assert got is expected, factor
+
+
 RADIUS = 1e-8
 Z = 2.0 + 1.0j
 PAIRING_CASES = {

@@ -14,7 +14,13 @@ from canonica.canon_congruence import canon_congruence
 from canonica.canon_star import canon_star
 from canonica.errors import ConvergenceError, PreconditionError
 from canonica.factorizations import svd
-from canonica.matrix import DEFAULT_TOL, _normality_residual, norm, rank
+from canonica.matrix import (
+    DEFAULT_TOL,
+    ToleranceConfig,
+    _normality_residual,
+    norm,
+    rank,
+)
 from canonica.predicates import classify
 from canonica.regularization import regularize, split_regular_singular
 from canonica.blocks import direct_sum
@@ -622,6 +628,97 @@ def test_rank_identity_proof_is_exactly_its_documented_bound():
     assert sigma_bound < reduced._sigma[r - 1]
     assert proves(0.0, sigma_bound * (1 + 1e-9))
     assert not proves(0.0, sigma_bound * (1 - 1e-9))
+
+
+
+@pytest.mark.parametrize(
+    "scale,rank_rtol,dominant",
+    [(1.0, 1e-10, "gram"), (1.0, 1e-7, "theta"), (1e-76, 1e-10, "underflow")],
+)
+def test_trivial_split_certificate_is_exactly_its_documented_tau(
+    scale, rank_rtol, dominant
+):
+    # _certifies_trivial_split factorizes gram - tau I, with tau = 2
+    # ((theta + 8 n^2 u sqrt(f2))^2 + 2 g f2) + 16 n^2 tiny.  On a
+    # diagonal Gram matrix that factor exists exactly when every entry
+    # exceeds tau, so the smallest entry, set one part in 1e9 either
+    # side of tau, pins tau; 1e9 rather than 1e6 also pins the SVD's
+    # error 8 n^2 u sqrt(f2) inside the square.  The three cases make a
+    # different term dominate tau: the Gram matrix's rounding 2 g f2,
+    # the test's own threshold theta, and the underflow term.
+    tol = ToleranceConfig(rank_rtol=rank_rtol)
+    a = scale * random_star_instance(6, default_rng(20261102))[1]
+    n = 6
+    _, slack, cutoff = regularization._weyl_terms(a, tol)
+    u = np.finfo(np.float64).eps / 2
+    theta = (slack + cutoff) * (1 + 16 * u)
+    rest = norm(a) ** 4
+
+    def gram(x):
+        return np.diag([x] + [rest] * (n - 1)).astype(np.complex128)
+
+    def terms(x):
+        f2 = float(np.trace(gram(x)).real)
+        return {
+            "theta": 2 * (theta + 8 * n * n * u * np.sqrt(f2)) ** 2,
+            "gram": 4 * 4 * (n + 2) * u * f2,
+            "underflow": 16 * n * n * np.finfo(np.float64).tiny,
+        }
+
+    tau = sum(terms(0.0).values())
+    tau = sum(terms(tau).values())
+    assert terms(tau)[dominant] > 0.5 * tau
+    for factor, expected in ((1 + 1e-9, True), (1 - 1e-9, False)):
+        got = regularization._certifies_trivial_split(a, gram(tau * factor), tol)
+        assert got is expected, factor
+
+
+@pytest.mark.parametrize("mode", ["congruence", "star"])
+def test_regular_part_margin_is_exactly_its_documented_bound(monkeypatch, mode):
+    # Without the rank identity's proof, the split checks the regular
+    # part's rank only when s_k0, the k0-th singular value of the gate
+    # product, misses the Weyl margin: s_k0 - (2 (s + e) + e) e >
+    # rank_rtol (s + e)^2 k0, with s = ||a||_2 and e = res + 1e-12 n s.
+    # Bordering blocks of 1e-8 make the split residual res large enough
+    # that the margin, not the rank identity's cutoff, binds; s_k0 is
+    # set one part in 1e6 either side of it.
+    gen = default_rng(20261104)
+    a = apply(random_unitary(9, gen), _reduced_layout(9, gen, -1.0, -8.0), mode)
+    residuals = []
+
+    def recorded(reduced, res, *args):
+        residuals.append(res)
+        return True
+
+    monkeypatch.setattr(regularization, "_proves_rank_identity", recorded)
+    regularization._split_by_reduction(a, mode, DEFAULT_TOL)
+    monkeypatch.undo()
+    (res,) = residuals
+    reduced = regularize(a, mode)
+    n, k0 = 9, 9 - reduced.m1 - reduced.m2
+    s = float(reduced._sigma[0])
+    e = res + 1e-12 * n * s
+    margin = (2 * (s + e) + e) * e + DEFAULT_TOL.rank_rtol * (s + e) ** 2 * k0
+    s_product = _svd_of_gate_product(a, mode)
+    # The rank identity passes with s_k0 on either side of the margin.
+    assert s_product[k0] <= DEFAULT_TOL.rank_rtol * s**2 * n < margin
+
+    checks = []
+    original = regularization.rank
+
+    def counted(x, *args, **kwargs):
+        if np.shape(x) == (k0, k0):
+            checks.append(1)
+        return original(x, *args, **kwargs)
+
+    monkeypatch.setattr(regularization, "rank", counted)
+    for factor, checked in ((1 + 1e-6, []), (1 - 1e-6, [1])):
+        probe = s_product.copy()
+        probe[k0 - 1] = margin * factor
+        checks.clear()
+        split = regularization._split_by_reduction(a, mode, DEFAULT_TOL, probe)
+        assert checks == checked, factor
+        assert split.regular.shape == (k0, k0)
 
 
 def _nilpotent_at(scale):
