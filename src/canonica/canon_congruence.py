@@ -33,7 +33,7 @@ from .factorizations import hua_skew, takagi_symmetric
 from .matrix import DEFAULT_TOL, ToleranceConfig, as_matrix
 from .pipeline import _canon, _Mode
 from .predicates import _require_class
-from .regularization import _cosquare
+from .regularization import _checked_cosquare
 
 __all__ = [
     "CongruenceCanonicalForm",
@@ -92,7 +92,7 @@ class CongruenceCanonicalForm:
 
 def cosquare(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """The transpose cosquare a^{-T} a of a nonsingular matrix."""
-    return _cosquare(as_matrix(a, square=True), "congruence", tol)
+    return _checked_cosquare(as_matrix(a, square=True), "congruence", tol)
 
 
 def _fixed_groups(fixed):

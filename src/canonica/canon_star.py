@@ -39,7 +39,7 @@ from .errors import ConvergenceError, PreconditionError
 from .matrix import DEFAULT_TOL, ToleranceConfig, as_matrix, norm
 from .pipeline import _canon, _Mode
 from .predicates import _require_class
-from .regularization import _cosquare
+from .regularization import _checked_cosquare
 
 __all__ = [
     "StarCanonicalForm",
@@ -116,7 +116,7 @@ class StarCanonicalForm:
 
 def star_cosquare(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """The *cosquare a^{-*} a of a nonsingular matrix."""
-    return _cosquare(as_matrix(a, square=True), "star", tol)
+    return _checked_cosquare(as_matrix(a, square=True), "star", tol)
 
 
 def _reduce_unimodular(lam: complex, block, tol):

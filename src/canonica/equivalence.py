@@ -18,10 +18,10 @@ from .canon_congruence import _CONGRUENCE, CongruenceCanonicalForm
 from .canon_star import _STAR, StarCanonicalForm, canon_quadratic, pearcy_equal_2x2
 from .errors import ConvergenceError, PreconditionError
 from .factorizations import polar, svd
-from .matrix import DEFAULT_TOL, ToleranceConfig, as_matrix, norm, rank
+from .matrix import DEFAULT_TOL, ToleranceConfig, _adjoint, as_matrix, norm, rank
 from .pipeline import _canon
 from .predicates import _class_residual
-from .regularization import MODES, _adjoint, _gate, _split
+from .regularization import MODES, _gate, _split
 
 __all__ = [
     "BLOCK_ATOL",

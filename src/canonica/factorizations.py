@@ -37,9 +37,40 @@ __all__ = [
     "cluster_real_sorted",
 ]
 
-# Unit roundoff of float64: every rounding error bound below is a
-# multiple of it.
+# The a priori rounding model that every certificate, here and in
+# regularization, proves its decisions with; each proof cites it.
 _UNIT = float(np.finfo(np.float64).eps) / 2.0
+_TINY = float(np.finfo(np.float64).tiny)
+_HUGE = float(np.finfo(np.float64).max)
+
+
+def _product_error(n: int) -> float:
+    """g = 4 (n + 2) u: complex products of inner length n, and completed
+    Cholesky factors of n x n input, err by g times the Frobenius norms
+    (Higham, Accuracy and Stability of Numerical Algorithms, 3.6, 10.5)."""
+    return 4.0 * (n + 2) * _UNIT
+
+
+def _value_error(n: int) -> float:
+    """8 n^2 u: the SVD's and eigh's error on the values of n x n x, over ||x||_F."""
+    return 8.0 * n * n * _UNIT
+
+
+def _underflow(n: int) -> float:
+    """16 n^2 tiny: what underflow can take from a bound on n x n input."""
+    return 16.0 * n * n * _TINY
+
+
+def _weyl_slack(s: float, e: float) -> float:
+    """(2 (s + e) + e) e: how far the gate product of x + E, and by Weyl
+    its singular values, lie from x's, for ||x||_2 <= s, ||E||_2 <= e."""
+    return (2.0 * (s + e) + e) * e
+
+
+def _weyl(s: float, e: float, k: int, tol: ToleranceConfig) -> tuple[float, float]:
+    """(slack, cutoff): if x's gate product is that of a k x k r, the
+    k-th value s_k of x + E's proves rank(r) == k if s_k - slack > cutoff."""
+    return _weyl_slack(s, e), tol.rank_rtol * (s + e) ** 2 * k
 
 
 @dataclass(frozen=True)
@@ -251,9 +282,8 @@ def _proved_normal(lam: np.ndarray, recon: float, fro: float, target: float) -> 
     u comes from eigh and from rotations by eigh's eigenvectors, which
     LAPACK makes unitary to a modest multiple of n eps (measured below
     0.2 n eps at n = 128 and 250); the bound takes ||u* u - I||_2 <= d =
-    64 n eps.  With g = 4 (n + 2) unit roundoffs for a complex product of
-    length n, the exact ||r||_F is at most recon + g fro sqrt(2 n) +
-    3 u sqrt(2) ||lam||.  If u = q p is the polar
+    64 n eps.  With g = _product_error(n), the exact ||r||_F is at most
+    recon + g fro sqrt(2 n) + 3 u sqrt(2) ||lam||.  If u = q p is the polar
     decomposition, ||p - I||_2 <= d and a = q diag(lam) q* + f with
     ||f||_F <= (||r||_F + 2 d ||lam||) / sqrt(1 - d).  Then
     ||a* a - a a*||_F <= 2 phi with phi = ||f||_F (2 max|lam| +
@@ -264,7 +294,7 @@ def _proved_normal(lam: np.ndarray, recon: float, fro: float, target: float) -> 
     """
     n = len(lam)
     u = _UNIT
-    g = 4.0 * (n + 2) * u
+    g = _product_error(n)
     d = 128.0 * n * u
     # Sums of powers of |lam| relative to the largest, which cannot
     # overflow; the scalars are Python floats, which overflow to inf.
@@ -294,21 +324,17 @@ def _gram_proves_full_rank(
     matrix of skew = (given - given^T) / 2, formed and symmetrized as
     hua_skew does, prove rank(given, tol) == n without its SVD.
 
-    With F = ||given||_F >= ||skew||_F and g = 4 (n + 2) unit
-    roundoffs, the formed Gram matrix is within g F^2 of skew* skew, and
-    eigh and the SVD each compute their values to within 8 n^2 u times
-    the norm (u the unit roundoff).  So sigma_i(skew)^2 lies within
-    eta = (g + 8 n^2 u) F^2 of the computed eigenvalue, sigma_i(given)
-    within e = ||given - skew||_F of sigma_i(skew), and rank()'s own
-    values within 8 n^2 u F of sigma_i(given).  The bounds below are
-    doubled, and a relative 1e-6 covers the rounding in F, e and the
-    cutoff.
+    With F = ||given||_F >= ||skew||_F, sigma_i(skew)^2 lies within
+    eta = (_product_error(n) + _value_error(n)) F^2 of the computed
+    eigenvalue, sigma_i(given) within e = ||given - skew||_F of
+    sigma_i(skew), and rank()'s own values within _value_error(n) F of
+    sigma_i(given).  The bounds below are doubled, and a relative 1e-6
+    covers the rounding in F, e and the cutoff.
     """
     n = given.shape[0]
-    u = _UNIT
     fro = norm(given) * (1.0 + 1e-6)
-    eta = 2.0 * (4.0 * (n + 2) * u + 8.0 * n * n * u) * fro * fro
-    spread = norm(given - skew) * (1.0 + 1e-6) + 16.0 * n * n * u * fro
+    eta = 2.0 * (_product_error(n) + _value_error(n)) * fro * fro
+    spread = norm(given - skew) * (1.0 + 1e-6) + 2.0 * _value_error(n) * fro
     low = math.sqrt(max(0.0, float(evals[0]) - eta)) - spread
     high = math.sqrt(float(evals[-1]) + eta) + spread
     return low > tol.rank_rtol * high * n * (1.0 + 1e-6)

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .matrix import DEFAULT_TOL, ToleranceConfig, as_matrix, rank
+from .matrix import DEFAULT_TOL, ToleranceConfig, _cosquare, as_matrix, rank
 from .factorizations import eig_normal
 from .predicates import _class_residual
-from .regularization import _GATE_FLAGS, MODES, _adjoint
+from .regularization import _GATE_FLAGS, MODES
 
 __all__ = ["IterationTrace", "classify_bounded", "simulate"]
 
@@ -25,10 +25,6 @@ __all__ = ["IterationTrace", "classify_bounded", "simulate"]
 BOUNDED_FACTOR = 1e3
 UNBOUNDED_FACTOR = 1e6
 OVERFLOW_FACTOR = 1e15
-
-
-def _iteration_matrix(a: np.ndarray, mode: str) -> np.ndarray:
-    return -np.linalg.solve(_adjoint(a, mode), a)
 
 
 def _gate(a, mode: str, tol: ToleranceConfig) -> np.ndarray:
@@ -56,7 +52,7 @@ def classify_bounded(
     a = _gate(a, mode, tol)
     if a.shape[0] == 0:
         return "bounded"
-    cos = -_iteration_matrix(a, mode)
+    cos = _cosquare(a, mode)
     threshold = 1.0 + tol.cluster_rtol
     if _class_residual(a, _GATE_FLAGS[mode], tol) <= tol.residual_rtol:
         try:
@@ -112,7 +108,7 @@ def simulate(
         raise PreconditionError(
             f"start vector has length {x.shape[0]}, expected {a.shape[0]}"
         )
-    m = _iteration_matrix(a, mode)
+    m = -_cosquare(a, mode)
 
     norms = [float(np.linalg.norm(x))]
     limit = OVERFLOW_FACTOR * max(1.0, norms[0])

@@ -131,6 +131,16 @@ def _normality_residual(x: np.ndarray) -> tuple[float, np.ndarray]:
     return rel_residual(gram, x @ x.conj().T), gram / scale / scale
 
 
+def _adjoint(m: np.ndarray, mode: str) -> np.ndarray:
+    """m^T for congruence, m* for star: t acts on a as t a _adjoint(t)."""
+    return m.T if mode == "congruence" else m.conj().T
+
+
+def _cosquare(a: np.ndarray, mode: str) -> np.ndarray:
+    """The cosquare a^{-T} a (congruence) or a^{-*} a (star) of nonsingular a."""
+    return np.linalg.solve(_adjoint(a, mode), a)
+
+
 def matrix_to_json(a) -> dict:
     """Encode as {"rows", "cols", "data"} with data a row-major list of
     [re, im] pairs."""

@@ -20,8 +20,8 @@ import numpy as np
 from .blocks import direct_sum, permutation_matrix
 from .errors import ConvergenceError
 from .factorizations import _pair_clusters, eig_normal, svd
-from .matrix import ToleranceConfig, as_matrix, norm
-from .regularization import RegularSplit, _adjoint, split_regular_singular
+from .matrix import ToleranceConfig, _adjoint, _cosquare, as_matrix, norm
+from .regularization import RegularSplit, split_regular_singular
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ def _canon(a, mode: _Mode, tol: ToleranceConfig, split: RegularSplit | None = No
     if k > 0:
         reg = split.regular
         # The split has checked that reg is nonsingular.
-        lam, u_eig = eig_normal(np.linalg.solve(adj(reg), reg), tol)
+        lam, u_eig = eig_normal(_cosquare(reg, mode.name), tol)
         radius = tol.cluster_rtol * max(float(np.max(np.abs(lam))), 1.0)
         fixed, pairs = _pair_clusters(lam, mode.partner, mode.mu_first, radius)
         groups = mode.fixed_groups(fixed)

@@ -17,6 +17,7 @@ from .factorizations import SvdResult, cluster_real_sorted, svd
 from .matrix import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _cosquare,
     _normality_residual,
     as_matrix,
     norm,
@@ -104,11 +105,11 @@ class _Products:
 
     @cached_property
     def cosquare(self) -> np.ndarray:
-        return np.linalg.solve(self.a.T, self.a)
+        return _cosquare(self.a, "congruence")
 
     @cached_property
     def star_cosquare(self) -> np.ndarray:
-        return np.linalg.solve(self.a_star, self.a)
+        return _cosquare(self.a, "star")
 
     @cached_property
     def eye(self) -> np.ndarray:

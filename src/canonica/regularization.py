@@ -20,12 +20,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
-from .factorizations import _UNIT, svd
+from .factorizations import _HUGE, _UNIT, _product_error, _underflow, _value_error
+from .factorizations import _weyl, _weyl_slack, svd
 from .matrix import (
     DEFAULT_TOL,
     ToleranceConfig,
     as_matrix,
     matrix_to_json,
+    _adjoint,
+    _cosquare,
     _normality_residual,
     _rank_of_values,
     norm,
@@ -38,11 +41,6 @@ __all__ = ["ReducedForm", "RegularSplit", "regularize", "split_regular_singular"
 MODES = ("congruence", "star")
 _COSQUARE_NAMES = {"congruence": "cosquare", "star": "star_cosquare"}
 _GATE_FLAGS = {"congruence": "congruence_normal", "star": "squared_normal"}
-
-
-def _adjoint(m: np.ndarray, mode: str) -> np.ndarray:
-    """m^T for congruence, m* for star: t acts on a as t a _adjoint(t)."""
-    return m.T if mode == "congruence" else m.conj().T
 
 
 @dataclass(frozen=True)
@@ -245,48 +243,32 @@ def _gate(a: np.ndarray, mode: str, tol: ToleranceConfig) -> tuple[float, bool]:
 
 
 def _weyl_terms(a: np.ndarray, tol: ToleranceConfig) -> tuple[float, float, float]:
-    """(F, slack, cutoff), F = ||a||_F, of the test that proves a
-    nonempty a nonsingular from the smallest singular value s of its
-    gate product: s - slack > cutoff.  It is the Weyl margin of
-    _split_by_reduction with F in place of ||a||_2 <= F, which only
-    makes it stricter, and with a zero residual widened by e = 1e-12 n
-    F, far beyond the rounding in p.  As sigma_min(p) <= sigma_min(a)
-    ||a||_2 for p = conj(a) a or a^2, it implies all three checks of
-    that route: the rank cutoff finds a nonsingular, the rank identity
-    holds, and the regular part, a itself, is nonsingular."""
+    """(F, slack, cutoff), F = ||a||_F: the margin of _weyl for a itself,
+    with F >= ||a||_2 and e = 1e-12 n F, far beyond the rounding in p.
+    The smallest value s of the gate product p passing s - slack >
+    cutoff implies all three checks of _split_by_reduction: the rank
+    cutoff finds a nonsingular, the rank identity holds, and the regular
+    part, a itself, is nonsingular."""
     n = a.shape[0]
     with _overflow_raises("the split's threshold"):
         fro = norm(a)
-        e = 1e-12 * n * fro
-        return fro, (2.0 * (fro + e) + e) * e, tol.rank_rtol * (fro + e) ** 2 * n
-
-
-# The smallest normal and the largest float64.
-_TINY = float(np.finfo(np.float64).tiny)
-_HUGE = float(np.finfo(np.float64).max)
+        return (fro, *_weyl(fro, 1e-12 * n * fro, n, tol))
 
 
 def _certifies_trivial_split(
     a: np.ndarray, gram: np.ndarray, tol: ToleranceConfig
 ) -> bool:
     """Whether gram - tau I has a Cholesky factor, for a tau that makes
-    that a proof of the test s - slack > cutoff (see _weyl_terms) on the
-    singular values s that np.linalg.svd computes for the gate product p
-    of a nonempty a, whose computed Gram matrix p* p is gram.
-    Overwrites gram's diagonal.
+    that a proof of the test s - slack > cutoff (_weyl_terms) on the
+    values s that np.linalg.svd computes for the gate product p of a
+    nonempty a, whose computed Gram matrix p* p is gram.  Overwrites
+    gram's diagonal.
 
-    Let f2 = trace(gram) = ||p||_F^2 to rounding and g = 4 (n + 2) u, u
-    the unit roundoff, which bounds complex inner products of length n
-    (Higham, Accuracy and Stability of Numerical Algorithms, 3.6).  Then
-    gram = p* p + E with ||E||_2 <= g f2, and a Cholesky factorization
-    that runs to completion is one of gram - tau I + D, ||D||_2 <= g f2
-    (Thm 10.5, with || |R*| |R| ||_2 <= trace(R* R) <= f2 and complex
-    constants).  So sigma_min(p)^2 >= tau - 2 g f2, less the rounding
-    of the shift itself, u (f2 + tau).  The SVD
-    computes sigma_min(p) to within 8 n^2 u ||p||_F (Householder
-    bidiagonalization, then a relatively accurate bidiagonal SVD).  tau
-    below is twice what those bounds need, plus a term for underflow;
-    above f2 / n >= lambda_min(gram) no factor can exist.
+    With f2 = trace(gram) and g = _product_error(n), gram and a
+    completed factorization each err by g f2, so sigma_min(p)^2 >= tau -
+    2 g f2 - u (f2 + tau), the last the shift's rounding; the SVD adds
+    _value_error(n) sqrt(f2).  tau doubles what these need, plus
+    _underflow(n); above f2 / n >= lambda_min(gram) no factor exists.
     """
     n = gram.shape[0]
     if n == 0:
@@ -300,9 +282,8 @@ def _certifies_trivial_split(
     theta = (slack + cutoff) * (1.0 + 16.0 * _UNIT)
     if not theta < math.sqrt(f2):
         return False
-    g = 4.0 * (n + 2) * _UNIT
-    bound = theta + 8.0 * n * n * _UNIT * math.sqrt(f2)
-    tau = 2.0 * (bound * bound + 2.0 * g * f2) + 16.0 * n * n * _TINY
+    bound = theta + _value_error(n) * math.sqrt(f2)
+    tau = 2.0 * (bound * bound + 2.0 * _product_error(n) * f2) + _underflow(n)
     if not tau < f2 / n:
         return False
     gram.flat[:: n + 1] -= tau
@@ -409,22 +390,16 @@ def _split_by_reduction(
             f"split residual {res:.3e} exceeds {bound:.3e}"
         )
     if k0 > 0 and not proved:
-        # The rank identity usually proves the regular part nonsingular
-        # at its own cutoff, which spares a rank check of its own.
-        # p = conj(a) a (or a^2) is unitarily similar to the
-        # same product of assembled() + E, ||E|| <= e: the residual just
-        # measured, widened far beyond rounding.  The product of
-        # assembled() is that of the regular part r plus zeros, as the
-        # elementary blocks square to zero, and ||r|| <= s + e with
-        # s = ||a||_2.  Weyl's inequality gives sigma_min(r) ||r|| >=
-        # sigma_k0(p) - 2 (s + e) e - e^2; above rank_rtol (s + e)^2 k0,
-        # that is rank(r) == k0.  Without that proof, as when bordering
-        # blocks pass the vanishing test above yet exceed the rank
-        # cutoff, the regular part gets its own rank check.
+        # The Weyl margin (_weyl) usually proves the regular part
+        # nonsingular: the elementary blocks add nothing to the gate
+        # product of the assembled split, which is a up to e.  When it
+        # does not, as when bordering blocks pass the vanishing test
+        # above yet exceed the rank cutoff, the regular part gets its
+        # own rank check.
         e = res + 1e-12 * n * spectral_norm
-        margin = float(s_product[k0 - 1]) - (2.0 * (spectral_norm + e) + e) * e
-        threshold = tol.rank_rtol * (spectral_norm + e) ** 2 * k0
-        if not margin > threshold and rank(split.regular, tol) < k0:
+        slack_k0, cutoff_k0 = _weyl(spectral_norm, e, k0, tol)
+        margin = float(s_product[k0 - 1]) - slack_k0
+        if not margin > cutoff_k0 and rank(split.regular, tol) < k0:
             raise PreconditionError(
                 f"{_COSQUARE_NAMES[mode]} requires a nonsingular regular part; "
                 "the split left a singular one"
@@ -442,40 +417,32 @@ def _proves_rank_identity(
 ) -> bool:
     """Whether the singular values sigma of a that regularize computed
     prove every decision that the values-only SVD s of the gate product
-    p would take in _split_by_reduction: the test s_n - slack > cutoff
-    of _weyl_terms fails, exactly k0 = n - m1 - m2 values of s lie above
-    the rank identity's cutoff c = rank_rtol n sigma_1^2, and s_k0
-    clears the margin that proves the regular part nonsingular.  reduced
-    has m1 > 0, res is the split residual and (fro, slack, cutoff) come
-    from _weyl_terms.
+    p would take in _split_by_reduction: the test of _weyl_terms fails,
+    exactly k0 = n - m1 - m2 values of s lie above the rank identity's
+    cutoff c = rank_rtol n sigma_1^2, and s_k0 proves the regular part
+    nonsingular.  reduced has m1 > 0, res is the split residual and
+    (fro, slack, cutoff) come from _weyl_terms.
 
-    Let A0 be the assembled split, the direct sum of the regular part
-    reg and the elementary blocks N, and e = res + 1e-12 n sigma_1 the
-    residual widened as _split_by_reduction widens it, so that a is
-    unitarily similar to A0 + E with ||E||_2 <= e.  The nonzero singular
-    values of A0 are those of reg and the coupling's, so with h = 8 n^2
-    u F, the SVD's error on sigma, sigma_min(reg) >= sigma_r(A0) >=
-    sigma_r - h - e = l, r = n - m1.  N^2 = conj(N) N = 0, so p is
-    unitarily similar to the same product of A0 + E, which is reg^2 (or
-    conj(reg) reg) plus zeros up to d = (2 (sigma_1 + h + e) + e) e.
-    Weyl's inequality then gives s_k0 >= l^2 - d - w and s_k0+1 <= d +
-    w, where w = (g + 8 n^2 u) F^2 bounds the rounding in forming p (g
-    as in _certifies_trivial_split) and the SVD's error on s.  Below,
-    every error term is doubled, which also covers the rounding in
-    evaluating these bounds, plus a term for underflow.  Rounding is
-    monotone, so a bound that passes a test evaluated as
-    _split_by_reduction evaluates it passes it for s too.
+    a is unitarily similar to the assembled split A0 + E, ||E||_2 <= e
+    = res + 1e-12 n sigma_1, and A0 is the regular part reg plus
+    elementary blocks N with N^2 = conj(N) N = 0.  With h =
+    _value_error(n) F, sigma_min(reg) >= sigma_r - h - e = l, r = n -
+    m1, and p is reg^2 (or conj(reg) reg) plus zeros up to d =
+    _weyl_slack(sigma_1 + h, e).  Weyl's inequality gives s_k0 >= l^2 -
+    d - w and s_k0+1 <= d + w, w = (_product_error(n) + _value_error(n))
+    F^2.  Each error term is doubled, which covers the rounding in these
+    bounds, plus _underflow(n); rounding is monotone, so a bound that
+    passes a test as _split_by_reduction evaluates it passes it for s.
     """
     sigma = reduced._sigma
     n = len(sigma)
     k0 = n - reduced.m1 - reduced.m2
     s1 = float(sigma[0])
     e = res + 1e-12 * n * s1
-    h = 8.0 * n * n * _UNIT * fro
-    g = 4.0 * (n + 2) * _UNIT
-    d = (2.0 * (s1 + h + e) + e) * e
-    w = (g + 8.0 * n * n * _UNIT) * fro * fro
-    noise = 2.0 * (d + w) + 16.0 * n * n * _TINY
+    h = _value_error(n) * fro
+    d = _weyl_slack(s1 + h, e)
+    w = (_product_error(n) + _value_error(n)) * fro * fro
+    noise = 2.0 * (d + w) + _underflow(n)
     # The rank identity's cutoff, evaluated as _rank_of_values does.
     c = tol.rank_rtol * s1 ** 2 * n
     if not (noise <= c and noise - slack <= cutoff):
@@ -486,17 +453,16 @@ def _proves_rank_identity(
     if not low > 0.0:
         return False
     s_k0 = low * low - noise
-    return (
-        s_k0 > c
-        and s_k0 - (2.0 * (s1 + e) + e) * e > tol.rank_rtol * (s1 + e) ** 2 * k0
-    )
+    if not s_k0 > c:
+        return False
+    slack_k0, cutoff_k0 = _weyl(s1, e, k0, tol)
+    return s_k0 - slack_k0 > cutoff_k0
 
 
-def _cosquare(a: np.ndarray, mode: str, tol: ToleranceConfig) -> np.ndarray:
-    """The cosquare a^{-T} a (congruence) or a^{-*} a (star) of a
-    nonsingular matrix."""
+def _checked_cosquare(a: np.ndarray, mode: str, tol: ToleranceConfig) -> np.ndarray:
+    """The cosquare of a, or PreconditionError if a is singular at tol."""
     if rank(a, tol) < a.shape[0]:
         raise PreconditionError(
             f"{_COSQUARE_NAMES[mode]} requires a nonsingular matrix"
         )
-    return np.linalg.solve(_adjoint(a, mode), a)
+    return _cosquare(a, mode)

@@ -744,6 +744,19 @@ def test_split_threshold_overflow_is_a_convergence_error(canon):
 
 
 @pytest.mark.parametrize("mode", ["congruence", "star"])
+def test_split_reduces_just_below_where_its_threshold_overflows(mode):
+    # Here (1 + 3e-12) ||a||_F, the norm the split's thresholds square,
+    # squares to just below the largest float64.  The rank identity's
+    # proof bounds the gate product at a norm 8 n^2 u ||a||_F larger, and
+    # must not square that: the split reduces a to one elementary block.
+    s = float(np.sqrt(np.finfo(np.float64).max)) * (1 - 3.004e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        split = split_regular_singular(_nilpotent_at(s), mode)
+    assert split.singular_sigmas == pytest.approx([s])
+
+
+@pytest.mark.parametrize("mode", ["congruence", "star"])
 def test_regularize_residual_overflow_is_a_convergence_error(mode):
     # ||a||_F^2 overflows, so the residual check's bound would be inf
     # and pass whatever the residual: the check raises instead, as the
