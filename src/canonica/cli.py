@@ -6,14 +6,16 @@ data a row-major list of [re, im] pairs) and emit JSON reports tagged
 invocation on the same file produces byte-identical output.
 
 Exit codes: 0 success, 1 selftest failure, 2 precondition violation
-(with residual diagnostics on stderr), 3 parse or usage error, 4
-convergence failure inside a pipeline.
+(with residual diagnostics on stderr), 3 parse or usage error, or an
+--output path that cannot be written, 4 convergence failure inside a
+pipeline.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 from itertools import chain
@@ -285,10 +287,13 @@ def _dumps(obj, level: int = 0) -> str:
             items = (_dumps(x, level + 1) for x in obj)
             text = "[" + inner + ("," + inner).join(items) + inner[:-2] + "]"
         return text
-    if isinstance(obj, (dict, list, tuple)):
-        # Empty, or a dict with keys that are not strings.  JSON strings
-        # hold no raw newline, so each newline starts an indented line.
+    if isinstance(obj, dict) and obj:
+        # Keys that are not strings.  JSON strings hold no raw newline,
+        # so each newline starts an indented line.
         return json.dumps(obj, sort_keys=True, indent=2).replace("\n", inner[:-2])
+    # Scalars and empty containers go through the C encoder: the same
+    # text as with indent, whose pure-Python encoder builds reference
+    # cycles.
     return json.dumps(obj)
 
 
@@ -323,6 +328,22 @@ def run(argv=None, out=None) -> int:
         code = exc.code if isinstance(exc.code, int) else 0
         return EXIT_PARSE if code == 2 else code
 
+    # A matrix command allocates no reference cycles, so reference
+    # counting frees all it makes (selftest's closures wait for the next
+    # collection).  Left running, the collector is driven to full passes
+    # by the [re, im] lists of decoding and encoding, each rescanning
+    # every live object for milliseconds.  Pause it for the whole command.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _execute(args, out)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _execute(args: argparse.Namespace, out) -> int:
+    """Run the parsed command, write its report, return the exit code."""
     try:
         tol = _tolerances(args)
         if args.command == "classify":
@@ -352,7 +373,11 @@ def run(argv=None, out=None) -> int:
 
     text = _dumps(payload) + "\n"
     if getattr(args, "output", None):
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            print(f"parse error: cannot write {args.output}: {exc}", file=sys.stderr)
+            return EXIT_PARSE
     else:
         out.write(text)
     if args.command == "selftest" and payload["failed"]:

@@ -4,6 +4,7 @@ Fixtures under tests/fixtures are static files so these tests exercise
 the same read path as a user invocation.
 """
 
+import gc
 import io
 import json
 import subprocess
@@ -354,3 +355,165 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["form"]["two_by_two"][0]["tau"] == 1.0
+
+
+@pytest.mark.parametrize("via", ["run", "main"])
+@pytest.mark.parametrize(
+    "argv",
+    [["canon", "--star", fx("h2_i.json")], ["selftest"]],
+    ids=["canon", "selftest"],
+)
+def test_unwritable_output_is_a_parse_error(tmp_path, capsys, via, argv):
+    target = tmp_path / "missing" / "out.json"
+    argv = [*argv, "--output", str(target)]
+    code = run_cli(*argv)[0] if via == "run" else cli.main(argv)
+    assert code == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith(f"parse error: cannot write {target}: ")
+    assert not target.parent.exists()
+
+
+# ----- the cyclic collector -------------------------------------------------
+# run() pauses the cyclic collector for the whole command.  That is
+# safe because a matrix command allocates no reference cycles: reference
+# counting frees everything it makes.
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """An n = 48 star instance, in-class input whose class gate
+    overflows float64 (exit 4), and an --output path in a directory
+    that does not exist (exit 3)."""
+    root = tmp_path_factory.mktemp("gc_inputs")
+    paths = {
+        "n48": root / "n48.json",
+        "huge": root / "huge.json",
+        "unwritable": root / "missing" / "out.json",
+    }
+    paths["n48"].write_text(dumps_matrix(random_star_instance(48, default_rng(3))[1]))
+    paths["huge"].write_text(dumps_matrix(1e80 * random_star_instance(6, default_rng(5))[1]))
+    return {k: str(v) for k, v in paths.items()}
+
+
+# (argv, exit code); "{name}" stands for a path of the inputs fixture.
+MATRIX_COMMANDS = {
+    "classify": (["classify", fx("rotation.json")], cli.EXIT_OK),
+    "canon-star-verify": (["canon", "--star", "--verify", "{n48}"], cli.EXIT_OK),
+    "canon-star-triangular": (
+        ["canon", "--star", "--triangular", fx("weighted.json")], cli.EXIT_OK),
+    "canon-congruence-verify": (
+        ["canon", "--congruence", "--verify", fx("singular_mixed.json")], cli.EXIT_OK),
+    "canon-style": (
+        ["canon", "--congruence", "--style", "hermitian_unitary", fx("rotation.json")],
+        cli.EXIT_OK),
+    "compare-star-pearcy": (
+        ["compare", "--star", fx("j2_nilpotent.json"), fx("j2_nilpotent.json")],
+        cli.EXIT_OK),
+    "compare-star": (["compare", "--star", "{n48}", "{n48}"], cli.EXIT_OK),
+    "compare-congruence": (
+        ["compare", "--congruence", fx("h2_i.json"), fx("coninvolutory.json")],
+        cli.EXIT_OK),
+    "compare-unsupported": (
+        ["compare", "--congruence", fx("upper.json"), fx("upper.json")], cli.EXIT_OK),
+    "regularize": (["regularize", "--star", fx("singular_mixed.json")], cli.EXIT_OK),
+    "simulate": (["simulate", "--congruence", "--steps", "40", fx("weighted.json")],
+                 cli.EXIT_OK),
+    "simulate-x0": (
+        ["simulate", "--congruence", "--steps", "50", "--x0", fx("x0_pair.json"),
+         fx("rotation.json")], cli.EXIT_OK),
+    "exit2-precondition": (["canon", "--congruence", fx("upper.json")],
+                           cli.EXIT_PRECONDITION),
+    "exit3-missing-file": (["classify", "no_such_file.json"], cli.EXIT_PARSE),
+    "exit3-not-json": (["classify", fx("not_json.json")], cli.EXIT_PARSE),
+    "exit3-bad-shape": (["classify", fx("bad_shape.json")], cli.EXIT_PARSE),
+    "exit3-usage": (["canon", "--star", "--style", "h2", fx("rotation.json")],
+                    cli.EXIT_PARSE),
+    "exit3-unwritable": (["classify", fx("rotation.json"), "--output", "{unwritable}"],
+                         cli.EXIT_PARSE),
+    "exit4-overflow": (["canon", "--star", "{huge}"], cli.EXIT_CONVERGENCE),
+}
+
+
+def _argv(argv, inputs):
+    return [arg.format(**inputs) for arg in argv]
+
+
+@pytest.mark.parametrize("name", MATRIX_COMMANDS)
+def test_matrix_commands_leave_no_cyclic_garbage(inputs, capsys, name):
+    argv, expected = MATRIX_COMMANDS[name]
+    argv = _argv(argv, inputs)
+    assert run_cli(*argv)[0] == expected  # first-call caches and imports
+    enabled, debug = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    try:
+        code = run_cli(*argv)[0]
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        unreachable = gc.collect()
+        leaked = sorted({type(obj).__name__ for obj in gc.garbage})
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert code == expected
+    assert (unreachable, leaked) == (0, [])
+
+
+COLLECTOR_CASES = {
+    "exit0": ["canon", "--star", fx("h2_i.json")],
+    "exit2": ["canon", "--congruence", fx("upper.json")],
+    "exit3": ["classify", fx("not_json.json")],
+    "exit4": ["canon", "--star", "{huge}"],
+    "argparse-usage": ["canon", fx("h2_i.json")],
+    "selftest": ["selftest"],
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("name", COLLECTOR_CASES)
+def test_run_leaves_the_collector_as_it_found_it(inputs, capsys, name, enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        run_cli(*_argv(COLLECTOR_CASES[name], inputs))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_no_collection_starts_inside_run(inputs):
+    # At a young-generation threshold far below the 2,304 [re, im] lists
+    # that decoding the n = 48 input allocates, the decode alone starts
+    # collections; inside run() none starts.  A collection runs where
+    # an allocation triggers it, so its callback sees run()'s frame on
+    # the stack exactly when it starts inside run().
+    inside, outside = [], []
+
+    def on_collect(phase, info):
+        if phase != "start":
+            return
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not cli.run.__code__:
+            frame = frame.f_back
+        (outside if frame is None else inside).append(info["generation"])
+
+    text = Path(inputs["n48"]).read_text()
+    out = io.StringIO()
+    enabled, threshold = gc.isenabled(), gc.get_threshold()
+    gc.enable()
+    gc.set_threshold(100)
+    gc.callbacks.append(on_collect)
+    try:
+        json.loads(text)
+        decoded = len(outside)
+        code = cli.run(["canon", "--star", inputs["n48"]], out=out)
+    finally:
+        gc.callbacks.remove(on_collect)
+        gc.set_threshold(*threshold)
+        if not enabled:
+            gc.disable()
+    assert code == cli.EXIT_OK
+    assert decoded > 0
+    assert inside == []
