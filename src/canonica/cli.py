@@ -17,6 +17,7 @@ import argparse
 import functools
 import gc
 import json
+import math
 import sys
 from itertools import chain
 from pathlib import Path
@@ -32,6 +33,7 @@ from .iteration import simulate
 from .matrix import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _unit_scale,
     loads_matrix,
     matrix_to_json,
     norm,
@@ -189,8 +191,10 @@ def _cmd_canon(args, tol) -> dict:
     else:
         form, t = canon_star(a, tol, representation=args.representation or "h2")
         adj = t.conj().T
-    residual = norm(t @ a @ adj - form.assemble())
-    relative = residual / max(1.0, norm(a))
+    # Measured at unit scale, where the norms neither overflow nor underflow.
+    unit, e = _unit_scale(a)
+    residual = math.ldexp(norm(t @ unit @ adj - _unit_scale(form.assemble(), e)[0]), e)
+    relative = residual / max(1.0, math.ldexp(norm(unit), e))
     payload = {
         "schema": SCHEMA,
         "command": "canon",

@@ -18,7 +18,7 @@ from .canon_congruence import _CONGRUENCE, CongruenceCanonicalForm
 from .canon_star import _STAR, StarCanonicalForm, canon_quadratic, pearcy_equal_2x2
 from .errors import ConvergenceError, PreconditionError
 from .factorizations import polar, svd
-from .matrix import DEFAULT_TOL, ToleranceConfig, _adjoint, as_matrix, norm, rank
+from .matrix import DEFAULT_TOL, ToleranceConfig, _adjoint, _unit_scale, as_matrix, norm, rank
 from .pipeline import _canon
 from .predicates import _class_residual
 from .regularization import MODES, _gate, _split
@@ -141,15 +141,16 @@ def _gated_forms(a, b, mode, tol: ToleranceConfig):
     """(ra, rb, forms): the class-gate residuals of a and b and, when
     both pass, their canonical forms under the pipeline mode.
 
-    Each input's gate is evaluated once, and its certificate is handed
-    on to the split.
+    Both run scaled by one 2^-e (_unit_scale).  Each input's gate is
+    evaluated once, and its certificate is handed on to the split.
     """
+    (a, b), e = _unit_scale(np.stack((a, b)))
     ra, certified_a = _gate(a, mode.name, tol)
     rb, certified_b = _gate(b, mode.name, tol)
     if not (ra <= tol.residual_rtol and rb <= tol.residual_rtol):
         return ra, rb, None
     return ra, rb, tuple(
-        _canon(x, mode, tol, _split(x, mode.name, tol, certified))[0]
+        _canon(x, mode, tol, _split(x, mode.name, tol, certified), e)[0]
         for x, certified in ((a, certified_a), (b, certified_b))
     )
 
@@ -232,16 +233,16 @@ def quadratic_invariants_equal(
     invariant in this class, so no canonical form is needed; both are
     matched within BLOCK_ATOL times the larger spectral norm.  Raises
     PreconditionError when either input has no quadratic annihilator.
+    Both run scaled by one 2^-e (_unit_scale).
     """
-    qa = canon_quadratic(a, tol)
-    qb = canon_quadratic(b, tol)
-    sa = svd(np.asarray(a, dtype=np.complex128)).sigma
-    sb = svd(np.asarray(b, dtype=np.complex128)).sigma
+    (a, b), e = _unit_scale(np.stack(_shape_gate(a, b)))
+    ea, eb = (np.array(_eigenvalue_multiset(canon_quadratic(x, tol))) for x in (a, b))
+    sa, sb = (_unit_scale(svd(x).sigma, -e)[0] for x in (a, b))
     # Eigenvalues and singular values scale with the matrix: compare
     # them relative to the larger spectral norm.
     atol = BLOCK_ATOL * float(max([*sa[:1], *sb[:1]], default=0.0))
     eigs_ok, eig_report = _greedy_match(
-        _eigenvalue_multiset(qa), _eigenvalue_multiset(qb),
+        _unit_scale(ea, -e)[0].tolist(), _unit_scale(eb, -e)[0].tolist(),
         lambda x, y: abs(complex(x) - complex(y)) <= atol,
     )
     svs_ok, sv_report = _greedy_match(

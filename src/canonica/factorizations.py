@@ -19,6 +19,7 @@ from .matrix import (
     DEFAULT_TOL,
     ToleranceConfig,
     _normality_residual,
+    _unit_scale,
     as_matrix,
     norm,
     rank,
@@ -41,7 +42,6 @@ __all__ = [
 # regularization, proves its decisions with; each proof cites it.
 _UNIT = float(np.finfo(np.float64).eps) / 2.0
 _TINY = float(np.finfo(np.float64).tiny)
-_HUGE = float(np.finfo(np.float64).max)
 
 
 def _product_error(n: int) -> float:
@@ -245,14 +245,15 @@ def eig_normal(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.nd
     _diagonalize_clusters(u, clusters, h, k, None)
     lam, recon = _rayleigh(a, u)
     if not _proved_normal(lam, recon, fro, tol.residual_rtol / 2.0):
-        res = _normality_residual(a)[0]
+        res = _normality_residual(*_unit_scale(a))[0]
         if not res <= tol.residual_rtol:
             raise PreconditionError("matrix is not normal", residual=res)
-    if recon > bound:
+    if recon > bound and clusters:
         # Inside a cluster the skew part can be rounding noise, and its
         # eigh then rotates vectors that h still tells apart (by less
         # than the radius, but more than the residual bound allows).
         # Start over and let h decide within each skew-part sub-cluster.
+        # Without clusters that would rebuild the same u.
         _, u = np.linalg.eigh(h)
         _diagonalize_clusters(u, clusters, h, k, radius)
         lam, recon = _rayleigh(a, u)

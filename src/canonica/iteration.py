@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .matrix import DEFAULT_TOL, ToleranceConfig, _cosquare, as_matrix, rank
+from .matrix import DEFAULT_TOL, ToleranceConfig, _cosquare, _unit_scale, as_matrix, rank
 from .factorizations import eig_normal
 from .predicates import _class_residual
 from .regularization import _GATE_FLAGS, MODES
@@ -30,7 +30,7 @@ OVERFLOW_FACTOR = 1e15
 def _gate(a, mode: str, tol: ToleranceConfig) -> np.ndarray:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    a = as_matrix(a, square=True)
+    a, _ = _unit_scale(as_matrix(a, square=True))  # the cosquare stays as it is
     if rank(a, tol) < a.shape[0]:
         raise PreconditionError("the recurrence needs a nonsingular matrix")
     return a

@@ -112,23 +112,29 @@ def rel_residual(lhs, rhs) -> float:
     return norm(lhs - rhs) / denom
 
 
-def _normality_residual(x: np.ndarray) -> tuple[float, np.ndarray]:
-    """rel_residual(x* x, x x*), and the Gram matrix x* x it was measured
-    on.  The norms of x* x overflow long before x* x does, from about
-    ||x||_F = 1e77 on; the residual is then measured on x scaled by a
-    power of two, which is exact and keeps the norms in range (and above
-    the residual's floor of 1).  The Gram matrix is scaled back in the
-    caller's floating-point error state."""
-    with np.errstate(over="raise"):
-        try:
-            gram = x.conj().T @ x
-            return rel_residual(gram, x @ x.conj().T), gram
-        except FloatingPointError:
-            pass
-    scale = 2.0 ** (10 - math.frexp(float(np.abs(x).max()))[1])
-    x = x * scale
+def _unit_scale(a: np.ndarray, e: int | None = None) -> tuple[np.ndarray, int]:
+    """(2^-e a, e), scaled by np.ldexp on the float64 view of a: exactly,
+    down to the subnormal range, and keeping the sign of a zero.  e
+    defaults to the exponent that puts the largest |a_ij| in [1, 2), 0
+    for a zero a; for e = 0, a itself is returned."""
+    if e is None:
+        top = float(np.max(np.abs(a), initial=0.0))
+        e = math.frexp(top)[1] - 1 if top > 0.0 else 0
+    if e == 0:
+        return a, 0
+    parts = np.ascontiguousarray(a)
+    return np.ldexp(parts.view(np.float64), -e).view(parts.dtype), e
+
+
+def _normality_residual(x: np.ndarray, e: int = 0) -> tuple[float, np.ndarray]:
+    """rel_residual(y* y, y y*) for y = 2^e x, measured on x at unit scale
+    (_unit_scale), where no product or norm overflows, and the Gram
+    matrix x* x.  Its floor of 1 is 4^-e, at most 2^1023, at x's scale."""
     gram = x.conj().T @ x
-    return rel_residual(gram, x @ x.conj().T), gram / scale / scale
+    other = x @ x.conj().T
+    diff = norm(gram - other)
+    floor = math.ldexp(1.0, min(-2 * e, 1023))
+    return (diff / max(floor, norm(gram) + norm(other)) if diff else 0.0), gram
 
 
 def _adjoint(m: np.ndarray, mode: str) -> np.ndarray:

@@ -12,7 +12,8 @@ call _canon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from .blocks import direct_sum, permutation_matrix
 from .errors import ConvergenceError
 from .factorizations import _pair_clusters, eig_normal, svd
-from .matrix import ToleranceConfig, _adjoint, _cosquare, as_matrix, norm
+from .matrix import ToleranceConfig, _adjoint, _cosquare, _unit_scale, as_matrix, norm
 from .regularization import RegularSplit, split_regular_singular
 
 
@@ -51,16 +52,18 @@ class _Mode:
     reduce_fixed: Callable
 
 
-def _canon(a, mode: _Mode, tol: ToleranceConfig, split: RegularSplit | None = None):
+def _canon(a, mode: _Mode, tol: ToleranceConfig, split: RegularSplit | None = None, e=0):
     """(form, t) with t unitary and t a adj(t) equal to form.assemble().
 
-    A caller that has already passed a through the class gate
-    (regularization._gate) hands on the split of a, so that the gate
-    is not evaluated twice.
+    It runs on a scaled by 2^-e (_unit_scale) and scales tau and the
+    1-by-1 entries back.  A caller that has passed a through the class
+    gate (regularization._gate) hands on the split of a, with a and the
+    split scaled by 2^-e and that e, so the gate is not evaluated twice.
     """
     a = as_matrix(a, square=True)
     n = a.shape[0]
     if split is None:
+        a, e = _unit_scale(a)
         split = split_regular_singular(a, mode.name, tol)
     k = split.regular.shape[0]
 
@@ -149,9 +152,14 @@ def _canon(a, mode: _Mode, tol: ToleranceConfig, split: RegularSplit | None = No
 
     form = mode.form.build([v for v, _ in ones], [p for p, _ in twos])
     res = norm(transform @ a @ adj(transform) - form.assemble())
-    bound = tol.residual_rtol * max(1.0, norm(a))
+    bound = tol.residual_rtol * norm(a)
     if res > bound:
         raise ConvergenceError(
             f"canonical form residual {res:.3e} exceeds {bound:.3e}"
         )
-    return form, transform
+    # The exact scaling leaves the sort keys, tau and |entry|, in order.
+    return replace(
+        form,
+        one_by_one=tuple(_unit_scale(np.array(form.one_by_one), -e)[0].tolist()),
+        two_by_two=tuple((math.ldexp(t, e), m) for t, m in form.two_by_two),
+    ), transform

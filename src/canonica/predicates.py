@@ -7,6 +7,7 @@ borderline calls are visible to the caller.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -19,6 +20,7 @@ from .matrix import (
     ToleranceConfig,
     _cosquare,
     _normality_residual,
+    _unit_scale,
     as_matrix,
     norm,
     rank,
@@ -77,11 +79,19 @@ def _commutator_residual(x: np.ndarray, y: np.ndarray) -> float:
 
 class _Products:
     """The products the class identities are measured on, each formed on
-    first use and shared by every identity that needs it."""
+    first use and shared by every identity that needs it.  They are
+    products of a scaled by 2^-e (_unit_scale); lam is that of 2^-e a."""
 
     def __init__(self, a: np.ndarray, tol: ToleranceConfig):
-        self.a = a
+        self.a, self.e = _unit_scale(a)
         self.tol = tol
+
+    def residual(self, lhs: np.ndarray, rhs: np.ndarray, degree: int) -> float:
+        """rel_residual(lhs, rhs) of products of the given degree in 2^-e a,
+        its floor of 1 at the input's scale, or at unit scale below it."""
+        diff = norm(lhs - rhs)
+        floor = math.ldexp(1.0, -degree * max(self.e, 0))
+        return diff / max(floor, norm(lhs) + norm(rhs)) if diff else 0.0
 
     @cached_property
     def a_star(self) -> np.ndarray:
@@ -113,13 +123,14 @@ class _Products:
 
     @cached_property
     def eye(self) -> np.ndarray:
-        return np.eye(self.a.shape[0], dtype=np.complex128)
+        # The input's I, 4^-e I, capped where it dwarfs every product.
+        return math.ldexp(1.0, -2 * max(self.e, -200)) * np.eye(len(self.a), dtype=complex)
 
     @cached_property
     def lam(self) -> complex:
         # The lam of a^2 = lam a, read off tr(a^2) = lam tr(a).
         tr = complex(np.trace(self.a))
-        if abs(tr) <= self.tol.residual_rtol * max(1.0, norm(self.a)):
+        if abs(tr) <= self.tol.residual_rtol * norm(self.a):
             return 0.0 + 0.0j
         return complex(np.trace(self.a_sq)) / tr
 
@@ -129,22 +140,20 @@ class _Products:
 # Hermitian) gates canon_hermitian_cosquare, and the rest serve the
 # characterizations and the dualities.
 _IDENTITIES = {
-    "normal": lambda p: rel_residual(p.gram_right, p.gram_left),
-    "conjugate_normal": lambda p: rel_residual(p.gram_right, p.gram_left.conj()),
-    "congruence_normal": lambda p: _normality_residual(p.a_bar_a)[0],
-    "squared_normal": lambda p: _normality_residual(p.a_sq)[0],
-    "unitary": lambda p: rel_residual(p.gram_right, p.eye),
-    "coninvolutory": lambda p: rel_residual(p.a_bar_a, p.eye),
-    "involutory": lambda p: rel_residual(p.a_sq, p.eye),
-    "hermitian_square": lambda p: rel_residual(p.a_sq, p.a_sq.conj().T),
+    "normal": lambda p: p.residual(p.gram_right, p.gram_left, 2),
+    "conjugate_normal": lambda p: p.residual(p.gram_right, p.gram_left.conj(), 2),
+    "congruence_normal": lambda p: _normality_residual(p.a_bar_a, 2 * max(p.e, 0))[0],
+    "squared_normal": lambda p: _normality_residual(p.a_sq, 2 * max(p.e, 0))[0],
+    "unitary": lambda p: p.residual(p.gram_right, p.eye, 2),
+    "coninvolutory": lambda p: p.residual(p.a_bar_a, p.eye, 2),
+    "involutory": lambda p: p.residual(p.a_sq, p.eye, 2),
+    "hermitian_square": lambda p: p.residual(p.a_sq, p.a_sq.conj().T, 2),
     "range_hermitian": lambda p: _range_projector_residual(p.a, p.tol),
-    "lambda_projection": lambda p: rel_residual(p.a_sq, p.lam * p.a),
-    "hermitian_cosquare": lambda p: rel_residual(p.a_bar_a, p.a_bar_a.conj().T),
-    "congruence_cubic": lambda p: rel_residual(
-        p.a @ p.a.conj() @ p.a.T, p.a.T @ p.a.conj() @ p.a
-    ),
-    "squared_cubic": lambda p: rel_residual(p.a_sq @ p.a_star, p.a_star @ p.a_sq),
-    "hermitian": lambda p: rel_residual(p.a, p.a_star),
+    "lambda_projection": lambda p: p.residual(p.a_sq, p.lam * p.a, 2),
+    "hermitian_cosquare": lambda p: p.residual(p.a_bar_a, p.a_bar_a.conj().T, 2),
+    "congruence_cubic": lambda p: p.residual(p.a @ p.a.conj() @ p.a.T, p.a.T @ p.a.conj() @ p.a, 3),
+    "squared_cubic": lambda p: p.residual(p.a_sq @ p.a_star, p.a_star @ p.a_sq, 3),
+    "hermitian": lambda p: p.residual(p.a, p.a_star, 1),
 }
 
 
@@ -185,10 +194,9 @@ def classify(a, tol: ToleranceConfig = DEFAULT_TOL) -> ClassReport:
     products = _Products(as_matrix(a, square=True), tol)
     residuals = {name: _IDENTITIES[name](products) for name in FLAG_NAMES}
     flags = {name: residuals[name] <= tol.residual_rtol for name in FLAG_NAMES}
+    lam = complex(*np.ldexp([products.lam.real, products.lam.imag], products.e))
     return ClassReport(
-        flags=flags,
-        residuals=residuals,
-        lam=products.lam if flags["lambda_projection"] else None,
+        flags=flags, residuals=residuals, lam=lam if flags["lambda_projection"] else None
     )
 
 

@@ -14,13 +14,12 @@ into a nonsingular part and elementary singular blocks.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
-from .factorizations import _HUGE, _UNIT, _product_error, _underflow, _value_error
+from .factorizations import _UNIT, _product_error, _underflow, _value_error
 from .factorizations import _weyl, _weyl_slack, svd
 from .matrix import (
     DEFAULT_TOL,
@@ -31,10 +30,10 @@ from .matrix import (
     _cosquare,
     _normality_residual,
     _rank_of_values,
+    _unit_scale,
     norm,
     rank,
 )
-from .predicates import _Products
 
 __all__ = ["ReducedForm", "RegularSplit", "regularize", "split_regular_singular"]
 
@@ -120,11 +119,12 @@ def regularize(a, mode: str, tol: ToleranceConfig = DEFAULT_TOL) -> ReducedForm:
     """Unitary reduction of any square matrix to the bordered form above.
 
     Nonsingular input reduces trivially (m1 = m2 = 0, core = a); zero
-    input reduces to nothing but zeros.  The transform is unitary.
+    input reduces to nothing but zeros.  The transform is unitary.  It
+    runs on a scaled by 2^-e (_unit_scale); what scales with a scales back.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    a = as_matrix(a, square=True)
+    a, e = _unit_scale(as_matrix(a, square=True))
     n = a.shape[0]
     f = svd(a)
     spectral_norm = float(f.sigma[0]) if n else 0.0
@@ -132,58 +132,49 @@ def regularize(a, mode: str, tol: ToleranceConfig = DEFAULT_TOL) -> ReducedForm:
     if r in (0, n):
         # The identity reduces a: a is nonsingular (r = n) or
         # numerically zero (r = 0).
+        m2, transform, sigma = 0, np.eye(n, dtype=np.complex128), np.zeros(0)
         image = a.copy()
-        return ReducedForm(
-            mode=mode,
-            m1=n - r,
-            m2=0,
-            core=image if r == n else np.zeros((0, 0), dtype=np.complex128),
-            sigma=np.zeros(0, dtype=np.float64),
-            transform=np.eye(n, dtype=np.complex128),
-            _sigma=f.sigma,
-            _image=image,
-        )
-
-    # The transform's rows: v1^H and v2^H project onto the range of a
-    # and its orthogonal complement (v2^H a = 0), and the SVD of the
-    # coupling v1^H a adj(v2^H) rotates each block of rows so that the
-    # coupling becomes sigma in the core's trailing rows.
-    u_h = f.u.conj().T
-    v1_h, v2_h = u_h[:r], u_h[r:]
-    nmat = v1_h @ (a @ _adjoint(v2_h, mode))
-    m2 = rank(nmat, tol, scale=spectral_norm)
-    if m2 == 0:
-        transform = u_h
-        sigma = np.zeros(0, dtype=np.float64)
     else:
-        g = svd(nmat)
-        # Left singular vectors of the coupling, those of sigma last.
-        x_h = np.roll(g.u.conj().T, -m2, axis=0)
-        transform = np.vstack([x_h @ v1_h, _adjoint(g.v, mode) @ v2_h])
-        sigma = g.sigma[:m2].copy()
-    image = transform @ a @ _adjoint(transform, mode)
-
+        # The transform's rows: v1^H and v2^H project onto the range of
+        # a and its orthogonal complement (v2^H a = 0), and the SVD of
+        # the coupling v1^H a adj(v2^H) rotates each block of rows so
+        # that the coupling becomes sigma in the core's trailing rows.
+        u_h = f.u.conj().T
+        v1_h, v2_h = u_h[:r], u_h[r:]
+        nmat = v1_h @ (a @ _adjoint(v2_h, mode))
+        m2 = rank(nmat, tol, scale=spectral_norm)
+        if m2 == 0:
+            transform = u_h
+            sigma = np.zeros(0, dtype=np.float64)
+        else:
+            g = svd(nmat)
+            # Left singular vectors of the coupling, those of sigma last.
+            x_h = np.roll(g.u.conj().T, -m2, axis=0)
+            transform = np.vstack([x_h @ v1_h, _adjoint(g.v, mode) @ v2_h])
+            sigma = g.sigma[:m2].copy()
+        image = transform @ a @ _adjoint(transform, mode)
+    # The core t1 a adj(t1), t1 the transform's leading r rows, is the
+    # image's leading block.  Adding 0.0 copies it and turns a -0.0
+    # entry, a sum of negative zeros, into 0.0: the zeros of the reduced
+    # form print without a sign.
+    core = image if r == n else image[:r, :r] + 0.0
     form = ReducedForm(
         mode=mode,
         m1=n - r,
         m2=m2,
-        # The core t1 a adj(t1), t1 the transform's leading r rows, is
-        # the image's leading block.  Adding 0.0 copies it and turns a
-        # -0.0 entry, a sum of negative zeros, into 0.0: the zeros of
-        # the reduced form print without a sign.
-        core=image[:r, :r] + 0.0,
-        sigma=sigma,
+        core=_unit_scale(core, -e)[0],
+        sigma=np.ldexp(sigma, e),
         transform=transform,
-        _sigma=f.sigma,
-        _image=image,
+        _sigma=np.ldexp(f.sigma, e),
+        _image=_unit_scale(image, -e)[0],
     )
-    with _overflow_raises("the regularization residual"):
-        res = norm(image - form.assembled())
-        bound = tol.residual_rtol * max(1.0, norm(a))
-    if res > bound:
-        raise ConvergenceError(
-            f"regularization residual {res:.3e} exceeds {bound:.3e}"
-        )
+    if 0 < r < n:
+        res = norm(image - _unit_scale(form.assembled(), e)[0])
+        bound = tol.residual_rtol * norm(a)
+        if res > bound:
+            raise ConvergenceError(
+                f"regularization residual {res:.3e} exceeds {bound:.3e}"
+            )
     return form
 
 
@@ -196,37 +187,24 @@ def split_regular_singular(
     blocks then vanish and the reduced form is a direct sum of a
     nonsingular matrix of the same class, blocks sigma_i*[[0,1],[0,0]],
     and zeros.  Raises PreconditionError when the regular part it finds
-    is numerically singular, and ConvergenceError when the gate or the
-    split overflows float64 at the input's scale.
+    is numerically singular.  It runs on a scaled by 2^-e (_unit_scale).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    a = as_matrix(a, square=True)
+    a, e = _unit_scale(as_matrix(a, square=True))
     gate, certified = _gate(a, mode, tol)
     if not gate <= tol.residual_rtol:
         raise PreconditionError(
             f"input is not {_GATE_FLAGS[mode].replace('_', ' ')}", residual=gate
         )
-    return _split(a, mode, tol, certified)
-
-
-@contextmanager
-def _overflow_raises(what: str):
-    """Turn a float64 overflow inside the block, in numpy or in Python
-    float arithmetic, into ConvergenceError naming what overflowed."""
-    with np.errstate(over="raise"):
-        try:
-            yield
-        except (FloatingPointError, OverflowError):
-            raise ConvergenceError(
-                f"{what} overflows float64 at the input's scale"
-            ) from None
+    split = _split(a, mode, tol, certified)
+    regular, sigmas = _unit_scale(split.regular, -e)[0], np.ldexp(split.singular_sigmas, e)
+    return replace(split, regular=regular, singular_sigmas=sigmas)
 
 
 def _gate_product(a: np.ndarray, mode: str) -> np.ndarray:
     """The gate product p of the mode, conj(a) a or a^2."""
-    products = _Products(a, DEFAULT_TOL)
-    return products.a_bar_a if mode == "congruence" else products.a_sq
+    return a.conj() @ a if mode == "congruence" else a @ a
 
 
 def _gate(a: np.ndarray, mode: str, tol: ToleranceConfig) -> tuple[float, bool]:
@@ -234,9 +212,9 @@ def _gate(a: np.ndarray, mode: str, tol: ToleranceConfig) -> tuple[float, bool]:
     product p, and whether the certificate on the Gram matrix p* p it
     was measured on proves the split trivial.  The certificate runs only
     when the gate passes, and the Gram matrix (an n x n array) is
-    dropped before the split runs."""
-    with _overflow_raises("the class gate"):
-        residual, gram = _normality_residual(_gate_product(a, mode))
+    dropped before the split runs.  Both are measured at unit scale."""
+    a, _ = _unit_scale(a)
+    residual, gram = _normality_residual(_gate_product(a, mode))
     return residual, (
         residual <= tol.residual_rtol and _certifies_trivial_split(a, gram, tol)
     )
@@ -250,9 +228,8 @@ def _weyl_terms(a: np.ndarray, tol: ToleranceConfig) -> tuple[float, float, floa
     cutoff finds a nonsingular, the rank identity holds, and the regular
     part, a itself, is nonsingular."""
     n = a.shape[0]
-    with _overflow_raises("the split's threshold"):
-        fro = norm(a)
-        return (fro, *_weyl(fro, 1e-12 * n * fro, n, tol))
+    fro = norm(a)
+    return (fro, *_weyl(fro, 1e-12 * n * fro, n, tol))
 
 
 def _certifies_trivial_split(
@@ -271,14 +248,10 @@ def _certifies_trivial_split(
     _underflow(n); above f2 / n >= lambda_min(gram) no factor exists.
     """
     n = gram.shape[0]
-    if n == 0:
-        return False
     _, slack, cutoff = _weyl_terms(a, tol)
-    with np.errstate(over="ignore"):
-        f2 = float(np.trace(gram).real)
-    if not 0.0 < f2 < _HUGE / (8.0 * n):
-        return False
-    # s >= theta rounds s - slack to above cutoff.
+    f2 = float(np.trace(gram).real)
+    # s >= theta rounds s - slack to above cutoff.  No theta >= 0 passes
+    # for a zero gram, the empty one included.
     theta = (slack + cutoff) * (1.0 + 16.0 * _UNIT)
     if not theta < math.sqrt(f2):
         return False
@@ -310,10 +283,7 @@ def _split(
     """split_regular_singular of an a that passed the class gate, given
     whether the certificate on its Gram matrix proved the split
     trivial."""
-    if certified:
-        return _trivial_split(a, mode)
-    with _overflow_raises("the split"):
-        return _split_by_reduction(a, mode, tol)
+    return _trivial_split(a, mode) if certified else _split_by_reduction(a, mode, tol)
 
 
 def _split_by_reduction(
@@ -366,7 +336,7 @@ def _split_by_reduction(
                 + norm(reduced.core[k0:, k0:]) ** 2
             )
         )
-    bound = 100.0 * tol.residual_rtol * max(1.0, norm(a))
+    bound = 100.0 * tol.residual_rtol * norm(a)
     if off > bound:
         raise PreconditionError(
             "bordering blocks did not vanish; input is not numerically in class",

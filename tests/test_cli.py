@@ -16,8 +16,14 @@ import numpy as np
 import pytest
 
 from canonica import cli
+from canonica.blocks import antidiag_block, direct_sum
 from canonica.matrix import dumps_matrix
-from canonica.sampling import default_rng, random_congruence_instance, random_star_instance
+from canonica.sampling import (
+    default_rng,
+    random_congruence_instance,
+    random_star_instance,
+    random_unitary,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -148,37 +154,45 @@ def test_simulate_honours_rank_rtol(tmp_path):
 
 
 @pytest.mark.parametrize("mode", ["--star", "--congruence"])
-def test_gate_overflow_is_a_convergence_failure(tmp_path, capsys, mode):
-    # The input is finite and in class, but the Gram matrix of its gate
-    # product overflows float64: a convergence failure that names the
-    # overflow, not a parse error (exit 3).
+def test_gate_overflow_is_a_convergence_failure(tmp_path, mode):
+    # The input is finite and in class, and the Gram matrix of its gate
+    # product would overflow float64 at the input's scale.  The pipeline
+    # runs at unit scale, so the canonical form comes out: 1e80 times
+    # that of the unscaled input.
     sample = random_star_instance if mode == "--star" else random_congruence_instance
+    a = sample(6, default_rng(5))[1]
+    base = tmp_path / "base.json"
+    base.write_text(dumps_matrix(a))
     path = tmp_path / "huge.json"
-    path.write_text(dumps_matrix(1e80 * sample(6, default_rng(5))[1]))
+    path.write_text(dumps_matrix(1e80 * a))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, _ = run_cli("canon", mode, str(path))
-    assert code != cli.EXIT_PARSE
-    assert code == cli.EXIT_CONVERGENCE
-    assert capsys.readouterr().err == (
-        "convergence failure: the class gate overflows float64 at the "
-        "input's scale\n"
+        code, text = run_cli("canon", mode, "--verify", str(path))
+    assert code == cli.EXIT_OK
+    payload = json.loads(text)
+    assert payload["verify"]["relative_residual"] <= 1e-12
+    form = run_json("canon", mode, str(base))["form"]
+    taus = [block["tau"] for block in payload["form"]["two_by_two"]]
+    assert taus == pytest.approx(
+        [1e80 * block["tau"] for block in form["two_by_two"]], rel=1e-12
     )
+    ones = np.array(payload["form"]["one_by_one"], dtype=float).reshape(-1)
+    want = 1e80 * np.array(form["one_by_one"], dtype=float).reshape(-1)
+    assert np.allclose(ones, want, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("mode", ["--star", "--congruence"])
-def test_regularize_overflow_is_a_convergence_failure(tmp_path, capsys, mode):
-    # ||a||_F^2 overflows: the residual check cannot bound the residual.
+def test_regularize_overflow_is_a_convergence_failure(tmp_path, mode):
+    # ||a||_F^2 would overflow at the input's scale; the reduction runs at
+    # unit scale and scales sigma back.
     path = tmp_path / "huge.json"
     path.write_text(dumps_matrix(np.array([[0, 1e160, 0], [0, 0, 0], [0, 0, 0]])))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, _ = run_cli("regularize", mode, str(path))
-    assert code == cli.EXIT_CONVERGENCE
-    assert capsys.readouterr().err == (
-        "convergence failure: the regularization residual overflows float64 "
-        "at the input's scale\n"
-    )
+        payload = run_json("regularize", mode, str(path))
+    result = payload["result"]
+    assert (result["m1"], result["m2"]) == (2, 1)
+    assert result["sigma"] == pytest.approx([1e160], rel=1e-15)
 
 
 def test_reports_are_byte_identical():
@@ -382,17 +396,20 @@ def test_unwritable_output_is_a_parse_error(tmp_path, capsys, via, argv):
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """An n = 48 star instance, in-class input whose class gate
-    overflows float64 (exit 4), and an --output path in a directory
-    that does not exist (exit 3)."""
+    """An n = 48 star instance, in-class input on which canon --star
+    fails to converge (exit 4: two mu 4e-8 apart, as in
+    test_canon_star_close_mu_fails_to_converge), and an --output path in
+    a directory that does not exist (exit 3)."""
     root = tmp_path_factory.mktemp("gc_inputs")
     paths = {
         "n48": root / "n48.json",
-        "huge": root / "huge.json",
+        "close_mu": root / "close_mu.json",
         "unwritable": root / "missing" / "out.json",
     }
     paths["n48"].write_text(dumps_matrix(random_star_instance(48, default_rng(3))[1]))
-    paths["huge"].write_text(dumps_matrix(1e80 * random_star_instance(6, default_rng(5))[1]))
+    u = random_unitary(4, default_rng(1))
+    b = direct_sum([antidiag_block(1.0, 0.04), antidiag_block(1.0, 0.04 * (1.0 + 1e-6))])
+    paths["close_mu"].write_text(dumps_matrix(u @ b @ u.conj().T))
     return {k: str(v) for k, v in paths.items()}
 
 
@@ -431,7 +448,7 @@ MATRIX_COMMANDS = {
                     cli.EXIT_PARSE),
     "exit3-unwritable": (["classify", fx("rotation.json"), "--output", "{unwritable}"],
                          cli.EXIT_PARSE),
-    "exit4-overflow": (["canon", "--star", "{huge}"], cli.EXIT_CONVERGENCE),
+    "exit4-convergence": (["canon", "--star", "{close_mu}"], cli.EXIT_CONVERGENCE),
 }
 
 
@@ -465,7 +482,7 @@ COLLECTOR_CASES = {
     "exit0": ["canon", "--star", fx("h2_i.json")],
     "exit2": ["canon", "--congruence", fx("upper.json")],
     "exit3": ["classify", fx("not_json.json")],
-    "exit4": ["canon", "--star", "{huge}"],
+    "exit4": ["canon", "--star", "{close_mu}"],
     "argparse-usage": ["canon", fx("h2_i.json")],
     "selftest": ["selftest"],
 }

@@ -204,6 +204,30 @@ def test_eig_normal_reports_a_missed_reconstruction():
         eig_normal(a)
 
 
+def test_eig_normal_retries_only_with_clusters(monkeypatch):
+    # Without clusters the retry would rebuild the same u from the same
+    # eigh and raise the same error: it is skipped.
+    eighs, rayleighs = [], []
+    eigh, rayleigh = np.linalg.eigh, factorizations._rayleigh
+
+    def counted_eigh(x, *args, **kwargs):
+        eighs.append(x.shape)
+        return eigh(x, *args, **kwargs)
+
+    def counted_rayleigh(a, u):
+        rayleighs.append(a.shape)
+        return rayleigh(a, u)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(factorizations, "_rayleigh", counted_rayleigh)
+    with pytest.raises(
+        ConvergenceError,
+        match=r"^eigendecomposition residual 7\.071e-06 exceeds 1\.414e-09$",
+    ):
+        eig_normal([[1.0, 1e-5], [0.0, 1.0]])
+    assert (len(eighs), len(rayleighs)) == (1, 1)
+
+
 def _eig_normal_checked_first(a, tol=DEFAULT_TOL):
     # eig_normal with its normality check taken first, before any
     # reconstruction could prove it.

@@ -14,13 +14,7 @@ from canonica.canon_congruence import canon_congruence
 from canonica.canon_star import canon_star
 from canonica.errors import ConvergenceError, PreconditionError
 from canonica.factorizations import svd
-from canonica.matrix import (
-    DEFAULT_TOL,
-    ToleranceConfig,
-    _normality_residual,
-    norm,
-    rank,
-)
+from canonica.matrix import DEFAULT_TOL, ToleranceConfig, norm, rank
 from canonica.predicates import classify
 from canonica.regularization import regularize, split_regular_singular
 from canonica.blocks import direct_sum
@@ -298,14 +292,9 @@ def test_certificate_never_proves_a_split_the_svd_would_not(
     a = a * 10.0**log_scale
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        # Past about 1e77 the Gram matrix p* p of the gate product
-        # overflows: the gate raises, and no split runs.  The
-        # certificate is checked as the gate hands it on.
-        try:
-            _, certified = regularization._gate(a, mode, DEFAULT_TOL)
-        except ConvergenceError:
-            assert log_scale > 70.0
-            return
+        # The gate measures a at unit scale, so it runs at every scale
+        # here.  The certificate is checked as the gate hands it on.
+        _, certified = regularization._gate(a, mode, DEFAULT_TOL)
         product = regularization._gate_product(a, mode)
         if certified:
             s_product = np.linalg.svd(product, compute_uv=False)
@@ -730,17 +719,13 @@ def _nilpotent_at(scale):
 @pytest.mark.parametrize("canon", [canon_congruence, canon_star])
 def test_split_threshold_overflow_is_a_convergence_error(canon):
     # The gate product of this nilpotent matrix is zero, so it passes the
-    # gate; ||a||_F^2, the scale of the split's thresholds, overflows.
+    # gate; ||a||_F^2, the scale of the split's thresholds, would
+    # overflow at the input's scale.  The split runs at unit scale.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(
-            ConvergenceError,
-            match="^the split's threshold overflows float64 at the input's scale$",
-        ):
-            canon(_nilpotent_at(1e160))
-        # Within range the same matrix reduces to one elementary block.
-        form, _ = canon(_nilpotent_at(1e150))
-        assert form.two_by_two[0][0] == pytest.approx(1e150)
+        for scale in (1e160, 1e150):
+            form, _ = canon(_nilpotent_at(scale))
+            assert form.two_by_two[0][0] == pytest.approx(scale, rel=1e-15)
 
 
 @pytest.mark.parametrize("mode", ["congruence", "star"])
@@ -758,54 +743,44 @@ def test_split_reduces_just_below_where_its_threshold_overflows(mode):
 
 @pytest.mark.parametrize("mode", ["congruence", "star"])
 def test_regularize_residual_overflow_is_a_convergence_error(mode):
-    # ||a||_F^2 overflows, so the residual check's bound would be inf
-    # and pass whatever the residual: the check raises instead, as the
-    # split of the same matrix does.
+    # ||a||_F^2 would overflow at the input's scale, and with it the
+    # residual check's bound; the check runs at unit scale, as the split
+    # of the same matrix does.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(
-            ConvergenceError,
-            match="^the regularization residual overflows float64 at the "
-            "input's scale$",
-        ):
-            regularize(_nilpotent_at(1e160), mode)
-        reduced = regularize(_nilpotent_at(1e150), mode)
-    assert reduced.sigma == pytest.approx([1e150])
+        for scale in (1e160, 1e150):
+            reduced = regularize(_nilpotent_at(scale), mode)
+            assert reduced.sigma == pytest.approx([scale], rel=1e-15)
 
 
 @pytest.mark.parametrize("mode", ["congruence", "star"])
 def test_gate_overflow_is_a_convergence_error(mode):
+    # The Gram matrix of the gate product would overflow at 1e80; the
+    # split of 1e80 a is 1e80 times that of a.
     sample = random_congruence_instance if mode == "congruence" else random_star_instance
-    a = 1e80 * sample(6, default_rng(5))[1]
+    a = sample(6, default_rng(5))[1]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(
-            ConvergenceError,
-            match="^the class gate overflows float64 at the input's scale$",
-        ):
-            split_regular_singular(a, mode)
+        split = split_regular_singular(1e80 * a, mode)
+    expected = 1e80 * split_regular_singular(a, mode).assembled()
+    assert norm(split.assembled() - expected) <= 1e-12 * norm(expected)
 
 
 @pytest.mark.parametrize("mode", ["congruence", "star"])
 def test_gate_measures_past_where_its_norms_overflow(mode):
-    # From about ||a||_F = 1e38 on, the Frobenius norms of p* p overflow
-    # although p* p does not.  The gate then measures its relative
-    # residual on p scaled by a power of two: scaling a by 2^166 (about
-    # 1e50) is exact, so residual, Gram matrix and certificate are a's
-    # to the bit.
+    # From about ||a||_F = 1e38 on, the Frobenius norms of p* p would
+    # overflow at the input's scale.  The gate measures a scaled by a
+    # power of two, which is exact: residual, certificate and split of
+    # 2^166 a (about 1e50) are a's to the bit, the split scaled back.
     sample = random_congruence_instance if mode == "congruence" else random_star_instance
     a = sample(6, default_rng(5))[1]
-
-    def gram(x):
-        return _normality_residual(regularization._gate_product(x, mode))[1]
-
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         gate = regularization._gate(a, mode, DEFAULT_TOL)
         big_gate = regularization._gate(2.0**166 * a, mode, DEFAULT_TOL)
-        big_gram = gram(2.0**166 * a)
         split = split_regular_singular(2.0**166 * a, mode)
     assert big_gate == gate
-    assert np.array_equal(big_gram, 2.0**664 * gram(a))
-    expected = 2.0**166 * split_regular_singular(a, mode).assembled()
-    assert norm(split.assembled() - expected) <= 1e-12 * norm(expected)
+    base = split_regular_singular(a, mode)
+    assert np.array_equal(split.transform, base.transform)
+    assert np.array_equal(split.regular, 2.0**166 * base.regular)
+    assert np.array_equal(split.singular_sigmas, 2.0**166 * base.singular_sigmas)
