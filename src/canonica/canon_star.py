@@ -36,7 +36,7 @@ from .blocks import (
     triangular_block,
 )
 from .errors import ConvergenceError, PreconditionError
-from .matrix import DEFAULT_TOL, ToleranceConfig, as_matrix, norm
+from .matrix import DEFAULT_TOL, ToleranceConfig, _unit_scale, _unit_scale_pair, as_matrix, norm
 from .pipeline import _canon, _Mode
 from .predicates import _require_class
 from .regularization import _checked_cosquare
@@ -187,11 +187,13 @@ def pearcy_equal_2x2(x, y, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 
     x and y are unitarily *congruent iff tr x = tr y, tr x^2 = tr y^2,
     and tr x*x = tr y*y; for 2-by-2 this triple is a complete invariant.
+    The traces are compared on x and y scaled by one 2^-e (_unit_scale).
     """
     x = as_matrix(x, square=True)
     y = as_matrix(y, square=True)
     if x.shape != (2, 2) or y.shape != (2, 2):
         raise PreconditionError("the trace criterion applies to 2-by-2 matrices")
+    (x, y), _ = _unit_scale_pair(x, y)
 
     def _close(ta: complex, tb: complex) -> bool:
         return abs(ta - tb) <= tol.residual_rtol * max(1.0, abs(ta) + abs(tb))
@@ -337,15 +339,17 @@ def canon_quadratic(a, tol: ToleranceConfig = DEFAULT_TOL) -> QuadraticForm:
     Recovers the two eigenvalues as roots of the best-fit annihilating
     quadratic, then renders the *congruence form of the matrix shifted
     by their mean.  The singular values of the result are known in
-    closed form and are exposed for verification.
+    closed form and are exposed for verification.  It runs on a scaled
+    by 2^-e (_unit_scale) and scales the roots, blocks and singular
+    values back.
     """
-    a = as_matrix(a, square=True)
+    a, e = _unit_scale(as_matrix(a, square=True))
     n = a.shape[0]
     if n < 2:
         raise PreconditionError("minimal polynomial degree 2 needs size >= 2")
     norm_a = norm(a)
     mean = complex(np.trace(a)) / n
-    if norm(a - mean * np.eye(n)) <= tol.residual_rtol * max(1.0, norm_a):
+    if norm(a - mean * np.eye(n)) <= tol.residual_rtol * norm_a:
         raise PreconditionError("scalar matrix: minimal polynomial degree <= 1")
 
     # Best-fit c1, c0 with a^2 = c1 a - c0 I, then roots of
@@ -367,13 +371,8 @@ def canon_quadratic(a, tol: ToleranceConfig = DEFAULT_TOL) -> QuadraticForm:
         )
 
     residual = norm((a - lam1 * np.eye(n)) @ (a - lam2 * np.eye(n)))
-    bound = tol.residual_rtol * max(
-        1.0, (norm_a + abs(lam1)) * (norm_a + abs(lam2))
-    )
-    if residual > bound:
-        raise PreconditionError(
-            "minimal polynomial degree is not 2", residual=residual
-        )
+    bound = tol.residual_rtol * (norm_a + abs(lam1)) * (norm_a + abs(lam2))
+    PreconditionError._check("minimal polynomial degree is not 2", residual, bound)
 
     if abs(lam1 - lam2) <= tol.cluster_rtol * max(1.0, abs(lam1)):
         lam1 = lam2 = (lam1 + lam2) / 2.0
@@ -390,9 +389,9 @@ def canon_quadratic(a, tol: ToleranceConfig = DEFAULT_TOL) -> QuadraticForm:
         s1 = (np.sqrt(q + 2.0 * p) + np.sqrt(max(q - 2.0 * p, 0.0))) / 2.0
         sigmas.extend((float(s1), p / float(s1)))
     return QuadraticForm(
-        blocks=tuple(blocks),
-        predicted_singular_values=tuple(sorted(sigmas, reverse=True)),
-        roots=(lam1, lam2),
+        blocks=tuple(_unit_scale(blk, -e)[0] for blk in blocks),
+        predicted_singular_values=tuple(np.ldexp(sorted(sigmas, reverse=True), e).tolist()),
+        roots=tuple(_unit_scale(np.array([lam1, lam2]), -e)[0].tolist()),
     )
 
 

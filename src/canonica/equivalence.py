@@ -18,7 +18,7 @@ from .canon_congruence import _CONGRUENCE, CongruenceCanonicalForm
 from .canon_star import _STAR, StarCanonicalForm, canon_quadratic, pearcy_equal_2x2
 from .errors import ConvergenceError, PreconditionError
 from .factorizations import polar, svd
-from .matrix import DEFAULT_TOL, ToleranceConfig, _adjoint, _unit_scale, as_matrix, norm, rank
+from .matrix import DEFAULT_TOL, ToleranceConfig, _adjoint, _unit_scale_pair, as_matrix, norm, rank
 from .pipeline import _canon
 from .predicates import _class_residual
 from .regularization import MODES, _gate, _split
@@ -141,10 +141,10 @@ def _gated_forms(a, b, mode, tol: ToleranceConfig):
     """(ra, rb, forms): the class-gate residuals of a and b and, when
     both pass, their canonical forms under the pipeline mode.
 
-    Both run scaled by one 2^-e (_unit_scale).  Each input's gate is
+    Both run scaled by one 2^-e (_unit_scale_pair).  Each input's gate is
     evaluated once, and its certificate is handed on to the split.
     """
-    (a, b), e = _unit_scale(np.stack((a, b)))
+    (a, b), e = _unit_scale_pair(a, b)
     ra, certified_a = _gate(a, mode.name, tol)
     rb, certified_b = _gate(b, mode.name, tol)
     if not (ra <= tol.residual_rtol and rb <= tol.residual_rtol):
@@ -233,17 +233,17 @@ def quadratic_invariants_equal(
     invariant in this class, so no canonical form is needed; both are
     matched within BLOCK_ATOL times the larger spectral norm.  Raises
     PreconditionError when either input has no quadratic annihilator.
-    Both run scaled by one 2^-e (_unit_scale).
+    The SVDs run on both scaled by one 2^-e (_unit_scale_pair).
     """
-    (a, b), e = _unit_scale(np.stack(_shape_gate(a, b)))
-    ea, eb = (np.array(_eigenvalue_multiset(canon_quadratic(x, tol))) for x in (a, b))
-    sa, sb = (_unit_scale(svd(x).sigma, -e)[0] for x in (a, b))
+    a, b = _shape_gate(a, b)
+    ea, eb = (_eigenvalue_multiset(canon_quadratic(x, tol)) for x in (a, b))
+    (a, b), e = _unit_scale_pair(a, b)
+    sa, sb = (np.ldexp(svd(x).sigma, e) for x in (a, b))
     # Eigenvalues and singular values scale with the matrix: compare
     # them relative to the larger spectral norm.
     atol = BLOCK_ATOL * float(max([*sa[:1], *sb[:1]], default=0.0))
     eigs_ok, eig_report = _greedy_match(
-        _unit_scale(ea, -e)[0].tolist(), _unit_scale(eb, -e)[0].tolist(),
-        lambda x, y: abs(complex(x) - complex(y)) <= atol,
+        ea, eb, lambda x, y: abs(complex(x) - complex(y)) <= atol
     )
     svs_ok, sv_report = _greedy_match(
         [float(v) for v in sa], [float(v) for v in sb],
@@ -306,22 +306,15 @@ def upgrade_congruence_to_unitary(
     scale_s = norm(s, kind="spectral")
     res = norm(a - s @ b @ _adjoint(s, mode))
     bound = tol.residual_rtol * max(1.0, norm(a) + scale_s ** 2 * norm(b))
-    if res > bound:
-        raise PreconditionError(
-            "congruence hypothesis a = s b s^T(*) fails", residual=res
-        )
+    PreconditionError._check("congruence hypothesis a = s b s^T(*) fails", res, bound)
     if not weak:
         ai = np.linalg.inv(a).conj().T
         bi = np.linalg.inv(b).conj().T
         res_inv = norm(ai - s @ bi @ _adjoint(s, mode))
-        bound_inv = tol.residual_rtol * max(
-            1.0, norm(ai) + scale_s ** 2 * norm(bi)
+        bound_inv = tol.residual_rtol * max(1.0, norm(ai) + scale_s ** 2 * norm(bi))
+        PreconditionError._check(
+            "pair hypothesis on the inverse conjugate transposes fails", res_inv, bound_inv
         )
-        if res_inv > bound_inv:
-            raise PreconditionError(
-                "pair hypothesis on the inverse conjugate transposes fails",
-                residual=res_inv,
-            )
 
     w = polar(s, side="right").w
     res_final = norm(a - w @ b @ _adjoint(w, mode))

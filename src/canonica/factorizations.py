@@ -246,8 +246,7 @@ def eig_normal(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.nd
     lam, recon = _rayleigh(a, u)
     if not _proved_normal(lam, recon, fro, tol.residual_rtol / 2.0):
         res = _normality_residual(*_unit_scale(a))[0]
-        if not res <= tol.residual_rtol:
-            raise PreconditionError("matrix is not normal", residual=res)
+        PreconditionError._check("matrix is not normal", res, tol.residual_rtol)
     if recon > bound and clusters:
         # Inside a cluster the skew part can be rounding noise, and its
         # eigh then rotates vectors that h still tells apart (by less
@@ -257,10 +256,7 @@ def eig_normal(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.nd
         _, u = np.linalg.eigh(h)
         _diagonalize_clusters(u, clusters, h, k, radius)
         lam, recon = _rayleigh(a, u)
-    if recon > bound:
-        raise ConvergenceError(
-            f"eigendecomposition residual {recon:.3e} exceeds {bound:.3e}"
-        )
+    ConvergenceError._check("eigendecomposition", recon, bound)
     return lam, u
 
 
@@ -403,9 +399,9 @@ def takagi_symmetric(
     """
     a = as_matrix(a, square=True)
     n = a.shape[0]
-    res = rel_residual(a, a.T)
-    if res > tol.residual_rtol:
-        raise PreconditionError("matrix is not symmetric", residual=res)
+    PreconditionError._check(
+        "matrix is not symmetric", rel_residual(a, a.T), tol.residual_rtol
+    )
     if n == 0:
         return np.zeros(0, dtype=np.float64), np.zeros((0, 0), dtype=np.complex128)
     a = (a + a.T) / 2.0
@@ -428,10 +424,7 @@ def takagi_symmetric(
 
     recon = norm(a - (v * f.sigma) @ v.T)
     bound = tol.residual_rtol * max(1.0, norm(a))
-    if recon > bound:
-        raise ConvergenceError(
-            f"symmetric SVD residual {recon:.3e} exceeds {bound:.3e}"
-        )
+    ConvergenceError._check("symmetric SVD", recon, bound)
     return f.sigma.copy(), v
 
 
@@ -449,9 +442,9 @@ def hua_skew(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndar
     """
     a = as_matrix(a, square=True)
     n = a.shape[0]
-    res = rel_residual(a, -a.T)
-    if res > tol.residual_rtol:
-        raise PreconditionError("matrix is not skew-symmetric", residual=res)
+    PreconditionError._check(
+        "matrix is not skew-symmetric", rel_residual(a, -a.T), tol.residual_rtol
+    )
     if n % 2 == 1:
         raise PreconditionError("skew-symmetric input must have even order")
     given = a
@@ -516,8 +509,5 @@ def hua_skew(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndar
         sblocks[2 * j + 1, 2 * j] = -t
     recon = norm(a - v @ sblocks @ v.T)
     bound = tol.residual_rtol * max(1.0, norm(a))
-    if recon > bound:
-        raise ConvergenceError(
-            f"skew-symmetric SVD residual {recon:.3e} exceeds {bound:.3e}"
-        )
+    ConvergenceError._check("skew-symmetric SVD", recon, bound)
     return np.array(taus, dtype=np.float64), v

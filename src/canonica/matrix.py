@@ -106,10 +106,13 @@ def _rank_of_values(
 
 def rel_residual(lhs, rhs) -> float:
     """Relative residual ||lhs - rhs||_F / max(1, ||lhs||_F + ||rhs||_F)."""
-    lhs = as_matrix(lhs)
-    rhs = as_matrix(rhs)
-    denom = max(1.0, norm(lhs) + norm(rhs))
-    return norm(lhs - rhs) / denom
+    return _relative(as_matrix(lhs), as_matrix(rhs), 1.0)
+
+
+def _relative(lhs: np.ndarray, rhs: np.ndarray, floor: float) -> float:
+    """||lhs - rhs||_F / max(floor, ||lhs||_F + ||rhs||_F), 0 when lhs = rhs."""
+    diff = norm(lhs - rhs)
+    return diff / max(floor, norm(lhs) + norm(rhs)) if diff else 0.0
 
 
 def _unit_scale(a: np.ndarray, e: int | None = None) -> tuple[np.ndarray, int]:
@@ -126,15 +129,19 @@ def _unit_scale(a: np.ndarray, e: int | None = None) -> tuple[np.ndarray, int]:
     return np.ldexp(parts.view(np.float64), -e).view(parts.dtype), e
 
 
+def _unit_scale_pair(a: np.ndarray, b: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], int]:
+    """_unit_scale of a and b by one e, that of the larger of their
+    largest entries, without stacking them into one array."""
+    e = _unit_scale(np.array([np.max(np.abs(x), initial=0.0) for x in (a, b)]))[1]
+    return (_unit_scale(a, e)[0], _unit_scale(b, e)[0]), e
+
+
 def _normality_residual(x: np.ndarray, e: int = 0) -> tuple[float, np.ndarray]:
     """rel_residual(y* y, y y*) for y = 2^e x, measured on x at unit scale
     (_unit_scale), where no product or norm overflows, and the Gram
     matrix x* x.  Its floor of 1 is 4^-e, at most 2^1023, at x's scale."""
     gram = x.conj().T @ x
-    other = x @ x.conj().T
-    diff = norm(gram - other)
-    floor = math.ldexp(1.0, min(-2 * e, 1023))
-    return (diff / max(floor, norm(gram) + norm(other)) if diff else 0.0), gram
+    return _relative(gram, x @ x.conj().T, math.ldexp(1.0, min(-2 * e, 1023))), gram
 
 
 def _adjoint(m: np.ndarray, mode: str) -> np.ndarray:

@@ -152,11 +152,7 @@ def _canon(a, mode: _Mode, tol: ToleranceConfig, split: RegularSplit | None = No
 
     form = mode.form.build([v for v, _ in ones], [p for p, _ in twos])
     res = norm(transform @ a @ adj(transform) - form.assemble())
-    bound = tol.residual_rtol * norm(a)
-    if res > bound:
-        raise ConvergenceError(
-            f"canonical form residual {res:.3e} exceeds {bound:.3e}"
-        )
+    ConvergenceError._check("canonical form", res, tol.residual_rtol * norm(a))
     # The exact scaling leaves the sort keys, tau and |entry|, in order.
     return replace(
         form,

@@ -20,6 +20,8 @@ from .matrix import (
     ToleranceConfig,
     _cosquare,
     _normality_residual,
+    _rank_of_values,
+    _relative,
     _unit_scale,
     as_matrix,
     norm,
@@ -89,9 +91,7 @@ class _Products:
     def residual(self, lhs: np.ndarray, rhs: np.ndarray, degree: int) -> float:
         """rel_residual(lhs, rhs) of products of the given degree in 2^-e a,
         its floor of 1 at the input's scale, or at unit scale below it."""
-        diff = norm(lhs - rhs)
-        floor = math.ldexp(1.0, -degree * max(self.e, 0))
-        return diff / max(floor, norm(lhs) + norm(rhs)) if diff else 0.0
+        return _relative(lhs, rhs, math.ldexp(1.0, -degree * max(self.e, 0)))
 
     @cached_property
     def a_star(self) -> np.ndarray:
@@ -174,16 +174,14 @@ def _require_class(
     """Raise PreconditionError(message) with the residual unless a
     passes the identity of flag; return the products it was measured on."""
     products = _Products(a, tol)
-    res = _IDENTITIES[flag](products)
-    if not res <= tol.residual_rtol:
-        raise PreconditionError(message, residual=res)
+    PreconditionError._check(message, _IDENTITIES[flag](products), tol.residual_rtol)
     return products
 
 
 def _range_projector_residual(a: np.ndarray, tol: ToleranceConfig) -> float:
     # range(a) vs range(a*) compared through their orthogonal projectors
     f = svd(a)
-    r = rank(a, tol)
+    r = _rank_of_values(f.sigma, len(a), tol) if len(a) else 0
     p_col = f.u[:, :r] @ f.u[:, :r].conj().T
     p_row = f.v[:, :r] @ f.v[:, :r].conj().T
     return rel_residual(p_col, p_row)

@@ -170,11 +170,7 @@ def regularize(a, mode: str, tol: ToleranceConfig = DEFAULT_TOL) -> ReducedForm:
     )
     if 0 < r < n:
         res = norm(image - _unit_scale(form.assembled(), e)[0])
-        bound = tol.residual_rtol * norm(a)
-        if res > bound:
-            raise ConvergenceError(
-                f"regularization residual {res:.3e} exceeds {bound:.3e}"
-            )
+        ConvergenceError._check("regularization", res, tol.residual_rtol * norm(a))
     return form
 
 
@@ -193,10 +189,9 @@ def split_regular_singular(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     a, e = _unit_scale(as_matrix(a, square=True))
     gate, certified = _gate(a, mode, tol)
-    if not gate <= tol.residual_rtol:
-        raise PreconditionError(
-            f"input is not {_GATE_FLAGS[mode].replace('_', ' ')}", residual=gate
-        )
+    PreconditionError._check(
+        f"input is not {_GATE_FLAGS[mode].replace('_', ' ')}", gate, tol.residual_rtol
+    )
     split = _split(a, mode, tol, certified)
     regular, sigmas = _unit_scale(split.regular, -e)[0], np.ldexp(split.singular_sigmas, e)
     return replace(split, regular=regular, singular_sigmas=sigmas)
@@ -337,11 +332,9 @@ def _split_by_reduction(
             )
         )
     bound = 100.0 * tol.residual_rtol * norm(a)
-    if off > bound:
-        raise PreconditionError(
-            "bordering blocks did not vanish; input is not numerically in class",
-            residual=off,
-        )
+    PreconditionError._check(
+        "bordering blocks did not vanish; input is not numerically in class", off, bound
+    )
 
     # Independent rank identity for the number of elementary blocks.
     # The product rank is measured against ||a||^2: the product of a
@@ -355,10 +348,7 @@ def _split_by_reduction(
                 f"rank identity gives {m2_check} elementary blocks, reduction gives {m2}"
             )
 
-    if res > bound:
-        raise ConvergenceError(
-            f"split residual {res:.3e} exceeds {bound:.3e}"
-        )
+    ConvergenceError._check("split", res, bound)
     if k0 > 0 and not proved:
         # The Weyl margin (_weyl) usually proves the regular part
         # nonsingular: the elementary blocks add nothing to the gate

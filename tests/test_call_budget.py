@@ -223,6 +223,15 @@ def test_eig_normal_takes_no_svd_on_a_separated_spectrum(counts):
     assert counts["svd"] == []
 
 
+@pytest.mark.parametrize("n", [0, 6, 32])
+def test_classify_takes_one_svd(counts, n):
+    # range_hermitian reads the rank off the singular values of the one
+    # full SVD it takes for the projectors.
+    a = random_matrix(n, default_rng(0)) if n != 32 else _singular_star_instance()
+    predicates.classify(a)
+    assert counts["svd"] == [(n, n)]
+
+
 def test_budget_counter_sees_the_gate(counts):
     # The counters see a direct classify call, the SVD inside the
     # spectral norm and a Cholesky factorization, so a zero above is not
@@ -236,5 +245,6 @@ def test_budget_counter_sees_the_gate(counts):
     regularization.split_regular_singular(a, "star")
     assert counts["classify"] == 1
     assert counts["regularize"] == 1
-    assert _full_size(counts, a.shape[0]) == 4
+    # One SVD each in classify, the spectral norm and regularize.
+    assert _full_size(counts, a.shape[0]) == 3
     assert counts["cholesky"] == [(3, 3), a.shape]

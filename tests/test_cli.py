@@ -421,6 +421,8 @@ MATRIX_COMMANDS = {
         ["canon", "--star", "--triangular", fx("weighted.json")], cli.EXIT_OK),
     "canon-congruence-verify": (
         ["canon", "--congruence", "--verify", fx("singular_mixed.json")], cli.EXIT_OK),
+    "canon-cluster-rtol": (
+        ["canon", "--star", "--cluster-rtol", "1e-6", fx("weighted.json")], cli.EXIT_OK),
     "canon-style": (
         ["canon", "--congruence", "--style", "hermitian_unitary", fx("rotation.json")],
         cli.EXIT_OK),
@@ -446,6 +448,12 @@ MATRIX_COMMANDS = {
     "exit3-bad-shape": (["classify", fx("bad_shape.json")], cli.EXIT_PARSE),
     "exit3-usage": (["canon", "--star", "--style", "h2", fx("rotation.json")],
                     cli.EXIT_PARSE),
+    "exit3-x0-missing-file": (
+        ["simulate", "--congruence", "--steps", "5", "--x0", "no_such_file.json",
+         fx("rotation.json")], cli.EXIT_PARSE),
+    "exit3-x0-not-json": (
+        ["simulate", "--congruence", "--steps", "5", "--x0", fx("not_json.json"),
+         fx("rotation.json")], cli.EXIT_PARSE),
     "exit3-unwritable": (["classify", fx("rotation.json"), "--output", "{unwritable}"],
                          cli.EXIT_PARSE),
     "exit4-convergence": (["canon", "--star", "{close_mu}"], cli.EXIT_CONVERGENCE),

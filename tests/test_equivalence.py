@@ -210,6 +210,10 @@ class TestUpgrade:
         with pytest.raises(PreconditionError):
             upgrade_congruence_to_unitary(a, b, s)
 
+    def test_rejects_a_transform_of_the_wrong_shape(self):
+        with pytest.raises(PreconditionError, match="^transform shape does not match"):
+            upgrade_congruence_to_unitary(np.eye(2), np.eye(2), np.eye(3))
+
     def test_rejects_singular_inputs(self):
         with pytest.raises(PreconditionError):
             upgrade_congruence_to_unitary(J2, J2, np.eye(2))

@@ -328,6 +328,13 @@ def test_eig_normal_empty():
     assert u.shape == (0, 0)
 
 
+@pytest.mark.parametrize("factor", [takagi_symmetric, hua_skew], ids=lambda f: f.__name__)
+def test_symmetric_factorizations_of_an_empty_matrix(factor):
+    values, v = factor(np.zeros((0, 0)))
+    assert (values.shape, values.dtype) == ((0,), np.float64)
+    assert (v.shape, v.dtype) == ((0, 0), np.complex128)
+
+
 def _eig_normal_exact_radius(a, tol=DEFAULT_TOL):
     # eig_normal with the cluster radius always taken from the spectral
     # norm itself (one more SVD), as it was before the bracket.

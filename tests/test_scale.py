@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from canonica import (
     canon_congruence,
+    canon_quadratic,
     canon_star,
     classify,
     decide_unitary_congruence,
@@ -29,6 +30,7 @@ from canonica.sampling import (
     default_rng,
     random_congruence_instance,
     random_matrix,
+    random_quadratic_instance,
     random_star_instance,
     random_unitary,
 )
@@ -180,6 +182,53 @@ def test_tiny_singular_input_is_reduced(scale):
     assert len(form.one_by_one) == len(base.one_by_one)
     assert [tau for tau, _ in form.two_by_two] == pytest.approx(
         [scale * tau for tau, _ in base.two_by_two], rel=1e-12, abs=0.0
+    )
+
+
+PEARCY_X = np.array([[1.0, 2.0], [0.0, 3.0]])
+PEARCY_Y = np.array([[1.0, 2.5], [0.0, 3.0]])
+
+
+@pytest.mark.parametrize("scale", [1e-5, 2.0**-600, 1.0, 1e3])
+def test_pearcy_compares_traces_at_unit_scale(scale):
+    # tr x* x and tr y* y differ by 2.25 scale^2: at 1e-5 that is below
+    # the trace test's floor of 1 times residual_rtol, and at 2^-600 it
+    # underflows, so at the input's scale the pair was called equivalent.
+    x, y = scale * PEARCY_X, scale * PEARCY_Y
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = decide_unitary_star_congruence(x, y)
+        same = decide_unitary_star_congruence(x, x.T)
+    assert (got.verdict, got.method) == ("not_equivalent", "pearcy")
+    assert (same.verdict, same.method) == ("equivalent", "pearcy")
+    # The reported traces stay at the input's scale.
+    traces = got.detail["traces"]
+    assert traces["a"] == [[t.real, t.imag] for t in map(complex, _traces(x))]
+    assert traces["b"] == [[t.real, t.imag] for t in map(complex, _traces(y))]
+
+
+def _traces(x):
+    return np.trace(x), np.trace(x @ x), np.trace(x.conj().T @ x)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e160])
+def test_canon_quadratic_runs_at_unit_scale(scale):
+    # At the input's scale its scalar test called 1e-12 q scalar under
+    # its floor of 1, and 1e160 q once its norms overflowed.  At unit
+    # scale the roots, blocks and singular values come back 2^k times
+    # those of 2^-k a.
+    a = scale * random_quadratic_instance(4, default_rng(1))[0]
+    k = math.frexp(float(np.abs(a).max()))[1] - 1
+    want = canon_quadratic(_scaled(a, -k))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = canon_quadratic(a)
+    assert got.roots == tuple(_scaled(np.array(want.roots), k).tolist())
+    assert len(got.blocks) == len(want.blocks)
+    for block, base in zip(got.blocks, want.blocks):
+        assert np.array_equal(block, _scaled(base, k))
+    assert got.predicted_singular_values == tuple(
+        math.ldexp(s, k) for s in want.predicted_singular_values
     )
 
 
