@@ -312,8 +312,7 @@ def canon_lambda_projection(
     products = _require_class(
         a, "lambda_projection", tol, "input does not satisfy a^2 = lam a"
     )
-    lam = complex(*np.ldexp([products.lam.real, products.lam.imag], products.e))
-    return _two_root_blocks(a, lam, 0.0 + 0.0j, tol)
+    return _two_root_blocks(a, products.input_lam, 0.0 + 0.0j, tol)
 
 
 @dataclass(frozen=True)

@@ -302,6 +302,9 @@ def upgrade_congruence_to_unitary(
         all(_class_residual(m, flag, tol) <= tol.residual_rtol for m in (a, b))
         for flag in ("unitary", other)
     )
+    # Both hypotheses are homogeneous in (a, b) jointly: measure them at
+    # unit scale, where no norm overflows; s and w need no scaling.
+    (a, b), _ = _unit_scale_pair(a, b)
 
     scale_s = norm(s, kind="spectral")
     res = norm(a - s @ b @ _adjoint(s, mode))
@@ -318,7 +321,7 @@ def upgrade_congruence_to_unitary(
 
     w = polar(s, side="right").w
     res_final = norm(a - w @ b @ _adjoint(w, mode))
-    if res_final > 1e-8 * max(1.0, norm(a)):
+    if not res_final <= 1e-8 * max(1.0, norm(a)):
         # The hypothesis held, so this is numerical breakdown rather
         # than bad input.
         raise ConvergenceError(

@@ -1,8 +1,8 @@
 """Membership tests for the matrix classes the canonical forms cover.
 
-Every flag is the comparison of a defining identity's relative residual
-against residual_rtol, with the residual reported alongside the flag so
-borderline calls are visible to the caller.
+Every flag is the comparison of a defining identity's relative residual,
+measured at unit scale, against residual_rtol, with the residual reported
+alongside the flag so borderline calls are visible to the caller.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from .matrix import (
     _unit_scale,
     as_matrix,
     norm,
-    rank,
-    rel_residual,
 )
 
 __all__ = [
@@ -75,23 +73,19 @@ class ClassReport:
         }
 
 
-def _commutator_residual(x: np.ndarray, y: np.ndarray) -> float:
-    return rel_residual(x @ y, y @ x)
-
-
 class _Products:
     """The products the class identities are measured on, each formed on
     first use and shared by every identity that needs it.  They are
-    products of a scaled by 2^-e (_unit_scale); lam is that of 2^-e a."""
+    products of a scaled by 2^-e (_unit_scale), so no identity depends on
+    the scale of a; lam is that of 2^-e a."""
 
     def __init__(self, a: np.ndarray, tol: ToleranceConfig):
         self.a, self.e = _unit_scale(a)
         self.tol = tol
 
-    def residual(self, lhs: np.ndarray, rhs: np.ndarray, degree: int) -> float:
-        """rel_residual(lhs, rhs) of products of the given degree in 2^-e a,
-        its floor of 1 at the input's scale, or at unit scale below it."""
-        return _relative(lhs, rhs, math.ldexp(1.0, -degree * max(self.e, 0)))
+    def residual(self, lhs: np.ndarray, rhs: np.ndarray) -> float:
+        """rel_residual(lhs, rhs), its floor of 1 at unit scale."""
+        return _relative(lhs, rhs, 1.0)
 
     @cached_property
     def a_star(self) -> np.ndarray:
@@ -134,26 +128,140 @@ class _Products:
             return 0.0 + 0.0j
         return complex(np.trace(self.a_sq)) / tr
 
+    @property
+    def input_lam(self) -> complex:
+        """lam at the input's scale, 2^e lam."""
+        return complex(*np.ldexp([self.lam.real, self.lam.imag], self.e))
 
-# The defining identity of each class, as a residual of the products.
-# classify reports those in FLAG_NAMES; "hermitian_cosquare" (conj(a) a
-# Hermitian) gates canon_hermitian_cosquare, and the rest serve the
-# characterizations and the dualities.
+    @cached_property
+    def svd(self) -> SvdResult:
+        return svd(self.a)
+
+    @cached_property
+    def rank(self) -> int:
+        return _rank_of_values(self.svd.sigma, len(self.a), self.tol) if len(self.a) else 0
+
+    @cached_property
+    def polar(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # a = p w = w q: w unitary (for singular a too), p the left and q
+        # the right positive factor.
+        f = self.svd
+        p, q = ((x * f.sigma) @ x.conj().T for x in (f.u, f.v))
+        return f.u @ f.v.conj().T, (p + p.conj().T) / 2.0, (q + q.conj().T) / 2.0
+
+    @cached_property
+    def parts(self) -> tuple[np.ndarray, np.ndarray]:
+        # The symmetric and the skew part of a.
+        return (self.a + self.a.T) / 2.0, (self.a - self.a.T) / 2.0
+
+    @cached_property
+    def singular_blocks(self) -> tuple[np.ndarray, list[list[int]]]:
+        # The unitary v* conj(u) of the SVD u diag(sigma) v* of a, and the
+        # clusters of sigma.
+        f = self.svd
+        radius = self.tol.cluster_rtol * float(f.sigma[0]) if len(f.sigma) else 0.0
+        return f.v.conj().T @ f.u.conj(), cluster_real_sorted(f.sigma, radius)
+
+
+def _range_hermitian(p: _Products) -> float:
+    # range(a) vs range(a*) compared through their orthogonal projectors
+    u, v = p.svd.u[:, : p.rank], p.svd.v[:, : p.rank]
+    return p.residual(u @ u.conj().T, v @ v.conj().T)
+
+
+def _congruence_parts(p: _Products) -> float:
+    # The Hermitian and the skew part of conj(a) a, from the parts of a,
+    # commute.
+    s, c = p.parts
+    herm = s.conj() @ s + c.conj() @ c
+    skew = s.conj() @ c + c.conj() @ s
+    return p.residual(herm @ skew, skew @ herm)
+
+
+def _polar_family(p: _Products) -> float:
+    # conj(p), q and conj(w) w commute pairwise.
+    w, left, right = p.polar
+    pbar, ww = left.conj(), w.conj() @ w
+    return max(p.residual(x @ y, y @ x) for x, y in ((pbar, right), (pbar, ww), (right, ww)))
+
+
+def _unitary_sum(p: _Products) -> float:
+    # In the left singular basis, the unitary polar factor is block
+    # diagonal along the singular value clusters.
+    m, blocks = p.singular_blocks
+    mask = np.zeros(m.shape, dtype=bool)
+    for idx in blocks:
+        mask[np.ix_(idx, idx)] = True
+    return norm(np.where(mask, 0.0, m)) / max(1.0, norm(m))
+
+
+def _orthogonal_sum(p: _Products) -> float:
+    # Its diagonal blocks are unitary, so each has a real orthogonal
+    # rendering.
+    m, clusters = p.singular_blocks
+    blocks = (m[np.ix_(idx, idx)] for idx in clusters)
+    return max((p.residual(b.conj().T @ b, np.eye(len(b))) for b in blocks), default=0.0)
+
+
+# The defining identity of each class, as a residual of the products of a
+# at unit scale, with rel_residual's floor of 1 there.  classify reports
+# those in FLAG_NAMES; "hermitian_cosquare" (conj(a) a Hermitian) gates
+# canon_hermitian_cosquare, and the rest are the conditions of
+# verify_characterizations (_FAMILIES) and bar_block_dualities.  The
+# three against the input's I, 4^-e I, take no floor: a floor of 1 would
+# swamp that I above unit scale and call a nilpotent involutory.
 _IDENTITIES = {
-    "normal": lambda p: p.residual(p.gram_right, p.gram_left, 2),
-    "conjugate_normal": lambda p: p.residual(p.gram_right, p.gram_left.conj(), 2),
-    "congruence_normal": lambda p: _normality_residual(p.a_bar_a, 2 * max(p.e, 0))[0],
-    "squared_normal": lambda p: _normality_residual(p.a_sq, 2 * max(p.e, 0))[0],
-    "unitary": lambda p: p.residual(p.gram_right, p.eye, 2),
-    "coninvolutory": lambda p: p.residual(p.a_bar_a, p.eye, 2),
-    "involutory": lambda p: p.residual(p.a_sq, p.eye, 2),
-    "hermitian_square": lambda p: p.residual(p.a_sq, p.a_sq.conj().T, 2),
-    "range_hermitian": lambda p: _range_projector_residual(p.a, p.tol),
-    "lambda_projection": lambda p: p.residual(p.a_sq, p.lam * p.a, 2),
-    "hermitian_cosquare": lambda p: p.residual(p.a_bar_a, p.a_bar_a.conj().T, 2),
-    "congruence_cubic": lambda p: p.residual(p.a @ p.a.conj() @ p.a.T, p.a.T @ p.a.conj() @ p.a, 3),
-    "squared_cubic": lambda p: p.residual(p.a_sq @ p.a_star, p.a_star @ p.a_sq, 3),
-    "hermitian": lambda p: p.residual(p.a, p.a_star, 1),
+    "normal": lambda p: p.residual(p.gram_right, p.gram_left),
+    "conjugate_normal": lambda p: p.residual(p.gram_right, p.gram_left.conj()),
+    "congruence_normal": lambda p: _normality_residual(p.a_bar_a)[0],
+    "squared_normal": lambda p: _normality_residual(p.a_sq)[0],
+    "unitary": lambda p: _relative(p.gram_right, p.eye, 0.0),
+    "coninvolutory": lambda p: _relative(p.a_bar_a, p.eye, 0.0),
+    "involutory": lambda p: _relative(p.a_sq, p.eye, 0.0),
+    "hermitian_square": lambda p: p.residual(p.a_sq, p.a_sq.conj().T),
+    "range_hermitian": _range_hermitian,
+    "lambda_projection": lambda p: p.residual(p.a_sq, p.lam * p.a),
+    "hermitian_cosquare": lambda p: p.residual(p.a_bar_a, p.a_bar_a.conj().T),
+    "congruence_cubic": lambda p: p.residual(p.a @ p.a.conj() @ p.a.T, p.a.T @ p.a.conj() @ p.a),
+    "squared_cubic": lambda p: p.residual(p.a_sq @ p.a_star, p.a_star @ p.a_sq),
+    "cosquare_normal": lambda p: _normality_residual(p.cosquare)[0],
+    "cosquare_hermitian": lambda p: p.residual(p.cosquare, p.cosquare.conj().T),
+    "cosquare_unitary": lambda p: p.residual(p.cosquare.conj().T @ p.cosquare, np.eye(len(p.a))),
+    "star_cosquare_normal": lambda p: _normality_residual(p.star_cosquare)[0],
+    "star_cosquare_hermitian": lambda p: p.residual(p.star_cosquare, p.star_cosquare.conj().T),
+    "star_cosquare_unitary": lambda p: p.residual(p.star_cosquare.conj().T @ p.star_cosquare, np.eye(len(p.a))),
+    "conjugate_parts": lambda p: p.residual(p.parts[0] @ p.parts[1].conj(), p.parts[1] @ p.parts[0].conj()),
+    "congruence_parts": _congruence_parts,
+    "polar_conjugate": lambda p: p.residual(p.polar[2], p.polar[1].conj()),
+    "polar_left_intertwines": lambda p: p.residual(p.polar[1] @ p.a, p.a @ p.polar[1].conj()),
+    "polar_right_intertwines": lambda p: p.residual(p.a @ p.polar[1].conj(), p.polar[2].conj() @ p.a),
+    "polar_family": _polar_family,
+    "unitary_sum": _unitary_sum,
+    "orthogonal_sum": _orthogonal_sum,
+}
+
+# The families of verify_characterizations, condition: identity.  The
+# polar conditions hold or fail with the rest on nonsingular input only;
+# the cosquare ones need an inverse and are measured on nonsingular input
+# only.
+_FAMILIES = {
+    "congruence_normal_idents": {
+        "gram_normal": "congruence_normal", "cubic_identity": "congruence_cubic",
+        "cosquare_normal": "cosquare_normal",
+    },
+    "squared_normal_idents": {
+        "square_normal": "squared_normal", "cubic_identity": "squared_cubic",
+        "cosquare_normal": "star_cosquare_normal",
+    },
+    "conjugate_normal_afd": {
+        "part_identity": "conjugate_parts", "definition": "conjugate_normal",
+        "polar_conjugate": "polar_conjugate", "polar_intertwine": "polar_left_intertwines",
+        "unitary_sum": "unitary_sum", "orthogonal_sum": "orthogonal_sum",
+    },
+    "congruence_normal_afd": {
+        "part_commute": "congruence_parts", "definition": "congruence_normal",
+        "polar_intertwine": "polar_right_intertwines", "polar_family": "polar_family",
+    },
 }
 
 
@@ -178,23 +286,15 @@ def _require_class(
     return products
 
 
-def _range_projector_residual(a: np.ndarray, tol: ToleranceConfig) -> float:
-    # range(a) vs range(a*) compared through their orthogonal projectors
-    f = svd(a)
-    r = _rank_of_values(f.sigma, len(a), tol) if len(a) else 0
-    p_col = f.u[:, :r] @ f.u[:, :r].conj().T
-    p_row = f.v[:, :r] @ f.v[:, :r].conj().T
-    return rel_residual(p_col, p_row)
-
-
 def classify(a, tol: ToleranceConfig = DEFAULT_TOL) -> ClassReport:
     """Evaluate all class memberships of a square matrix at once."""
     products = _Products(as_matrix(a, square=True), tol)
     residuals = {name: _IDENTITIES[name](products) for name in FLAG_NAMES}
     flags = {name: residuals[name] <= tol.residual_rtol for name in FLAG_NAMES}
-    lam = complex(*np.ldexp([products.lam.real, products.lam.imag], products.e))
     return ClassReport(
-        flags=flags, residuals=residuals, lam=lam if flags["lambda_projection"] else None
+        flags=flags,
+        residuals=residuals,
+        lam=products.input_lam if flags["lambda_projection"] else None,
     )
 
 
@@ -206,24 +306,6 @@ def bar_double(a) -> np.ndarray:
     out[:n, n:] = a
     out[n:, :n] = a.conj()
     return out
-
-
-def _polar_parts(f: SvdResult) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # a = p w = w q from the SVD f of a: w unitary (for singular a too),
-    # p the left and q the right positive factor.
-    w = f.u @ f.v.conj().T
-    p = (f.u * f.sigma) @ f.u.conj().T
-    q = (f.v * f.sigma) @ f.v.conj().T
-    return w, (p + p.conj().T) / 2.0, (q + q.conj().T) / 2.0
-
-
-def _sigma_cluster_blocks(sigma: np.ndarray, tol: ToleranceConfig) -> list[list[int]]:
-    radius = tol.cluster_rtol * float(sigma[0]) if len(sigma) else 0.0
-    return cluster_real_sorted(sigma, radius)
-
-
-def _condition(residual: float, tol: ToleranceConfig) -> dict:
-    return {"residual": float(residual), "holds": bool(residual <= tol.residual_rtol)}
 
 
 def verify_characterizations(
@@ -245,105 +327,27 @@ def verify_characterizations(
       parts of conj(a) a, the definition, and the polar conditions
       a conj(p) = conj(q) a and the family {conj(p), q, conj(w) w}.
 
+    Every condition is measured on a at unit scale, as classify does.
     Returns {"conditions": {name: {residual, holds}}, "nonsingular",
     "agree"}; "agree" states whether all evaluated flags coincide, with
     the polar-based conditions only required to match on nonsingular
     input.
     """
-    a = as_matrix(a, square=True)
-    n = a.shape[0]
-    nonsingular = rank(a, tol) == n
-    conditions: dict[str, dict] = {}
-    # Conditions whose equivalence to the rest is only asserted for
-    # nonsingular input; they are still evaluated and reported.
-    nonsingular_only: set[str] = set()
-
-    products = _Products(a, tol)
-
-    def identity(name: str) -> dict:
-        return _condition(_IDENTITIES[name](products), tol)
-
-    if which == "congruence_normal_idents":
-        conditions["gram_normal"] = identity("congruence_normal")
-        conditions["cubic_identity"] = identity("congruence_cubic")
-        nonsingular_only.add("cosquare_normal")
-        if nonsingular:
-            conditions["cosquare_normal"] = _condition(
-                _normality_residual(products.cosquare)[0], tol
-            )
-    elif which == "squared_normal_idents":
-        conditions["square_normal"] = identity("squared_normal")
-        conditions["cubic_identity"] = identity("squared_cubic")
-        nonsingular_only.add("cosquare_normal")
-        if nonsingular:
-            conditions["cosquare_normal"] = _condition(
-                _normality_residual(products.star_cosquare)[0], tol
-            )
-    elif which == "conjugate_normal_afd":
-        s = (a + a.T) / 2.0
-        c = (a - a.T) / 2.0
-        conditions["part_identity"] = _condition(
-            rel_residual(s @ c.conj(), c @ s.conj()), tol
-        )
-        conditions["definition"] = identity("conjugate_normal")
-        f = svd(a)
-        w, p, q = _polar_parts(f)
-        nonsingular_only.update(("polar_conjugate", "polar_intertwine"))
-        conditions["polar_conjugate"] = _condition(rel_residual(q, p.conj()), tol)
-        conditions["polar_intertwine"] = _condition(
-            rel_residual(p @ a, a @ p.conj()), tol
-        )
-        # Scaled-unitary direct sum: in the left singular basis x, the
-        # unitary polar factor must be block diagonal along singular
-        # value clusters (sum condition), with unitary blocks (real
-        # orthogonal rendering exists per block).
-        m = f.v.conj().T @ f.u.conj()
-        blocks = _sigma_cluster_blocks(f.sigma, tol)
-        mask = np.zeros((n, n), dtype=bool)
-        for idx in blocks:
-            mask[np.ix_(idx, idx)] = True
-        off_mass = norm(np.where(mask, 0.0, m))
-        conditions["unitary_sum"] = _condition(
-            off_mass / max(1.0, norm(m)), tol
-        )
-        block_res = 0.0
-        for idx in blocks:
-            mb = m[np.ix_(idx, idx)]
-            block_res = max(
-                block_res, rel_residual(mb.conj().T @ mb, np.eye(len(idx)))
-            )
-        conditions["orthogonal_sum"] = _condition(block_res, tol)
-    elif which == "congruence_normal_afd":
-        s = (a + a.T) / 2.0
-        c = (a - a.T) / 2.0
-        herm_part = s.conj() @ s + c.conj() @ c
-        skew_part = s.conj() @ c + c.conj() @ s
-        conditions["part_commute"] = _condition(
-            _commutator_residual(herm_part, skew_part), tol
-        )
-        conditions["definition"] = identity("congruence_normal")
-        w, p, q = _polar_parts(svd(a))
-        nonsingular_only.update(("polar_intertwine", "polar_family"))
-        conditions["polar_intertwine"] = _condition(
-            rel_residual(a @ p.conj(), q.conj() @ a), tol
-        )
-        ww = w.conj() @ w
-        family_res = max(
-            _commutator_residual(p.conj(), q),
-            _commutator_residual(p.conj(), ww),
-            _commutator_residual(q, ww),
-        )
-        conditions["polar_family"] = _condition(family_res, tol)
-    else:
+    if which not in _FAMILIES:
         raise ValueError(f"unknown characterization family {which!r}")
-
-    binding = [
+    products = _Products(as_matrix(a, square=True), tol)
+    nonsingular = products.rank == len(products.a)
+    conditions = {}
+    for name, row in _FAMILIES[which].items():
+        if nonsingular or not name.startswith("cosquare_"):
+            residual = _IDENTITIES[row](products)
+            conditions[name] = {"residual": float(residual), "holds": bool(residual <= tol.residual_rtol)}
+    binding = {
         cond["holds"]
         for name, cond in conditions.items()
-        if nonsingular or name not in nonsingular_only
-    ]
-    agree = len(set(binding)) <= 1
-    return {"conditions": conditions, "nonsingular": nonsingular, "agree": agree}
+        if nonsingular or not name.startswith("polar_")
+    }
+    return {"conditions": conditions, "nonsingular": nonsingular, "agree": len(binding) <= 1}
 
 
 def bar_block_dualities(a, tol: ToleranceConfig = DEFAULT_TOL) -> dict:
@@ -355,9 +359,7 @@ def bar_block_dualities(a, tol: ToleranceConfig = DEFAULT_TOL) -> dict:
     appear only for nonsingular input.
     """
     a = as_matrix(a, square=True)
-    n = a.shape[0]
-    d = bar_double(a)
-    pa, pd = _Products(a, tol), _Products(d, tol)
+    pa, pd = _Products(a, tol), _Products(bar_double(a), tol)
 
     def entry(left: float, right: float) -> dict:
         lh = left <= tol.residual_rtol
@@ -370,32 +372,27 @@ def bar_block_dualities(a, tol: ToleranceConfig = DEFAULT_TOL) -> dict:
             "agree": bool(lh == rh),
         }
 
+    pairs = [
+        ("squared_vs_congruence", pa, "squared_normal", pd, "congruence_normal"),
+        ("congruence_vs_squared", pa, "congruence_normal", pd, "squared_normal"),
+        ("normal_vs_conjugate", pa, "normal", pd, "conjugate_normal"),
+        ("conjugate_vs_normal", pa, "conjugate_normal", pd, "normal"),
+        ("cubic_transpose", pd, "congruence_cubic", pa, "squared_cubic"),
+        ("cubic_star", pd, "squared_cubic", pa, "congruence_cubic"),
+    ]
+    if pa.rank == len(a):
+        # Each cosquare of a against the other one of the doubled matrix.
+        pairs += [
+            (f"{name}_{kind}", pa, f"{left}_{kind}", pd, f"{right}_{kind}")
+            for kind in ("normal", "hermitian", "unitary")
+            for name, left, right in (
+                ("transpose_cosquare", "cosquare", "star_cosquare"),
+                ("star_cosquare", "star_cosquare", "cosquare"),
+            )
+        ]
     out = {
         name: entry(_IDENTITIES[left](p), _IDENTITIES[right](q))
-        for name, p, left, q, right in (
-            ("squared_vs_congruence", pa, "squared_normal", pd, "congruence_normal"),
-            ("congruence_vs_squared", pa, "congruence_normal", pd, "squared_normal"),
-            ("normal_vs_conjugate", pa, "normal", pd, "conjugate_normal"),
-            ("conjugate_vs_normal", pa, "conjugate_normal", pd, "normal"),
-            ("cubic_transpose", pd, "congruence_cubic", pa, "squared_cubic"),
-            ("cubic_star", pd, "squared_cubic", pa, "congruence_cubic"),
-        )
+        for name, p, left, q, right in pairs
     }
-
-    if rank(a, tol) == n:
-        # Each cosquare of a against the other one of the doubled matrix.
-        pairs = {
-            "transpose_cosquare": (pa.cosquare, pd.star_cosquare),
-            "star_cosquare": (pa.star_cosquare, pd.cosquare),
-        }
-        checks = {
-            "normal": lambda x: _normality_residual(x)[0],
-            "hermitian": lambda x: _IDENTITIES["hermitian"](_Products(x, tol)),
-            "unitary": lambda x: _IDENTITIES["unitary"](_Products(x, tol)),
-        }
-        for kind, fn in checks.items():
-            for name, (x, y) in pairs.items():
-                out[f"{name}_{kind}"] = entry(fn(x), fn(y))
-
-    out["agree"] = all(v["agree"] for k, v in out.items() if isinstance(v, dict))
+    out["agree"] = all(v["agree"] for v in out.values())
     return out

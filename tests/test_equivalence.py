@@ -1,6 +1,7 @@
 """Equivalence decisions and the polar-factor upgrade."""
 
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from canonica.predicates import classify
 from canonica.sampling import (
     default_rng,
     random_congruence_instance,
+    random_nonsingular,
     random_quadratic_instance,
     random_star_instance,
     random_unitary,
@@ -219,6 +221,31 @@ class TestUpgrade:
             upgrade_congruence_to_unitary(J2, J2, np.eye(2))
         with pytest.raises(PreconditionError):
             upgrade_congruence_to_unitary(np.eye(2), np.eye(2), J2)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-12, 2.0**-600])
+    def test_measures_the_hypotheses_at_unit_scale(self, scale):
+        # a and b are unrelated.  At 1e160 the residual and its bound
+        # both overflowed, and inf <= inf passed; at 1e-12 the residual
+        # fell under the bound's floor of 1 at the input's scale.
+        gen = default_rng(0)
+        a, b, s = (random_nonsingular(4, gen) for _ in range(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match="^congruence hypothesis "):
+                upgrade_congruence_to_unitary(scale * a, scale * b, s)
+
+    @pytest.mark.parametrize("mode", ["congruence", "star"])
+    def test_returns_the_same_factor_at_every_scale(self, mode):
+        gen = default_rng(67)
+        b = np.array([[0.0, 2.0], [0.5, 0.0]])
+        s = random_unitary(2, gen) @ np.diag([1.5, 1.0 / 1.5])
+        a = s @ b @ (s.T if mode == "congruence" else s.conj().T)
+        w = upgrade_congruence_to_unitary(a, b, s, mode=mode)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scale in (1e160, 2.0**-600):
+                got = upgrade_congruence_to_unitary(scale * a, scale * b, s, mode=mode)
+                assert np.array_equal(got, w), scale
 
     def test_reads_class_flags_without_calling_classify(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import canonica.regularization as regularization
+from canonica.canon_star import canon_hermitian_square, canon_lambda_projection
 from canonica.matrix import DEFAULT_TOL
 from canonica.predicates import (
     FLAG_NAMES,
@@ -20,6 +21,7 @@ from canonica.sampling import (
     random_congruence_instance,
     random_matrix,
     random_star_instance,
+    random_unitary,
 )
 
 J2 = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -276,3 +278,115 @@ def test_class_gate_residuals_do_not_depend_on_the_scale(kind, k):
         assert gate == base.residuals[flag]
     assert base.flags["congruence_normal"] == (kind == "congruence_normal")
     assert base.flags["squared_normal"] == (kind == "squared_normal")
+
+
+# ----- one rule: every identity at unit scale, with the gate's floor -----
+
+SCALE_KS = (-900, -20, 20, 500, 900)
+# The three identities against the input's I are not homogeneous.
+HOMOGENEOUS = [name for name in FLAG_NAMES if name not in ("unitary", "coninvolutory", "involutory")]
+
+
+def _hidden_nilpotent():
+    # u N u* with N^2 = 0: squared normal, a Hermitian square and a
+    # lambda-projection with lam = 0 at every scale, but not involutory.
+    u = random_unitary(4, default_rng(0))
+    n = np.zeros((4, 4), dtype=complex)
+    n[0, 1], n[2, 3] = 1.0, 0.7
+    return u @ n @ u.conj().T
+
+
+def _scale_inputs():
+    gen = default_rng(3)
+    return {
+        "generic": random_matrix(6, default_rng(0)),
+        "congruence": random_congruence_instance(4, default_rng(1))[1],
+        "star": random_star_instance(5, gen)[1],
+        "singular_congruence": random_congruence_instance(5, gen, singular=True)[1],
+        "hidden_nilpotent": _hidden_nilpotent(),
+    }
+
+
+SCALE_INPUTS = _scale_inputs()
+
+
+def _scaled(x, k: int):
+    """2^k x, exactly."""
+    return np.ldexp(x.view(np.float64), k).view(x.dtype)
+
+
+@pytest.mark.parametrize("which", FAMILIES)
+@pytest.mark.parametrize("name", ["generic", "congruence"])
+def test_characterizations_do_not_depend_on_the_scale(which, name):
+    # Every condition is measured at unit scale, so 2^k x reports what x
+    # does, bit for bit, and its conditions agree.
+    x = SCALE_INPUTS[name]
+    base = verify_characterizations(x, which)
+    assert base["agree"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in SCALE_KS:
+            assert verify_characterizations(_scaled(x, k), which) == base, k
+
+
+@pytest.mark.parametrize("name", ["generic", "congruence"])
+def test_dualities_do_not_depend_on_the_scale(name):
+    x = SCALE_INPUTS[name]
+    base = bar_block_dualities(x)
+    assert base["agree"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in SCALE_KS:
+            assert bar_block_dualities(_scaled(x, k)) == base, k
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e80])
+def test_characterizations_agree_far_from_unit_scale(scale):
+    # At 1e-8 the polar and part conditions of a generic matrix held under
+    # the floor of 1 at the input's scale, and at 1e80 its products
+    # overflowed.
+    x = scale * SCALE_INPUTS["generic"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for which in FAMILIES:
+            assert verify_characterizations(x, which)["agree"], which
+
+
+@pytest.mark.parametrize("name", sorted(SCALE_INPUTS))
+def test_homogeneous_classify_residuals_do_not_depend_on_the_scale(name):
+    x = SCALE_INPUTS[name]
+    base = classify(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in SCALE_KS:
+            got = classify(_scaled(x, k))
+            assert {f: got.residuals[f] for f in HOMOGENEOUS} == {
+                f: base.residuals[f] for f in HOMOGENEOUS
+            }, k
+
+
+@pytest.mark.parametrize("scale", [1e5, 1e8, 1e150])
+def test_hidden_nilpotent_keeps_its_classes_at_every_scale(scale):
+    # Its square is of rounding size: at the input's scale the floor of
+    # 1 shrank by scale^-2 and the rounding then read as a relative
+    # residual near 1.  Against its I it is no involution, at any scale.
+    a = _hidden_nilpotent()
+    base = classify(a)
+    assert flags_of(a) == {"squared_normal", "hermitian_square", "lambda_projection"}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = classify(scale * a)
+        assert report.flags == base.flags
+        assert report.lam == 0.0
+        canon_hermitian_square(scale * a)
+        canon_lambda_projection(scale * a)
+
+
+@pytest.mark.parametrize("name", sorted(SCALE_INPUTS))
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e8])
+def test_classify_measures_the_gate_residual(name, scale):
+    # classify and the canonical forms' class gate measure one number.
+    a = scale * SCALE_INPUTS[name]
+    residuals = classify(a).residuals
+    for mode, flag in regularization._GATE_FLAGS.items():
+        assert residuals[flag] == regularization._gate(a, mode, DEFAULT_TOL)[0]

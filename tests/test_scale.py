@@ -24,6 +24,7 @@ from canonica import (
     regularize,
 )
 from canonica.blocks import antidiag_block, direct_sum
+from canonica.equivalence import forms_match
 from canonica.errors import CanonicaError, PreconditionError
 from canonica.matrix import DEFAULT_TOL
 from canonica.sampling import (
@@ -279,3 +280,44 @@ def test_stressed_forms_scale_exactly_or_fail_alike(mode, seed, gap, shave, thet
             else:
                 assert np.array_equal(got[1], base[1])
                 _same_form(got[0], base[0], k)
+
+
+# ----- metamorphic: unitary invariance and scales off the powers of two ---
+
+CS = (1e-8, 1e-3, 0.7, 1e3, 1e8)
+
+
+def _metamorphic_cases():
+    gen = default_rng(23)
+    return [
+        (mode, n, singular, MODES[mode][0](n, gen, singular=singular)[1], random_unitary(n, gen))
+        for mode in sorted(MODES)
+        for n in range(3, 9)
+        for singular in (False, True)
+    ]
+
+
+METAMORPHIC = _metamorphic_cases()
+
+
+def _times(form, c: float):
+    """c times the form: c scales tau and the 1-by-1 entries, not mu."""
+    return type(form).build([c * v for v in form.one_by_one], [(c * t, m) for t, m in form.two_by_two])
+
+
+@pytest.mark.parametrize(
+    "mode, n, singular, a, u", METAMORPHIC, ids=[f"{m}-{n}-{s}" for m, n, s, _, _ in METAMORPHIC]
+)
+def test_canon_and_decide_are_metamorphic(mode, n, singular, a, u):
+    # canon(u a u^{T/*}) = canon(a), canon(c a) = c canon(a), and
+    # decide(c a, c u a u^{T/*}) is equivalent, within the block-match
+    # tolerance, for scales c that are not powers of two.
+    _, canon, decide = MODES[mode]
+    b = u @ a @ (u.T if mode == "congruence" else u.conj().T)
+    base, _ = canon(a)
+    assert forms_match(canon(b)[0], base)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in CS:
+            assert forms_match(canon(c * a)[0], _times(base, c))[0], c
+            assert decide(c * a, c * b).verdict == "equivalent", c
