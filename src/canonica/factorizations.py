@@ -213,14 +213,21 @@ def eig_normal(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.nd
     are Hermitian eigenproblems.  When that misses the residual bound,
     a second try also diagonalizes the Hermitian part within each
     cluster of the skew part's eigenvalues.  Raises PreconditionError
-    when rel_residual(a* a, a a*) exceeds residual_rtol; the first
-    reconstruction usually proves that it does not (_proved_normal),
-    and the two products of that residual are then never formed.
+    when rel_residual(a* a, a a*), measured on a scaled by 2^-e
+    (_unit_scale), exceeds residual_rtol; the first reconstruction
+    usually proves that it does not (_proved_normal), and the two
+    products of that residual are then never formed.  Every check runs
+    at that scale; lam and u are those of a itself.
     """
     a = as_matrix(a, square=True)
     n = a.shape[0]
     if n == 0:
         return np.zeros(0, dtype=np.complex128), np.zeros((0, 0), dtype=np.complex128)
+    unit, e = _unit_scale(a)
+    fro = norm(unit)
+    # Not held through the eighs (see _rayleigh); the two rare paths
+    # below that need it scale a again.
+    del unit
 
     h = (a + a.conj().T) / 2.0
     k = (a - a.conj().T) / 2.0j
@@ -233,19 +240,19 @@ def eig_normal(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.nd
     # are within the radius.  When no gap lies between the radii at the
     # two ends of that bracket (widened far beyond rounding), either
     # end gives the clusters of the exact norm, and its SVD is skipped.
-    fro = norm(a)
+    scale = 2.0**e
     margin = 1e-12 * n
-    lo = max(float(np.max(np.abs(hvals))), fro / np.sqrt(n)) * (1.0 - margin)
+    lo = max(float(np.max(np.abs(hvals))), fro * scale / np.sqrt(n)) * (1.0 - margin)
     radius = tol.cluster_rtol * lo
     gaps = np.abs(np.diff(hvals))
-    if np.any((gaps > radius) & (gaps <= tol.cluster_rtol * fro * (1.0 + margin))):
-        radius = tol.cluster_rtol * norm(a, "spectral")
+    if np.any((gaps > radius) & (gaps <= tol.cluster_rtol * fro * scale * (1.0 + margin))):
+        radius = tol.cluster_rtol * norm(_unit_scale(a, e)[0], "spectral") * scale
     clusters = [idx for idx in cluster_real_sorted(hvals, radius) if len(idx) > 1]
-    bound = tol.residual_rtol * max(1.0, fro)
+    bound = tol.residual_rtol * fro
     _diagonalize_clusters(u, clusters, h, k, None)
-    lam, recon = _rayleigh(a, u)
-    if not _proved_normal(lam, recon, fro, tol.residual_rtol / 2.0):
-        res = _normality_residual(*_unit_scale(a))[0]
+    lam, recon = _rayleigh(a, u, e)
+    if not _proved_normal(_unit_scale(lam, e)[0], recon, fro, tol.residual_rtol / 2.0):
+        res = _normality_residual(_unit_scale(a, e)[0])[0]
         PreconditionError._check("matrix is not normal", res, tol.residual_rtol)
     if recon > bound and clusters:
         # Inside a cluster the skew part can be rounding noise, and its
@@ -255,19 +262,26 @@ def eig_normal(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.nd
         # Without clusters that would rebuild the same u.
         _, u = np.linalg.eigh(h)
         _diagonalize_clusters(u, clusters, h, k, radius)
-        lam, recon = _rayleigh(a, u)
+        lam, recon = _rayleigh(a, u, e)
     ConvergenceError._check("eigendecomposition", recon, bound)
     return lam, u
 
 
-def _rayleigh(a: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, float]:
+def _rayleigh(a: np.ndarray, u: np.ndarray, e: int) -> tuple[np.ndarray, float]:
     """The Rayleigh quotients lam of a on the columns of u, and the
-    reconstruction residual ||a u - u diag(lam)||.  With u unitary to
-    rounding, that is the backward error ||a - u diag(lam) u*||, and the
-    one product a u serves both."""
+    reconstruction residual 2^-e ||a u - u diag(lam)||, measured on the
+    difference scaled by 2^-e (_unit_scale), where its norm does not
+    overflow.  With u unitary to rounding, that is the backward error
+    ||a - u diag(lam) u*|| at that scale, and the one product a u serves
+    both."""
     au = a @ u
     lam = np.sum(u.conj() * au, axis=0)
-    return lam, norm(au - u * lam)
+    # In place: one more n x n temporary here, or holding eig_normal's
+    # scaled copy of a, each raised the peak RSS of a singular
+    # canon_star at n = 256 by about 1 MB (heap placement; the
+    # tracemalloc peak did not move).
+    au -= u * lam
+    return lam, norm(_unit_scale(au, e)[0])
 
 
 def _proved_normal(lam: np.ndarray, recon: float, fro: float, target: float) -> bool:
@@ -312,29 +326,6 @@ def _proved_normal(lam: np.ndarray, recon: float, fro: float, target: float) -> 
     numerator = 2.0 * phi + (2.0 * g + 3.0 * u) * fro * fro
     denominator = max(1.0, 2.0 * (quartic - phi - g * fro * fro))
     return numerator <= target * denominator
-
-
-def _gram_proves_full_rank(
-    given: np.ndarray, skew: np.ndarray, evals: np.ndarray, tol: ToleranceConfig
-) -> bool:
-    """Whether the eigenvalues evals that eigh computed for the Gram
-    matrix of skew = (given - given^T) / 2, formed and symmetrized as
-    hua_skew does, prove rank(given, tol) == n without its SVD.
-
-    With F = ||given||_F >= ||skew||_F, sigma_i(skew)^2 lies within
-    eta = (_product_error(n) + _value_error(n)) F^2 of the computed
-    eigenvalue, sigma_i(given) within e = ||given - skew||_F of
-    sigma_i(skew), and rank()'s own values within _value_error(n) F of
-    sigma_i(given).  The bounds below are doubled, and a relative 1e-6
-    covers the rounding in F, e and the cutoff.
-    """
-    n = given.shape[0]
-    fro = norm(given) * (1.0 + 1e-6)
-    eta = 2.0 * (_product_error(n) + _value_error(n)) * fro * fro
-    spread = norm(given - skew) * (1.0 + 1e-6) + 2.0 * _value_error(n) * fro
-    low = math.sqrt(max(0.0, float(evals[0]) - eta)) - spread
-    high = math.sqrt(float(evals[-1]) + eta) + spread
-    return low > tol.rank_rtol * high * n * (1.0 + 1e-6)
 
 
 def _diagonalize_clusters(u, clusters, h, k, radius) -> None:
@@ -396,8 +387,9 @@ def takagi_symmetric(
     forces z = w* @ conj(u) to be unitary, block diagonal along equal
     singular values, and symmetric on blocks with positive singular
     value.  A per-block symmetric square root d then gives v = u @ d.
+    Runs on a scaled by 2^-e (_unit_scale) and returns 2^e sigma.
     """
-    a = as_matrix(a, square=True)
+    a, e = _unit_scale(as_matrix(a, square=True))
     n = a.shape[0]
     PreconditionError._check(
         "matrix is not symmetric", rel_residual(a, a.T), tol.residual_rtol
@@ -423,9 +415,8 @@ def takagi_symmetric(
     v = f.u @ d
 
     recon = norm(a - (v * f.sigma) @ v.T)
-    bound = tol.residual_rtol * max(1.0, norm(a))
-    ConvergenceError._check("symmetric SVD", recon, bound)
-    return f.sigma.copy(), v
+    ConvergenceError._check("symmetric SVD", recon, tol.residual_rtol * norm(a))
+    return np.ldexp(f.sigma, e), v
 
 
 def hua_skew(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -438,16 +429,18 @@ def hua_skew(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndar
     The pairing below exploits that for skew-symmetric a and a unit
     right singular vector x with value t, the vector y = conj(a @ x)/t
     is again a right singular vector for t, orthogonal to x, with
-    a @ x = t * conj(y) and a @ y = -t * conj(x).
+    a @ x = t * conj(y) and a @ y = -t * conj(x).  Runs on a scaled by
+    2^-e (_unit_scale) and returns 2^e tau.
     """
-    a = as_matrix(a, square=True)
+    a, e = _unit_scale(as_matrix(a, square=True))
     n = a.shape[0]
     PreconditionError._check(
         "matrix is not skew-symmetric", rel_residual(a, -a.T), tol.residual_rtol
     )
     if n % 2 == 1:
         raise PreconditionError("skew-symmetric input must have even order")
-    given = a
+    if rank(a, tol) < n:
+        raise PreconditionError("matrix is singular")
     a = (a - a.T) / 2.0
     if n == 0:
         return np.zeros(0, dtype=np.float64), np.zeros((0, 0), dtype=np.complex128)
@@ -455,8 +448,6 @@ def hua_skew(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndar
     gram = a.conj().T @ a
     gram = (gram + gram.conj().T) / 2.0
     evals, q = np.linalg.eigh(gram)
-    if not _gram_proves_full_rank(given, a, evals, tol) and rank(given, tol) < n:
-        raise PreconditionError("matrix is singular")
     svals = np.sqrt(np.clip(evals, 0.0, None))
     order = np.argsort(svals)[::-1]
     svals = svals[order]
@@ -508,6 +499,5 @@ def hua_skew(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndar
         sblocks[2 * j, 2 * j + 1] = t
         sblocks[2 * j + 1, 2 * j] = -t
     recon = norm(a - v @ sblocks @ v.T)
-    bound = tol.residual_rtol * max(1.0, norm(a))
-    ConvergenceError._check("skew-symmetric SVD", recon, bound)
-    return np.array(taus, dtype=np.float64), v
+    ConvergenceError._check("skew-symmetric SVD", recon, tol.residual_rtol * norm(a))
+    return np.ldexp(np.array(taus, dtype=np.float64), e), v

@@ -136,12 +136,12 @@ def _unit_scale_pair(a: np.ndarray, b: np.ndarray) -> tuple[tuple[np.ndarray, np
     return (_unit_scale(a, e)[0], _unit_scale(b, e)[0]), e
 
 
-def _normality_residual(x: np.ndarray, e: int = 0) -> tuple[float, np.ndarray]:
-    """rel_residual(y* y, y y*) for y = 2^e x, measured on x at unit scale
-    (_unit_scale), where no product or norm overflows, and the Gram
-    matrix x* x.  Its floor of 1 is 4^-e, at most 2^1023, at x's scale."""
+def _normality_residual(x: np.ndarray) -> tuple[float, np.ndarray]:
+    """rel_residual(x* x, x x*) and the Gram matrix x* x.  Its callers
+    form x from input at unit scale (_unit_scale), where no product or
+    norm overflows and the floor of 1 is the gates' floor."""
     gram = x.conj().T @ x
-    return _relative(gram, x @ x.conj().T, math.ldexp(1.0, min(-2 * e, 1023))), gram
+    return _relative(gram, x @ x.conj().T, 1.0), gram
 
 
 def _adjoint(m: np.ndarray, mode: str) -> np.ndarray:

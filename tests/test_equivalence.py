@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import canonica.equivalence as equivalence
 from canonica.canon_congruence import canon_congruence
 from canonica.canon_star import canon_star
 from canonica.equivalence import (
@@ -15,8 +16,9 @@ from canonica.equivalence import (
     quadratic_invariants_equal,
     upgrade_congruence_to_unitary,
 )
-from canonica.errors import PreconditionError
-from canonica.matrix import norm
+from canonica.errors import ConvergenceError, PreconditionError
+from canonica.factorizations import PolarResult, polar
+from canonica.matrix import _unit_scale_pair, norm
 from canonica.predicates import classify
 from canonica.sampling import (
     default_rng,
@@ -246,6 +248,29 @@ class TestUpgrade:
             for scale in (1e160, 2.0**-600):
                 got = upgrade_congruence_to_unitary(scale * a, scale * b, s, mode=mode)
                 assert np.array_equal(got, w), scale
+
+    def test_a_polar_factor_that_misses_carries_its_residual_and_bound(self, monkeypatch):
+        # The last check measures the polar factor on a and b at unit
+        # scale; a w that misses is a ConvergenceError with both values.
+        gen = default_rng(67)
+        b = np.array([[0.0, 2.0], [0.5, 0.0]])
+        s = random_unitary(2, gen) @ np.diag([1.5, 1.0 / 1.5])
+        a = 1e3 * (s @ b @ s.T)
+        b = 1e3 * b
+
+        def perturbed(m, side="right"):
+            f = polar(m, side)
+            return PolarResult(w=f.w + 1e-6, q=f.q, side=f.side)
+
+        monkeypatch.setattr(equivalence, "polar", perturbed)
+        miss = r"^polar factor residual \S+ exceeds \S+$"
+        with pytest.raises(ConvergenceError, match=miss) as info:
+            upgrade_congruence_to_unitary(a, b, s)
+        (ua, ub), _ = _unit_scale_pair(a, b)
+        w = perturbed(s).w
+        assert info.value.residual == norm(ua - w @ ub @ w.T)
+        assert info.value.bound == 1e-8 * max(1.0, norm(ua))
+        assert info.value.residual > info.value.bound
 
     def test_reads_class_flags_without_calling_classify(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -26,7 +26,7 @@ from canonica.factorizations import (
     svd,
     takagi_symmetric,
 )
-from canonica.matrix import DEFAULT_TOL, norm, rank, rel_residual
+from canonica.matrix import DEFAULT_TOL, _unit_scale, norm, rank, rel_residual
 from canonica.sampling import default_rng, random_matrix, random_unitary
 
 gen = np.random.default_rng(20260819)
@@ -214,9 +214,9 @@ def test_eig_normal_retries_only_with_clusters(monkeypatch):
         eighs.append(x.shape)
         return eigh(x, *args, **kwargs)
 
-    def counted_rayleigh(a, u):
+    def counted_rayleigh(a, u, e):
         rayleighs.append(a.shape)
-        return rayleigh(a, u)
+        return rayleigh(a, u, e)
 
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(factorizations, "_rayleigh", counted_rayleigh)
@@ -230,9 +230,10 @@ def test_eig_normal_retries_only_with_clusters(monkeypatch):
 
 def _eig_normal_checked_first(a, tol=DEFAULT_TOL):
     # eig_normal with its normality check taken first, before any
-    # reconstruction could prove it.
+    # reconstruction could prove it, at unit scale as eig_normal takes it.
     a = np.asarray(a, dtype=np.complex128)
-    res = rel_residual(a.conj().T @ a, a @ a.conj().T)
+    x = _unit_scale(a)[0]
+    res = rel_residual(x.conj().T @ x, x @ x.conj().T)
     if res > tol.residual_rtol:
         raise PreconditionError("matrix is not normal", residual=res)
     return eig_normal(a, tol)
@@ -552,8 +553,7 @@ def _hidden_skew(taus, seed):
 
 @pytest.mark.parametrize("log_tau", [0.0, -4.0, -7.0, -8.5, -9.0, -9.5, -10.0, -12.0, -16.0])
 def test_hua_skew_rank_decision_matches_rank(log_tau):
-    # The Gram eigenvalues decide the rank check when their bound can;
-    # across the rank cutoff the decision is rank()'s either way.
+    # Hua's rank check is rank()'s, on either side of the rank cutoff.
     a = _hidden_skew([1.0, 2.0, 10.0**log_tau], 20261025)
     if rank(a) < a.shape[0]:
         with pytest.raises(PreconditionError, match="^matrix is singular$"):
@@ -563,43 +563,6 @@ def test_hua_skew_rank_decision_matches_rank(log_tau):
             hua_skew(a)
         except ConvergenceError:
             pass
-
-
-def test_hua_skew_proves_full_rank_without_an_svd(monkeypatch):
-    def unexpected(*args, **kwargs):
-        raise AssertionError("rank() called")
-
-    monkeypatch.setattr(factorizations, "rank", unexpected)
-    tau, _ = hua_skew(_hidden_skew([1.0, 2.0, 0.5, 3.0], 20261026))
-    assert tau == pytest.approx([3.0, 2.0, 1.0, 0.5])
-
-
-
-@pytest.mark.parametrize("perturbation,dominant", [(0.0, "eta"), (1e-4, "spread")])
-def test_hua_skew_gram_proof_is_exactly_its_documented_bound(perturbation, dominant):
-    # _gram_proves_full_rank proves rank(given) == n when sqrt(l - eta)
-    # - spread > rank_rtol n (sqrt(h + eta) + spread) (1 + 1e-6), for the
-    # smallest and largest Gram eigenvalues l and h, eta = 2 (g + 8 n^2
-    # u) F^2 and spread = ||given - skew||_F + 16 n^2 u F, each norm
-    # widened by 1e-6.  l, set one part in 1e6 either side of where
-    # that binds, pins eta on a skew input and the spread on one whose
-    # symmetric part is 1e-4.
-    n = 6
-    gen = default_rng(20261103)
-    given = _hidden_skew([1.0, 2.0, 0.5], 20261103) + perturbation * random_matrix(n, gen)
-    skew = (given - given.T) / 2.0
-    u = np.finfo(np.float64).eps / 2
-    fro = norm(given) * (1 + 1e-6)
-    eta = 2 * (4 * (n + 2) * u + 8 * n * n * u) * fro**2
-    spread = norm(given - skew) * (1 + 1e-6) + 16 * n * n * u * fro
-    high = 4.0
-    reach = spread + DEFAULT_TOL.rank_rtol * (np.sqrt(high + eta) + spread) * n * (1 + 1e-6)
-    low = eta + reach**2
-    assert {"eta": eta, "spread": spread**2}[dominant] > 0.5 * low
-    for factor, expected in ((1 + 1e-6, True), (1 - 1e-6, False)):
-        evals = np.array([low * factor, 1.0, high])
-        got = factorizations._gram_proves_full_rank(given, skew, evals, DEFAULT_TOL)
-        assert got is expected, factor
 
 
 RADIUS = 1e-8

@@ -26,6 +26,7 @@ from canonica import (
 from canonica.blocks import antidiag_block, direct_sum
 from canonica.equivalence import forms_match
 from canonica.errors import CanonicaError, PreconditionError
+from canonica.factorizations import eig_normal, hua_skew, takagi_symmetric
 from canonica.matrix import DEFAULT_TOL
 from canonica.sampling import (
     default_rng,
@@ -202,10 +203,23 @@ def test_pearcy_compares_traces_at_unit_scale(scale):
         same = decide_unitary_star_congruence(x, x.T)
     assert (got.verdict, got.method) == ("not_equivalent", "pearcy")
     assert (same.verdict, same.method) == ("equivalent", "pearcy")
-    # The reported traces stay at the input's scale.
+    # The reported traces, taken at unit scale and scaled back, are
+    # those at the input's scale bit for bit.
     traces = got.detail["traces"]
     assert traces["a"] == [[t.real, t.imag] for t in map(complex, _traces(x))]
     assert traces["b"] == [[t.real, t.imag] for t in map(complex, _traces(y))]
+
+
+def test_pearcy_traces_past_the_float_range_read_inf():
+    # At 1e160 tr x^2 and tr x* x lie past the float range.  Taken at
+    # the input's scale, their imaginary parts read nan.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = decide_unitary_star_congruence(1e160 * PEARCY_X, 1e160 * PEARCY_Y)
+    assert (got.verdict, got.method) == ("not_equivalent", "pearcy")
+    for traces in got.detail["traces"].values():
+        assert traces[0] == pytest.approx([4e160, 0.0], rel=1e-15)
+        assert traces[1:] == [[math.inf, 0.0], [math.inf, 0.0]]
 
 
 def _traces(x):
@@ -231,6 +245,85 @@ def test_canon_quadratic_runs_at_unit_scale(scale):
     assert got.predicted_singular_values == tuple(
         math.ldexp(s, k) for s in want.predicted_singular_values
     )
+
+
+# ----- the public factorizations -----------------------------------------
+
+FACTOR_KS = (-1000, -600, 0, 600, 1000)
+X = random_matrix(4, default_rng(0))
+FACTORIZATIONS = {"takagi_symmetric": (takagi_symmetric, X + X.T), "hua_skew": (hua_skew, X - X.T)}
+
+
+@pytest.mark.parametrize("name", list(FACTORIZATIONS))
+def test_symmetric_factorizations_are_exactly_equivariant(name):
+    # sigma (tau) scales with the input and v does not, bit for bit.
+    factor, a = FACTORIZATIONS[name]
+    values, v = factor(a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in FACTOR_KS:
+            assert _normal_at(a, k) and _normal_at(values, k), k
+            got, w = factor(_scaled(a, k))
+            assert np.array_equal(got, _scaled(values, k)), k
+            assert np.array_equal(w, v), k
+
+
+def test_eig_normal_measures_the_same_residual_at_every_scale():
+    with pytest.raises(PreconditionError) as base:
+        eig_normal(X)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in FACTOR_KS:
+            with pytest.raises(PreconditionError) as info:
+                eig_normal(_scaled(X, k))
+            assert info.value.residual == base.value.residual, k
+
+
+@pytest.mark.parametrize("scale", [2.0**-600, 1e160])
+def test_eig_normal_decomposes_at_the_input_scale(scale):
+    # Only the checks run at unit scale; lam and u are computed on the
+    # input itself, so they are not pinned bit for bit against 2^-e a.
+    lam = np.array([3.0, -1.0 + 2.0j, 0.5j, 2.0 - 1.0j])
+    q = random_unitary(4, default_rng(3))
+    a = (q * lam) @ q.conj().T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, u = eig_normal(scale * a)
+        assert np.linalg.norm((u * (got / scale)) @ u.conj().T - a) <= 1e-12
+    assert sorted(got / scale, key=lambda z: (z.real, z.imag)) == pytest.approx(
+        sorted(lam, key=lambda z: (z.real, z.imag)), abs=1e-12
+    )
+
+
+@pytest.mark.parametrize("factor", [takagi_symmetric, hua_skew, eig_normal])
+@pytest.mark.parametrize("scale", [1e-12, 1e-6])
+def test_small_input_outside_a_factorization_class_is_rejected(factor, scale):
+    # With the floor of 1 at the input's scale, each call at 1e-12
+    # returned a factorization, and eig_normal at 1e-6 raised
+    # ConvergenceError.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError):
+            factor(scale * X)
+
+
+def test_eig_normal_names_the_normality_residual_at_1e_6():
+    with pytest.raises(PreconditionError, match=r"^matrix is not normal \(residual 4\.604e-01\)$"):
+        eig_normal(1e-6 * X)
+
+
+def test_huge_factorization_input_is_measured_at_unit_scale():
+    # At 1e160 hua_skew's Gram matrix overflowed into numpy's LinAlgError.
+    tau, _ = hua_skew(X - X.T)
+    with pytest.raises(PreconditionError) as base:
+        eig_normal(X)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, _ = hua_skew(1e160 * (X - X.T))
+        with pytest.raises(PreconditionError) as info:
+            eig_normal(1e160 * X)
+    assert np.max(np.abs(got - 1e160 * tau) / (1e160 * tau)) <= 1e-15
+    assert info.value.residual == pytest.approx(base.value.residual, rel=1e-12)
 
 
 # ----- metamorphic stress family -----------------------------------------
