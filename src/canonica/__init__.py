@@ -76,7 +76,6 @@ from .regularization import (
     regularize,
     split_regular_singular,
 )
-from .selftest import run_all as run_selftest
 
 __version__ = "0.1.0"
 
@@ -145,3 +144,13 @@ __all__ = [
     "upgrade_congruence_to_unitary",
     "verify_characterizations",
 ]
+
+
+def __getattr__(name: str):
+    # run_selftest loads selftest, and the sampler it draws from, on
+    # first use only: no library path needs them.
+    if name == "run_selftest":
+        from .selftest import run_all
+
+        return run_all
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

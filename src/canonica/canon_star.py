@@ -193,15 +193,25 @@ def pearcy_equal_2x2(x, y, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     y = as_matrix(y, square=True)
     if x.shape != (2, 2) or y.shape != (2, 2):
         raise PreconditionError("the trace criterion applies to 2-by-2 matrices")
-    (x, y), _ = _unit_scale_pair(x, y)
+    (tx, ty), _ = _unit_traces(x, y)
+    return _traces_close(tx, ty, tol)
 
-    def _close(ta: complex, tb: complex) -> bool:
-        return abs(ta - tb) <= tol.residual_rtol * max(1.0, abs(ta) + abs(tb))
 
-    return (
-        _close(np.trace(x), np.trace(y))
-        and _close(np.trace(x @ x), np.trace(y @ y))
-        and _close(np.trace(x.conj().T @ x), np.trace(y.conj().T @ y))
+def _unit_traces(x: np.ndarray, y: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], int]:
+    """((tx, ty), e): tr z, tr z^2 and tr z* z for z = x and z = y, both
+    scaled by one 2^-e (_unit_scale_pair)."""
+    (x, y), e = _unit_scale_pair(x, y)
+    return tuple(
+        np.array([np.trace(z), np.trace(z @ z), np.trace(z.conj().T @ z)]) for z in (x, y)
+    ), e
+
+
+def _traces_close(tx: np.ndarray, ty: np.ndarray, tol: ToleranceConfig) -> bool:
+    """Whether the traces of _unit_traces agree, each pair within
+    residual_rtol relative to the larger of |ta| + |tb| and 1."""
+    return all(
+        abs(ta - tb) <= tol.residual_rtol * max(1.0, abs(ta) + abs(tb))
+        for ta, tb in zip(tx, ty)
     )
 
 

@@ -24,7 +24,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import selftest as selftest_module
 from .canon_congruence import canon_congruence, canon_unitary
 from .canon_star import canon_star
 from .equivalence import decide_unitary_congruence, decide_unitary_star_congruence
@@ -133,7 +132,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("selftest", help="run the built-in acceptance battery")
-    p.add_argument("--seed", type=int, default=selftest_module.DEFAULT_SEED)
+    p.add_argument(
+        "--seed", type=int, default=None,
+        help="seed of the sampled battery (default: selftest.DEFAULT_SEED)",
+    )
     p.add_argument("--output", default=None, metavar="PATH")
 
     return parser
@@ -264,13 +266,18 @@ def _cmd_simulate(args, tol) -> dict:
 
 
 def _cmd_selftest(args) -> dict:
-    results = selftest_module.run_all(args.seed)
+    # Imported here: selftest, and the sampler it draws from, load only
+    # in the process that runs the battery.
+    from . import selftest
+
+    seed = selftest.DEFAULT_SEED if args.seed is None else args.seed
+    results = selftest.run_all(seed)
     for r in results:
         print(r.line(), file=sys.stderr)
     return {
         "schema": SCHEMA,
         "command": "selftest",
-        "seed": args.seed,
+        "seed": seed,
         "passed": sum(1 for r in results if r.passed),
         "failed": sum(1 for r in results if not r.passed),
         "criteria": [r.to_json() for r in results],
@@ -280,10 +287,16 @@ def _cmd_selftest(args) -> dict:
 def _dumps(obj, level: int = 0) -> str:
     """json.dumps(obj, sort_keys=True, indent=2) for obj nested at the
     given level, with each list of floats or of [re, im] float pairs
-    rendered by one template."""
+    rendered by one template, and each non-finite float written as null:
+    JSON has no NaN or Infinity."""
     inner = "\n" + "  " * (level + 1)
-    if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
-        items = (json.dumps(k) + ": " + _dumps(obj[k], level + 1) for k in sorted(obj))
+    if isinstance(obj, dict) and obj:
+        # A key that is not a string is written as the string of its JSON
+        # text, in the order of the keys themselves, as json.dumps does.
+        items = (
+            json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": " + _dumps(v, level + 1)
+            for k, v in sorted(obj.items())
+        )
         return "{" + inner + ("," + inner).join(items) + inner[:-2] + "}"
     if isinstance(obj, (list, tuple)) and obj:
         text = _float_list(obj, inner)
@@ -291,10 +304,8 @@ def _dumps(obj, level: int = 0) -> str:
             items = (_dumps(x, level + 1) for x in obj)
             text = "[" + inner + ("," + inner).join(items) + inner[:-2] + "]"
         return text
-    if isinstance(obj, dict) and obj:
-        # Keys that are not strings.  JSON strings hold no raw newline,
-        # so each newline starts an indented line.
-        return json.dumps(obj, sort_keys=True, indent=2).replace("\n", inner[:-2])
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "null"
     # Scalars and empty containers go through the C encoder: the same
     # text as with indent, whose pure-Python encoder builds reference
     # cycles.
@@ -316,7 +327,7 @@ def _float_list(items, inner: str) -> str | None:
             body = ("," + inner).join(map(float.__repr__, items))
     except TypeError:  # an item that is not a float
         return None
-    if "n" in body:  # nan or inf, which JSON spells NaN and Infinity
+    if "n" in body:  # nan or inf, which are written as null
         return None
     return "[" + inner + body + inner[:-2] + "]"
 

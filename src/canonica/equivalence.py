@@ -15,10 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canon_congruence import _CONGRUENCE, CongruenceCanonicalForm
-from .canon_star import _STAR, StarCanonicalForm, canon_quadratic, pearcy_equal_2x2
+from .canon_star import _STAR, StarCanonicalForm, _traces_close, _unit_traces, canon_quadratic
 from .errors import ConvergenceError, PreconditionError
 from .factorizations import polar, svd
-from .matrix import DEFAULT_TOL, ToleranceConfig, _adjoint, _unit_scale_pair, as_matrix, norm, rank
+from .matrix import (
+    DEFAULT_TOL,
+    ToleranceConfig,
+    _adjoint,
+    _unit_scale,
+    _unit_scale_pair,
+    as_matrix,
+    norm,
+    rank,
+)
 from .pipeline import _canon
 from .predicates import _class_residual
 from .regularization import MODES, _gate, _split
@@ -142,17 +151,22 @@ def _gated_forms(a, b, mode, tol: ToleranceConfig):
     both pass, their canonical forms under the pipeline mode.
 
     Both run scaled by one 2^-e (_unit_scale_pair).  Each input's gate is
-    evaluated once, and its certificate is handed on to the split.
+    evaluated once, and its certificate is handed on to the split.  The
+    scaled copies are dropped after the gates and each is formed again,
+    bit for bit, for its own form, so that one is held at a time.
     """
-    (a, b), e = _unit_scale_pair(a, b)
-    ra, certified_a = _gate(a, mode.name, tol)
-    rb, certified_b = _gate(b, mode.name, tol)
+    (scaled_a, scaled_b), e = _unit_scale_pair(a, b)
+    ra, certified_a = _gate(scaled_a, mode.name, tol)
+    rb, certified_b = _gate(scaled_b, mode.name, tol)
+    del scaled_a, scaled_b
     if not (ra <= tol.residual_rtol and rb <= tol.residual_rtol):
         return ra, rb, None
-    return ra, rb, tuple(
-        _canon(x, mode, tol, _split(x, mode.name, tol, certified), e)[0]
-        for x, certified in ((a, certified_a), (b, certified_b))
-    )
+
+    def form(x, certified):
+        x = _unit_scale(x, e)[0]
+        return _canon(x, mode, tol, _split(x, mode.name, tol, certified, copy=False), e)[0]
+
+    return ra, rb, (form(a, certified_a), form(b, certified_b))
 
 
 def decide_unitary_congruence(
@@ -193,9 +207,10 @@ def decide_unitary_star_congruence(
     """
     a, b = _shape_gate(a, b)
     if a.shape == (2, 2):
-        ok = pearcy_equal_2x2(a, b, tol)
-        (ua, ub), e = _unit_scale_pair(a, b)
-        traces = {"a": _traces(ua, e), "b": _traces(ub, e)}
+        # pearcy_equal_2x2 on traces taken once, which the report shares.
+        (ta, tb), e = _unit_traces(a, b)
+        ok = _traces_close(ta, tb, tol)
+        traces = {"a": _traces(ta, e), "b": _traces(tb, e)}
         return EquivalenceVerdict(
             "equivalent" if ok else "not_equivalent", "pearcy", {"traces": traces}
         )
@@ -262,11 +277,10 @@ def _eigenvalue_multiset(q) -> list[complex]:
     return sorted(eigs, key=lambda z: (z.real, z.imag))
 
 
-def _traces(x: np.ndarray, e: int) -> list[list[float]]:
-    """[re, im] of tr y, tr y^2 and tr y* y for y = 2^e x, taken on x
-    and scaled back by 2^e and 4^e; a trace past the float range reads
-    inf, with no NaN beside it."""
-    t = np.array([np.trace(x), np.trace(x @ x), np.trace(x.conj().T @ x)])
+def _traces(t: np.ndarray, e: int) -> list[list[float]]:
+    """[re, im] of tr y, tr y^2 and tr y* y for y = 2^e x, from the
+    traces t of x (_unit_traces) scaled back by 2^e and 4^e; a trace
+    past the float range reads inf, with no NaN beside it."""
     with np.errstate(over="ignore"):
         return np.ldexp(t.view(np.float64).reshape(3, 2), [[e], [2 * e], [2 * e]]).tolist()
 

@@ -229,8 +229,7 @@ def eig_normal(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.nd
     # below that need it scale a again.
     del unit
 
-    h = (a + a.conj().T) / 2.0
-    k = (a - a.conj().T) / 2.0j
+    h, k = _hermitian_parts(a)
     hvals, u = np.linalg.eigh(h)
 
     # Cluster radius is tied to the overall spectral scale so that a
@@ -250,6 +249,8 @@ def eig_normal(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.nd
     clusters = [idx for idx in cluster_real_sorted(hvals, radius) if len(idx) > 1]
     bound = tol.residual_rtol * fro
     _diagonalize_clusters(u, clusters, h, k, None)
+    # Not held through the reconstruction: the retry forms them again.
+    del h, k
     lam, recon = _rayleigh(a, u, e)
     if not _proved_normal(_unit_scale(lam, e)[0], recon, fro, tol.residual_rtol / 2.0):
         res = _normality_residual(_unit_scale(a, e)[0])[0]
@@ -260,11 +261,24 @@ def eig_normal(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.nd
         # than the radius, but more than the residual bound allows).
         # Start over and let h decide within each skew-part sub-cluster.
         # Without clusters that would rebuild the same u.
+        h, k = _hermitian_parts(a)
         _, u = np.linalg.eigh(h)
         _diagonalize_clusters(u, clusters, h, k, radius)
+        del h, k
         lam, recon = _rayleigh(a, u, e)
     ConvergenceError._check("eigendecomposition", recon, bound)
     return lam, u
+
+
+def _hermitian_parts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(h, k), a = h + i k with h and k Hermitian, from one conjugate
+    transpose of a, each part scaled in place."""
+    a_h = a.conj().T
+    h = a + a_h
+    h /= 2.0
+    k = a - a_h
+    k /= 2.0j
+    return h, k
 
 
 def _rayleigh(a: np.ndarray, u: np.ndarray, e: int) -> tuple[np.ndarray, float]:
@@ -275,12 +289,13 @@ def _rayleigh(a: np.ndarray, u: np.ndarray, e: int) -> tuple[np.ndarray, float]:
     ||a - u diag(lam) u*|| at that scale, and the one product a u serves
     both."""
     au = a @ u
-    lam = np.sum(u.conj() * au, axis=0)
-    # In place: one more n x n temporary here, or holding eig_normal's
-    # scaled copy of a, each raised the peak RSS of a singular
-    # canon_star at n = 256 by about 1 MB (heap placement; the
-    # tracemalloc peak did not move).
-    au -= u * lam
+    # One n x n temporary w holds conj(u) * au, then u diag(lam).
+    w = u.conj()
+    w *= au
+    lam = np.sum(w, axis=0)
+    np.multiply(u, lam, out=w)
+    au -= w
+    del w
     return lam, norm(_unit_scale(au, e)[0])
 
 

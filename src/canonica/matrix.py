@@ -139,9 +139,17 @@ def _unit_scale_pair(a: np.ndarray, b: np.ndarray) -> tuple[tuple[np.ndarray, np
 def _normality_residual(x: np.ndarray) -> tuple[float, np.ndarray]:
     """rel_residual(x* x, x x*) and the Gram matrix x* x.  Its callers
     form x from input at unit scale (_unit_scale), where no product or
-    norm overflows and the floor of 1 is the gates' floor."""
-    gram = x.conj().T @ x
-    return _relative(gram, x @ x.conj().T, 1.0), gram
+    norm overflows and the floor of 1 is the gates' floor.
+
+    One conjugate transpose serves both products.  The difference is
+    formed in place as x x* - x* x, whose norm is _relative's."""
+    x_h = x.conj().T
+    gram = x_h @ x
+    other = x @ x_h
+    scale = norm(gram) + norm(other)
+    other -= gram
+    diff = norm(other)
+    return (diff / max(1.0, scale) if diff else 0.0), gram
 
 
 def _adjoint(m: np.ndarray, mode: str) -> np.ndarray:

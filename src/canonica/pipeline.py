@@ -85,6 +85,7 @@ def _canon(a, mode: _Mode, tol: ToleranceConfig, split: RegularSplit | None = No
         order = [i for _, idx in groups for i in idx]
         order += [i for idx_mu, idx_inv in pairs for i in idx_mu + idx_inv]
         u_g = u_eig[:, order]
+        del u_eig
         # The summands are the diagonal blocks of adj(u_g) reg u_g; each
         # is formed from its own columns of one product reg u_g.
         ru = reg @ u_g
@@ -131,6 +132,7 @@ def _canon(a, mode: _Mode, tol: ToleranceConfig, split: RegularSplit | None = No
                 pair = mode.normalize_pair(float(f.sigma[i]), mu_fit, tol)
                 twos.append((pair, [offset + 2 * i, offset + 2 * i + 1]))
             offset += 2 * g
+        del reg, ru, u_g
     else:
         t_reg = np.zeros((0, 0), dtype=np.complex128)
 
@@ -146,12 +148,17 @@ def _canon(a, mode: _Mode, tol: ToleranceConfig, split: RegularSplit | None = No
         t_pre = t_reg + 0.0
     else:
         t_pre = direct_sum([t_reg, np.eye(n - k, dtype=np.complex128)]) @ split.transform
+    # Each n x n temporary is released once folded into the next product.
+    del t_reg, split
     ones.sort(key=lambda rec: mode.one_key(rec[0]))
     twos.sort(key=lambda rec: mode.two_key(rec[0]))
     transform = permutation_matrix([i for _, idx in ones + twos for i in idx]) @ t_pre
+    del t_pre
 
     form = mode.form.build([v for v, _ in ones], [p for p, _ in twos])
-    res = norm(transform @ a @ adj(transform) - form.assemble())
+    image = transform @ a @ adj(transform)
+    image -= form.assemble()
+    res = norm(image)
     ConvergenceError._check("canonical form", res, tol.residual_rtol * norm(a))
     # The exact scaling leaves the sort keys, tau and |entry|, in order.
     return replace(

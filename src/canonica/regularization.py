@@ -126,9 +126,12 @@ def regularize(a, mode: str, tol: ToleranceConfig = DEFAULT_TOL) -> ReducedForm:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     a, e = _unit_scale(as_matrix(a, square=True))
     n = a.shape[0]
+    # Only u and the singular values are read: v is dropped at once.
     f = svd(a)
-    spectral_norm = float(f.sigma[0]) if n else 0.0
-    r = _rank_of_values(f.sigma, n, tol, scale=spectral_norm)
+    u, s = f.u, f.sigma
+    del f
+    spectral_norm = float(s[0]) if n else 0.0
+    r = _rank_of_values(s, n, tol, scale=spectral_norm)
     if r in (0, n):
         # The identity reduces a: a is nonsingular (r = n) or
         # numerically zero (r = 0).
@@ -139,7 +142,8 @@ def regularize(a, mode: str, tol: ToleranceConfig = DEFAULT_TOL) -> ReducedForm:
         # a and its orthogonal complement (v2^H a = 0), and the SVD of
         # the coupling v1^H a adj(v2^H) rotates each block of rows so
         # that the coupling becomes sigma in the core's trailing rows.
-        u_h = f.u.conj().T
+        u_h = u.conj().T
+        del u
         v1_h, v2_h = u_h[:r], u_h[r:]
         nmat = v1_h @ (a @ _adjoint(v2_h, mode))
         m2 = rank(nmat, tol, scale=spectral_norm)
@@ -150,8 +154,12 @@ def regularize(a, mode: str, tol: ToleranceConfig = DEFAULT_TOL) -> ReducedForm:
             g = svd(nmat)
             # Left singular vectors of the coupling, those of sigma last.
             x_h = np.roll(g.u.conj().T, -m2, axis=0)
-            transform = np.vstack([x_h @ v1_h, _adjoint(g.v, mode) @ v2_h])
+            transform = np.empty((n, n), dtype=np.complex128)
+            np.matmul(x_h, v1_h, out=transform[:r])
+            np.matmul(_adjoint(g.v, mode), v2_h, out=transform[r:])
             sigma = g.sigma[:m2].copy()
+            del g, x_h
+        del u_h, v1_h, v2_h
         image = transform @ a @ _adjoint(transform, mode)
     # The core t1 a adj(t1), t1 the transform's leading r rows, is the
     # image's leading block.  Adding 0.0 copies it and turns a -0.0
@@ -165,11 +173,20 @@ def regularize(a, mode: str, tol: ToleranceConfig = DEFAULT_TOL) -> ReducedForm:
         core=_unit_scale(core, -e)[0],
         sigma=np.ldexp(sigma, e),
         transform=transform,
-        _sigma=np.ldexp(f.sigma, e),
+        _sigma=np.ldexp(s, e),
         _image=_unit_scale(image, -e)[0],
     )
     if 0 < r < n:
-        res = norm(image - _unit_scale(form.assembled(), e)[0])
+        # image - the assembled form at unit scale, which is +0.0 off the
+        # core and the sigma entries: x - 0.0 = x, so subtracting only
+        # those in place on a copy gives the difference bit for bit.
+        diff = image.copy()
+        del image, core
+        diff[:r, :r] -= _unit_scale(form.core, e)[0]
+        k = r - m2
+        for i, v in enumerate(_unit_scale(form.sigma, e)[0]):
+            diff[k + i, r + i] -= v
+        res = norm(diff)
         ConvergenceError._check("regularization", res, tol.residual_rtol * norm(a))
     return form
 
@@ -262,23 +279,29 @@ def _certifies_trivial_split(
     return True
 
 
-def _trivial_split(a: np.ndarray, mode: str) -> RegularSplit:
+def _trivial_split(a: np.ndarray, mode: str, copy: bool = True) -> RegularSplit:
+    """The split of a nonsingular a: a copy of a and the identity.  With
+    copy False it holds a itself and no transform (None), for
+    pipeline._canon, which reads neither the transform of a trivial
+    split nor writes to its regular part."""
     return RegularSplit(
         mode=mode,
-        regular=a.copy(),
+        regular=a.copy() if copy else a,
         singular_sigmas=np.zeros(0, dtype=np.float64),
         zero_count=0,
-        transform=np.eye(a.shape[0], dtype=np.complex128),
+        transform=np.eye(a.shape[0], dtype=np.complex128) if copy else None,
     )
 
 
 def _split(
-    a: np.ndarray, mode: str, tol: ToleranceConfig, certified: bool
+    a: np.ndarray, mode: str, tol: ToleranceConfig, certified: bool, copy: bool = True
 ) -> RegularSplit:
     """split_regular_singular of an a that passed the class gate, given
     whether the certificate on its Gram matrix proved the split
-    trivial."""
-    return _trivial_split(a, mode) if certified else _split_by_reduction(a, mode, tol)
+    trivial; copy as for _trivial_split."""
+    if certified:
+        return _trivial_split(a, mode, copy)
+    return _split_by_reduction(a, mode, tol)
 
 
 def _split_by_reduction(
@@ -304,23 +327,14 @@ def _split_by_reduction(
     for i in range(m2):
         order.extend((k0 + i, k0 + m2 + i))
     order.extend(range(k0 + 2 * m2, n))
-    split = RegularSplit(
-        mode=mode,
-        regular=reduced.core[:k0, :k0].copy(),
-        singular_sigmas=reduced.sigma.copy(),
-        zero_count=m1 - m2,
-        transform=reduced.transform[order],
-    )
-    res = norm(reduced._image[np.ix_(order, order)] - split.assembled())
-
-    proved = False
-    if s_product is None:
-        fro, slack, cutoff = _weyl_terms(a, tol)
-        proved = m1 > 0 and _proves_rank_identity(reduced, res, fro, slack, cutoff, tol)
-        if not proved:
-            s_product = np.linalg.svd(_gate_product(a, mode), compute_uv=False)
-            if n > 0 and float(s_product[-1]) - slack > cutoff:
-                return _trivial_split(a, mode)
+    # The image with rows and columns permuted, minus the assembled
+    # split, formed in place as regularize forms its own residual.
+    diff = reduced._image[np.ix_(order, order)]
+    diff[:k0, :k0] -= reduced.core[:k0, :k0]
+    for i, v in enumerate(reduced.sigma):
+        diff[k0 + 2 * i, k0 + 2 * i + 1] -= v
+    res = norm(diff)
+    del diff
 
     off = 0.0
     if m2 > 0 and reduced.core.size:
@@ -331,6 +345,25 @@ def _split_by_reduction(
                 + norm(reduced.core[k0:, k0:]) ** 2
             )
         )
+    proved = False
+    if s_product is None:
+        fro, slack, cutoff = _weyl_terms(a, tol)
+        proved = m1 > 0 and _proves_rank_identity(reduced, res, fro, slack, cutoff, tol)
+    spectral_norm = float(reduced._sigma[0]) if n else 0.0
+    split = RegularSplit(
+        mode=mode,
+        regular=reduced.core[:k0, :k0].copy(),
+        singular_sigmas=reduced.sigma.copy(),
+        zero_count=m1 - m2,
+        transform=reduced.transform[order],
+    )
+    # regularize's image, core and transform go before p is formed.
+    del reduced
+    if s_product is None and not proved:
+        s_product = np.linalg.svd(_gate_product(a, mode), compute_uv=False)
+        if n > 0 and float(s_product[-1]) - slack > cutoff:
+            return _trivial_split(a, mode)
+
     bound = 100.0 * tol.residual_rtol * norm(a)
     PreconditionError._check(
         "bordering blocks did not vanish; input is not numerically in class", off, bound
@@ -340,7 +373,6 @@ def _split_by_reduction(
     # The product rank is measured against ||a||^2: the product of a
     # singular a with itself can be pure rounding noise, and its own
     # largest singular value is then a meaningless scale.
-    spectral_norm = float(reduced._sigma[0]) if n else 0.0
     if not proved:
         m2_check = n - m1 - _rank_of_values(s_product, n, tol, scale=spectral_norm ** 2)
         if m2_check != m2:

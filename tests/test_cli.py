@@ -358,6 +358,40 @@ def test_selftest_command_passes():
     assert payload["passed"] == 10
     assert payload["failed"] == 0
     assert len(payload["criteria"]) == 10
+    # The default seed, resolved when the battery runs.
+    assert payload["seed"] == 20260819
+
+
+def test_selftest_and_the_sampler_load_only_when_the_battery_runs():
+    probe = (
+        "import sys, canonica, canonica.cli; "
+        "print([m for m in ('canonica.selftest', 'canonica.sampling') if m in sys.modules]); "
+        "canonica.run_selftest; "
+        "print('canonica.selftest' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.split("\n")[:2] == ["[]", "True"]
+
+
+def test_compare_writes_traces_past_the_float_range_as_null(tmp_path):
+    # tr y^2 and tr y* y of these 2-by-2 inputs overflow: the report
+    # writes them as null, which strict JSON parsers accept, not Infinity.
+    paths = []
+    for name, b in (("a", 2e160), ("b", 2.5e160)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(dumps_matrix([[1e160, b], [0.0, 3e160]]))
+        paths.append(str(path))
+    code, text = run_cli("compare", "--star", *paths)
+    assert code == cli.EXIT_OK
+
+    def refuse(constant):
+        raise AssertionError(f"{constant} is not JSON")
+
+    result = json.loads(text, parse_constant=refuse)["result"]
+    assert result["verdict"] == "not_equivalent"
+    assert result["detail"]["traces"]["a"] == [[4e160, 0.0], [None, 0.0], [None, 0.0]]
 
 
 def test_console_entry_point():

@@ -1,14 +1,18 @@
 """Equivalence decisions and the polar-factor upgrade."""
 
+import importlib
+import json
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import canonica.equivalence as equivalence
+from canonica import cli
 from canonica.canon_congruence import canon_congruence
-from canonica.canon_star import canon_star
+from canonica.canon_star import canon_star, pearcy_equal_2x2
 from canonica.equivalence import (
     decide_unitary_congruence,
     decide_unitary_star_congruence,
@@ -18,7 +22,7 @@ from canonica.equivalence import (
 )
 from canonica.errors import ConvergenceError, PreconditionError
 from canonica.factorizations import PolarResult, polar
-from canonica.matrix import _unit_scale_pair, norm
+from canonica.matrix import _unit_scale_pair, loads_matrix, norm
 from canonica.predicates import classify
 from canonica.sampling import (
     default_rng,
@@ -78,6 +82,54 @@ def test_decide_star_2x2_uses_trace_criterion():
     w = decide_unitary_star_congruence(J2, 1.1 * J2)
     assert w.verdict == "not_equivalent"
     assert w.method == "pearcy"
+
+
+# The package's canon_star attribute is the function, not the module.
+canon_star_module = importlib.import_module("canonica.canon_star")
+FIXTURES_2X2 = [
+    "coninvolutory", "h2_i", "involution", "j2_nilpotent", "rotation", "upper", "weighted",
+]
+
+
+def _fixture(name):
+    return loads_matrix((Path(__file__).parent / "fixtures" / f"{name}.json").read_text())
+
+
+def test_decide_star_2x2_scales_the_pair_once(monkeypatch):
+    # The trace test and the report share one scaling and one trace pass.
+    calls = []
+    original = canon_star_module._unit_scale_pair
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    for module in (canon_star_module, equivalence):
+        monkeypatch.setattr(module, "_unit_scale_pair", counted)
+    x = np.array([[1e-5, 2e-5], [0.0, 3e-5]])
+    v = decide_unitary_star_congruence(x, x.T)
+    assert v.method == "pearcy"
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("b", FIXTURES_2X2)
+@pytest.mark.parametrize("a", FIXTURES_2X2)
+def test_decide_star_2x2_verdict_and_detail_bytes(a, b):
+    x, y = _fixture(a), _fixture(b)
+    v = decide_unitary_star_congruence(x, y)
+    assert v.verdict == ("equivalent" if pearcy_equal_2x2(x, y) else "not_equivalent")
+    if a == b:
+        golden = Path(__file__).parent / "golden" / f"{a}.compare-star-self.json"
+        payload = {"schema": cli.SCHEMA, "command": "compare", "mode": "star",
+                   "result": v.to_json()}
+        assert cli._dumps(payload) + "\n" == json.loads(golden.read_text())["stdout"]
+    # The reported traces are those of each input scaled by one 2^-e,
+    # then scaled back by 2^e and 4^e, bit for bit.
+    (ux, uy), e = _unit_scale_pair(x, y)
+    for side, z in (("a", ux), ("b", uy)):
+        t = np.array([np.trace(z), np.trace(z @ z), np.trace(z.conj().T @ z)])
+        expected = np.ldexp(t.view(np.float64).reshape(3, 2), [[e], [2 * e], [2 * e]])
+        assert v.detail["traces"][side] == expected.tolist()
 
 
 def test_decide_star_squared_normal_route():

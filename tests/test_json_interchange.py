@@ -1,13 +1,15 @@
 """The JSON layer of the CLI: report encoding and matrix decoding.
 
 The report encoder must give exactly the text of
-json.dumps(payload, sort_keys=True, indent=2).  The decoder must give
+json.dumps(payload, sort_keys=True, indent=2), with each non-finite
+float written as null: the output is strict JSON.  The decoder must give
 bit-exact values, signed zeros and subnormals included, and reject
 malformed input with the same ParseError messages as the entry-by-entry
 scan it replaced.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -43,8 +45,28 @@ def matrices(draw, max_side=3):
     return matrix_to_json(_complex(parts).reshape(rows, cols))
 
 
+def _nulled(p):
+    """p with each non-finite float replaced by None."""
+    if isinstance(p, float):
+        return p if math.isfinite(p) else None
+    if isinstance(p, dict):
+        return {k: _nulled(v) for k, v in p.items()}
+    if isinstance(p, (list, tuple)):
+        return [_nulled(v) for v in p]
+    return p
+
+
+def _strict(text: str):
+    """json.loads of text, which must hold no NaN or Infinity."""
+
+    def refuse(name):
+        raise AssertionError(f"non-JSON constant {name} in the output")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def _reference(p) -> str:
-    return json.dumps(p, sort_keys=True, indent=2)
+    return json.dumps(_nulled(p), sort_keys=True, indent=2)
 
 
 # ----- encoder -------------------------------------------------------------
@@ -92,7 +114,9 @@ payloads = st.fixed_dictionaries(
 @settings(deadline=None, max_examples=300)
 @given(payloads)
 def test_encoder_matches_json_dumps(payload):
-    assert _dumps(payload) == _reference(payload)
+    text = _dumps(payload)
+    assert text == _reference(payload)
+    _strict(text)
 
 
 @settings(deadline=None, max_examples=300)
@@ -107,8 +131,12 @@ def test_encoder_matches_json_dumps(payload):
 @example([[1.0, float("nan")]])
 @example([1.0, float("inf")])
 @example([True, 1.0])
+@example({2: [1.0, float("nan")], 1: float("inf"), 10: -float("inf")})
+@example({float("inf"): 1.0, 1.5: float("nan"), -2.0: [None, True]})
 def test_encoder_matches_json_dumps_on_any_value(value):
-    assert _dumps(value) == _reference(value)
+    text = _dumps(value)
+    assert text == _reference(value)
+    _strict(text)
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (1, 1), (0, 3), (2, 0)])
