@@ -28,12 +28,12 @@ from .blocks import (
     direct_sum,
     normalize_congruence_pair,
 )
-from .errors import ConvergenceError, PreconditionError
+from .errors import PreconditionError
 from .factorizations import hua_skew, takagi_symmetric
 from .matrix import DEFAULT_TOL, ToleranceConfig, as_matrix
-from .pipeline import _canon, _Mode
+from .pipeline import _canon, _Mode, _real_mu
 from .predicates import _require_class
-from .regularization import _checked_cosquare
+from .regularization import _checked_cosquare, _gated
 
 __all__ = [
     "CongruenceCanonicalForm",
@@ -143,7 +143,7 @@ def canon_congruence(
     Returns (form, t) with t unitary and t @ a @ t.T equal to
     form.assemble() within the residual tolerance.
     """
-    return _canon(a, _CONGRUENCE, tol)
+    return _canon(*_gated(a, _CONGRUENCE.name, tol), _CONGRUENCE, tol)
 
 
 def canon_conjugate_normal(
@@ -220,11 +220,4 @@ def canon_hermitian_cosquare(
     a = as_matrix(a, square=True)
     _require_class(a, "hermitian_cosquare", tol, "conj(a) a is not Hermitian")
     form, _ = canon_congruence(a, tol)
-    twos = []
-    for tau, mu in form.two_by_two:
-        if abs(mu.imag) > tol.cluster_rtol * max(1.0, abs(mu)):
-            raise ConvergenceError(
-                f"expected a real block parameter, got {mu!r}"
-            )
-        twos.append((tau, complex(mu.real)))
-    return CongruenceCanonicalForm.build(form.one_by_one, twos)
+    return CongruenceCanonicalForm.build(form.one_by_one, _real_mu(form.two_by_two, tol))

@@ -37,9 +37,9 @@ from .blocks import (
 )
 from .errors import ConvergenceError, PreconditionError
 from .matrix import DEFAULT_TOL, ToleranceConfig, _unit_scale, _unit_scale_pair, as_matrix, norm
-from .pipeline import _canon, _Mode
+from .pipeline import _canon, _Mode, _real_mu
 from .predicates import _require_class
-from .regularization import _checked_cosquare
+from .regularization import _checked_cosquare, _gated
 
 __all__ = [
     "StarCanonicalForm",
@@ -171,7 +171,7 @@ def canon_star(
         raise ValueError(
             f"representation must be one of {REPRESENTATIONS}, got {representation!r}"
         )
-    form, transform = _canon(a, _STAR, tol)
+    form, transform = _canon(*_gated(a, _STAR.name, tol), _STAR, tol)
     if representation == "triangular":
         # The rotations are unitary, so the residual _canon checked on
         # the h2 rendering carries over.
@@ -272,12 +272,7 @@ def canon_hermitian_square(
             raise ConvergenceError(
                 f"expected a real or purely imaginary block, got {v!r}"
             )
-    twos = []
-    for t, m in form.two_by_two:
-        if abs(m.imag) > tol.cluster_rtol * max(1.0, abs(m)):
-            raise ConvergenceError(f"expected a real block parameter, got {m!r}")
-        twos.append((t, complex(m.real)))
-    return StarCanonicalForm.build(ones, twos)
+    return StarCanonicalForm.build(ones, _real_mu(form.two_by_two, tol))
 
 
 def _two_root_blocks(a, lam1: complex, lam2: complex, tol) -> list[np.ndarray]:

@@ -253,8 +253,9 @@ def _cmd_simulate(args, tol) -> dict:
             raise ParseError(f"invalid JSON in {args.x0}: {exc}") from None
         x0 = vector_from_json(obj)
     else:
+        # e_1, or the empty vector for a 0 x 0 matrix.
         x0 = np.zeros(a.shape[0], dtype=np.complex128)
-        x0[0] = 1.0
+        x0[:1] = 1.0
     trace = simulate(a, x0, args.steps, mode=args.mode, tol=tol)
     return {
         "schema": SCHEMA,

@@ -30,7 +30,7 @@ from .matrix import (
 )
 from .pipeline import _canon
 from .predicates import _class_residual
-from .regularization import MODES, _gate, _split
+from .regularization import MODES, _gate
 
 __all__ = [
     "BLOCK_ATOL",
@@ -66,6 +66,11 @@ class EquivalenceVerdict:
 
     def to_json(self) -> dict:
         return {"verdict": self.verdict, "method": self.method, "detail": self.detail}
+
+
+def _verdict(ok: bool, method: str, detail: dict) -> EquivalenceVerdict:
+    """The verdict of a decision that took the route method."""
+    return EquivalenceVerdict("equivalent" if ok else "not_equivalent", method, detail)
 
 
 def _greedy_match(avals, bvals, close) -> tuple[bool, list[dict]]:
@@ -147,8 +152,9 @@ def _shape_gate(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gated_forms(a, b, mode, tol: ToleranceConfig):
-    """(ra, rb, forms): the class-gate residuals of a and b and, when
-    both pass, their canonical forms under the pipeline mode.
+    """(ra, rb, verdict): the class-gate residuals of a and b and, when
+    both pass, the verdict of comparing their canonical forms under the
+    pipeline mode (forms_match); None when either fails.
 
     Both run scaled by one 2^-e (_unit_scale_pair).  Each input's gate is
     evaluated once, and its certificate is handed on to the split.  The
@@ -163,10 +169,10 @@ def _gated_forms(a, b, mode, tol: ToleranceConfig):
         return ra, rb, None
 
     def form(x, certified):
-        x = _unit_scale(x, e)[0]
-        return _canon(x, mode, tol, _split(x, mode.name, tol, certified, copy=False), e)[0]
+        return _canon(_unit_scale(x, e)[0], e, certified, mode, tol)[0]
 
-    return ra, rb, (form(a, certified_a), form(b, certified_b))
+    ok, detail = forms_match(form(a, certified_a), form(b, certified_b))
+    return ra, rb, _verdict(ok, "canonical_form", detail)
 
 
 def decide_unitary_congruence(
@@ -179,12 +185,9 @@ def decide_unitary_congruence(
     guessed.
     """
     a, b = _shape_gate(a, b)
-    ra, rb, forms = _gated_forms(a, b, _CONGRUENCE, tol)
-    if forms is not None:
-        ok, detail = forms_match(*forms)
-        return EquivalenceVerdict(
-            "equivalent" if ok else "not_equivalent", "canonical_form", detail
-        )
+    ra, rb, verdict = _gated_forms(a, b, _CONGRUENCE, tol)
+    if verdict is not None:
+        return verdict
     return EquivalenceVerdict(
         "unsupported",
         "none",
@@ -209,17 +212,11 @@ def decide_unitary_star_congruence(
     if a.shape == (2, 2):
         # pearcy_equal_2x2 on traces taken once, which the report shares.
         (ta, tb), e = _unit_traces(a, b)
-        ok = _traces_close(ta, tb, tol)
         traces = {"a": _traces(ta, e), "b": _traces(tb, e)}
-        return EquivalenceVerdict(
-            "equivalent" if ok else "not_equivalent", "pearcy", {"traces": traces}
-        )
-    ra, rb, forms = _gated_forms(a, b, _STAR, tol)
-    if forms is not None:
-        ok, detail = forms_match(*forms)
-        return EquivalenceVerdict(
-            "equivalent" if ok else "not_equivalent", "canonical_form", detail
-        )
+        return _verdict(_traces_close(ta, tb, tol), "pearcy", {"traces": traces})
+    ra, rb, verdict = _gated_forms(a, b, _STAR, tol)
+    if verdict is not None:
+        return verdict
     try:
         ok, detail = quadratic_invariants_equal(a, b, tol)
     except (PreconditionError, ConvergenceError):
@@ -232,9 +229,7 @@ def decide_unitary_star_congruence(
                 "residuals": {"a": ra, "b": rb},
             },
         )
-    return EquivalenceVerdict(
-        "equivalent" if ok else "not_equivalent", "quadratic_invariants", detail
-    )
+    return _verdict(ok, "quadratic_invariants", detail)
 
 
 def quadratic_invariants_equal(

@@ -21,8 +21,8 @@ import numpy as np
 from .blocks import direct_sum, permutation_matrix
 from .errors import ConvergenceError
 from .factorizations import _pair_clusters, eig_normal, svd
-from .matrix import ToleranceConfig, _adjoint, _cosquare, _unit_scale, as_matrix, norm
-from .regularization import RegularSplit, split_regular_singular
+from .matrix import ToleranceConfig, _adjoint, _cosquare, _unit_scale, norm
+from .regularization import _split
 
 
 @dataclass(frozen=True)
@@ -52,19 +52,15 @@ class _Mode:
     reduce_fixed: Callable
 
 
-def _canon(a, mode: _Mode, tol: ToleranceConfig, split: RegularSplit | None = None, e=0):
-    """(form, t) with t unitary and t a adj(t) equal to form.assemble().
-
-    It runs on a scaled by 2^-e (_unit_scale) and scales tau and the
-    1-by-1 entries back.  A caller that has passed a through the class
-    gate (regularization._gate) hands on the split of a, with a and the
-    split scaled by 2^-e and that e, so the gate is not evaluated twice.
+def _canon(a: np.ndarray, e: int, certified: bool, mode: _Mode, tol: ToleranceConfig):
+    """(form, t) with t unitary and t (2^e a) adj(t) equal to
+    form.assemble(), for an a at unit scale (_unit_scale) that passed
+    the class gate of the mode with the certificate certified
+    (regularization._gated).  It splits a and scales tau and the 1-by-1
+    entries back by 2^e.
     """
-    a = as_matrix(a, square=True)
     n = a.shape[0]
-    if split is None:
-        a, e = _unit_scale(a)
-        split = split_regular_singular(a, mode.name, tol)
+    split = _split(a, mode.name, tol, certified)
     k = split.regular.shape[0]
 
     def adj(m: np.ndarray) -> np.ndarray:
@@ -143,8 +139,8 @@ def _canon(a, mode: _Mode, tol: ToleranceConfig, split: RegularSplit | None = No
         ones.append((0.0, [k + 2 * m2 + j]))
 
     if k == n:
-        # The split is trivial and its transform the identity.  Adding
-        # 0.0 turns a -0.0 entry into 0.0, as a product with it does.
+        # The split is trivial and holds no transform (the identity).
+        # Adding 0.0 turns a -0.0 entry into 0.0, as a product with it does.
         t_pre = t_reg + 0.0
     else:
         t_pre = direct_sum([t_reg, np.eye(n - k, dtype=np.complex128)]) @ split.transform
@@ -166,3 +162,14 @@ def _canon(a, mode: _Mode, tol: ToleranceConfig, split: RegularSplit | None = No
         one_by_one=tuple(_unit_scale(np.array(form.one_by_one), -e)[0].tolist()),
         two_by_two=tuple((math.ldexp(t, e), m) for t, m in form.two_by_two),
     ), transform
+
+
+def _real_mu(pairs, tol: ToleranceConfig) -> list[tuple[float, complex]]:
+    """The (tau, mu) pairs with each mu snapped onto the real axis, or
+    ConvergenceError for a mu off it by more than cluster_rtol max(1, |mu|)."""
+    out = []
+    for t, m in pairs:
+        if abs(m.imag) > tol.cluster_rtol * max(1.0, abs(m)):
+            raise ConvergenceError(f"expected a real block parameter, got {m!r}")
+        out.append((t, complex(m.real)))
+    return out

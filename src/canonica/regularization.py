@@ -204,14 +204,25 @@ def split_regular_singular(
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    a, e, certified = _gated(a, mode, tol)
+    split = _split(a, mode, tol, certified)
+    if split.transform is None:
+        # A trivial split holds a itself: hand out a copy and the identity.
+        split = replace(split, regular=a.copy(), transform=np.eye(len(a), dtype=np.complex128))
+    regular, sigmas = _unit_scale(split.regular, -e)[0], np.ldexp(split.singular_sigmas, e)
+    return replace(split, regular=regular, singular_sigmas=sigmas)
+
+
+def _gated(a, mode: str, tol: ToleranceConfig) -> tuple[np.ndarray, int, bool]:
+    """(2^-e a, e, certified) for an a that passes the class gate of the
+    mode (_gate), with e that of _unit_scale and certified the gate's
+    certificate; PreconditionError for an a that does not."""
     a, e = _unit_scale(as_matrix(a, square=True))
     gate, certified = _gate(a, mode, tol)
     PreconditionError._check(
         f"input is not {_GATE_FLAGS[mode].replace('_', ' ')}", gate, tol.residual_rtol
     )
-    split = _split(a, mode, tol, certified)
-    regular, sigmas = _unit_scale(split.regular, -e)[0], np.ldexp(split.singular_sigmas, e)
-    return replace(split, regular=regular, singular_sigmas=sigmas)
+    return a, e, certified
 
 
 def _gate_product(a: np.ndarray, mode: str) -> np.ndarray:
@@ -279,28 +290,25 @@ def _certifies_trivial_split(
     return True
 
 
-def _trivial_split(a: np.ndarray, mode: str, copy: bool = True) -> RegularSplit:
-    """The split of a nonsingular a: a copy of a and the identity.  With
-    copy False it holds a itself and no transform (None), for
-    pipeline._canon, which reads neither the transform of a trivial
-    split nor writes to its regular part."""
+def _trivial_split(a: np.ndarray, mode: str) -> RegularSplit:
+    """The split of a nonsingular a: a itself and no transform (None),
+    which stands for the identity.  pipeline._canon reads neither the
+    transform of a trivial split nor writes to its regular part."""
     return RegularSplit(
         mode=mode,
-        regular=a.copy() if copy else a,
+        regular=a,
         singular_sigmas=np.zeros(0, dtype=np.float64),
         zero_count=0,
-        transform=np.eye(a.shape[0], dtype=np.complex128) if copy else None,
+        transform=None,
     )
 
 
-def _split(
-    a: np.ndarray, mode: str, tol: ToleranceConfig, certified: bool, copy: bool = True
-) -> RegularSplit:
-    """split_regular_singular of an a that passed the class gate, given
-    whether the certificate on its Gram matrix proved the split
-    trivial; copy as for _trivial_split."""
+def _split(a: np.ndarray, mode: str, tol: ToleranceConfig, certified: bool) -> RegularSplit:
+    """The split of an a at unit scale that passed the class gate, given
+    whether the certificate on its Gram matrix proved the split trivial;
+    a trivial split is a itself with no transform (_trivial_split)."""
     if certified:
-        return _trivial_split(a, mode, copy)
+        return _trivial_split(a, mode)
     return _split_by_reduction(a, mode, tol)
 
 

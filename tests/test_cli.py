@@ -154,6 +154,15 @@ def test_simulate_honours_rank_rtol(tmp_path):
 
 
 @pytest.mark.parametrize("mode", ["--star", "--congruence"])
+def test_simulate_starts_a_0x0_matrix_at_the_empty_vector(tmp_path, mode):
+    # The default start vector is e_1 for n >= 1 and empty for n = 0.
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"rows": 0, "cols": 0, "data": []}))
+    payload = run_json("simulate", mode, "--steps", "5", str(path))
+    assert payload["result"]["growth_classification"] == "bounded"
+
+
+@pytest.mark.parametrize("mode", ["--star", "--congruence"])
 def test_gate_overflow_is_a_convergence_failure(tmp_path, mode):
     # The input is finite and in class, and the Gram matrix of its gate
     # product would overflow float64 at the input's scale.  The pipeline

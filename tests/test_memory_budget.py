@@ -7,12 +7,14 @@ and the singular values of its SVD and writes the transform's row
 blocks in place, the residual checks subtract the assembled form's
 nonzero entries in place, eig_normal drops its Hermitian parts before
 the reconstruction, and the pipeline releases each factor once it is
-folded into the next product.  decide_* hold one scaled input at a time.
+folded into the next product.  decide_* hold one scaled input at a time,
+and canon_* and decide_* pass a trivial split on without copying it.
 
 The budget is the tracemalloc peak of one call, in units of one n x n
 complex matrix (16 n^2 bytes), on singular input at n = 256, where
 every stage runs: the class gate, regularize, the split's rank
-identity, the cosquare, eig_normal and the per-summand reductions.  It
+identity, the cosquare, eig_normal and the per-summand reductions; and
+on nonsingular input for canon_*, whose split is then trivial.  It
 counts numpy's arrays (which numpy reports to tracemalloc), not LAPACK
 workspaces, and does not depend on where the allocator places them.
 """
@@ -36,6 +38,9 @@ N = 256
 # Peaks before these trims: canon_star 11.8, canon_congruence 10.9,
 # decide_unitary_congruence 12.1, regularize 12.9.
 BUDGET_UNITS = 9.0
+# Nonsingular canon_* before the trivial split was passed on uncopied:
+# canon_star 7.15, canon_congruence 7.62.
+NONSINGULAR_BUDGET_UNITS = 6.0
 
 
 def _peak_units(call, n: int) -> float:
@@ -84,6 +89,20 @@ def _call(name: str):
 def test_peak_working_set_within_budget(name):
     peak = _peak_units(_call(name), N)
     assert peak <= BUDGET_UNITS, f"{name}: peak {peak:.2f} units of 16 n^2 bytes"
+
+
+@pytest.mark.parametrize(
+    "canon, sample",
+    [(canon_star, random_star_instance), (canon_congruence, random_congruence_instance)],
+)
+def test_nonsingular_canon_peak_within_budget(canon, sample):
+    # The certificate proves the split trivial: neither a copy of the
+    # input nor an identity transform is formed.
+    a = sample(N, default_rng(0))[1]
+    peak = _peak_units(lambda: canon(a), N)
+    assert peak <= NONSINGULAR_BUDGET_UNITS, (
+        f"{canon.__name__}: peak {peak:.2f} units of 16 n^2 bytes"
+    )
 
 
 def test_budget_meter_sees_numpy_arrays():

@@ -223,9 +223,14 @@ def _by_svd(a, mode):
 
 
 def _bits(split):
+    """The split's bytes; a trivial split's missing transform (None)
+    stands for the identity and reads as its bytes."""
+    transform = split.transform
+    if transform is None:
+        transform = np.eye(split.regular.shape[0], dtype=np.complex128)
     return (
         split.regular.tobytes(),
-        split.transform.tobytes(),
+        transform.tobytes(),
         split.singular_sigmas.tobytes(),
         split.zero_count,
     )

@@ -31,7 +31,7 @@ from canonica.canon_star import (
 )
 from canonica.equivalence import forms_match
 from canonica.errors import ConvergenceError, PreconditionError
-from canonica.matrix import rel_residual
+from canonica.matrix import ToleranceConfig, rel_residual
 from canonica.sampling import (
     default_rng,
     random_coninvolutory,
@@ -247,6 +247,19 @@ def test_gate_residual_is_classify_residual(path, flag, a, measured):
     with pytest.raises(PreconditionError) as err:
         path(a)
     assert err.value.residual == predicates.classify(measured).residuals[flag]
+
+
+@pytest.mark.parametrize("path", [canon_hermitian_square, canon_hermitian_cosquare])
+def test_real_mu_paths_refuse_a_mu_off_the_real_axis(path):
+    # At residual_rtol 1e-3 the block's class identity passes, and its
+    # mu, 0.5 e^{1e-4 i}, lies past cluster_rtol off the real axis.
+    a = antidiag_block(1.0, 0.5 * np.exp(1e-4j))
+    tol = ToleranceConfig(residual_rtol=1e-3)
+    with pytest.raises(ConvergenceError) as err:
+        path(a, tol)
+    assert str(err.value) == (
+        "expected a real block parameter, got (0.4999999975+4.999999991666667e-05j)"
+    )
 
 
 def test_hermitian_cosquare_gate_residual_is_its_identity():
