@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import sqrt_dplus
 from .errors import ConvergenceError, PreconditionError
 from .matrix import (
     DEFAULT_TOL,
@@ -208,16 +207,21 @@ def eig_normal(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.nd
     """Unitary eigendecomposition of a normal matrix.
 
     Returns (lam, u) with a = u @ diag(lam) @ u* and u unitary.  Works by
-    diagonalizing the Hermitian part, then diagonalizing the restriction
-    of the skew-Hermitian part to each eigenvalue cluster; both passes
-    are Hermitian eigenproblems.  When that misses the residual bound,
-    a second try also diagonalizes the Hermitian part within each
-    cluster of the skew part's eigenvalues.  Raises PreconditionError
-    when rel_residual(a* a, a a*), measured on a scaled by 2^-e
-    (_unit_scale), exceeds residual_rtol; the first reconstruction
-    usually proves that it does not (_proved_normal), and the two
-    products of that residual are then never formed.  Every check runs
-    at that scale; lam and u are those of a itself.
+    diagonalizing the Hermitian part; within a cluster of its eigenvalues
+    the columns are eigenvectors of a only up to the skew-Hermitian part
+    restricted to the cluster.  A cluster whose Rayleigh residual, at
+    unit scale, exceeds the rounding model's _value_error(n) ||a||_F is
+    rotated to the eigenvectors of that restriction, another Hermitian
+    eigenproblem; in any other cluster that restriction is rounding
+    noise, and its eigh is skipped.  When that misses the residual
+    bound, the remaining clusters are rotated too, and a second try also
+    diagonalizes the Hermitian part within each cluster of the skew
+    part's eigenvalues.  Raises PreconditionError when rel_residual(a* a,
+    a a*), measured on a scaled by 2^-e (_unit_scale), exceeds
+    residual_rtol; the reconstruction usually proves that it does not
+    (_proved_normal), and the two products of that residual are then
+    never formed.  Every check runs at that scale; lam and u are those
+    of a itself.
     """
     a = as_matrix(a, square=True)
     n = a.shape[0]
@@ -229,8 +233,9 @@ def eig_normal(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.nd
     # below that need it scale a again.
     del unit
 
-    h, k = _hermitian_parts(a)
+    h = _hermitian_part(a)
     hvals, u = np.linalg.eigh(h)
+    del h
 
     # Cluster radius is tied to the overall spectral scale so that a
     # zero Hermitian part still lands in a single cluster.  The spectral
@@ -247,11 +252,36 @@ def eig_normal(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.nd
     if np.any((gaps > radius) & (gaps <= tol.cluster_rtol * fro * scale * (1.0 + margin))):
         radius = tol.cluster_rtol * norm(_unit_scale(a, e)[0], "spectral") * scale
     clusters = [idx for idx in cluster_real_sorted(hvals, radius) if len(idx) > 1]
+    return _rotate_clusters(a, u, clusters, radius, e, fro, tol)
+
+
+def _rotate_clusters(a, u, clusters, radius, e, fro, tol) -> tuple[np.ndarray, np.ndarray]:
+    """eig_normal from the eigenvectors u of a's Hermitian part, whose
+    eigenvalues cluster as clusters at radius; fro = ||2^-e a||_F."""
     bound = tol.residual_rtol * fro
-    _diagonalize_clusters(u, clusters, h, k, None)
-    # Not held through the reconstruction: the retry forms them again.
-    del h, k
-    lam, recon = _rayleigh(a, u, e)
+    lam, res = _rayleigh(a, u, e)
+    # The squared residual of each column, summed on the float64 view
+    # of res, which forms no temporary of its size.
+    parts = res.view(np.float64)
+    sums = np.einsum("ij,ij->j", parts, parts)
+    squares = sums[0::2] + sums[1::2]
+    noise = (_value_error(a.shape[0]) * fro) ** 2
+    rotate, rest = [], []
+    for idx in clusters:
+        (rotate if float(np.sum(squares[idx])) > noise else rest).append(idx)
+    if rotate:
+        _diagonalize_clusters(u, rotate, None, _skew_part(a), None)
+        for idx in rotate:
+            lam[idx], res[:, idx] = _rayleigh(a, u[:, idx], e)
+    recon = norm(res)
+    del res
+    if recon > bound and clusters:
+        # The skipped clusters, rotated as well: every cluster rotated
+        # by the skew part, from one reconstruction of a u.
+        _diagonalize_clusters(u, rest, None, _skew_part(a), None)
+        lam, res = _rayleigh(a, u, e)
+        recon = norm(res)
+        del res
     if not _proved_normal(_unit_scale(lam, e)[0], recon, fro, tol.residual_rtol / 2.0):
         res = _normality_residual(_unit_scale(a, e)[0])[0]
         PreconditionError._check("matrix is not normal", res, tol.residual_rtol)
@@ -261,42 +291,52 @@ def eig_normal(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.nd
         # than the radius, but more than the residual bound allows).
         # Start over and let h decide within each skew-part sub-cluster.
         # Without clusters that would rebuild the same u.
-        h, k = _hermitian_parts(a)
+        h = _hermitian_part(a)
         _, u = np.linalg.eigh(h)
-        _diagonalize_clusters(u, clusters, h, k, radius)
-        del h, k
-        lam, recon = _rayleigh(a, u, e)
+        _diagonalize_clusters(u, clusters, h, _skew_part(a), radius)
+        del h
+        lam, res = _rayleigh(a, u, e)
+        recon = norm(res)
+        del res
     ConvergenceError._check("eigendecomposition", recon, bound)
     return lam, u
 
 
-def _hermitian_parts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(h, k), a = h + i k with h and k Hermitian, from one conjugate
-    transpose of a, each part scaled in place."""
-    a_h = a.conj().T
-    h = a + a_h
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """h = (a + a*) / 2, formed in place in one C-ordered array."""
+    h = np.conjugate(a.T, out=np.empty(a.shape, dtype=np.complex128))
+    h += a
     h /= 2.0
-    k = a - a_h
+    return h
+
+
+def _skew_part(a: np.ndarray) -> np.ndarray:
+    """k = (a - a*) / 2i, formed in place in one C-ordered array:
+    a = h + i k with h and k Hermitian."""
+    k = np.conjugate(a.T, out=np.empty(a.shape, dtype=np.complex128))
+    np.subtract(a, k, out=k)
     k /= 2.0j
-    return h, k
+    return k
 
 
-def _rayleigh(a: np.ndarray, u: np.ndarray, e: int) -> tuple[np.ndarray, float]:
+def _rayleigh(a: np.ndarray, u: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
     """The Rayleigh quotients lam of a on the columns of u, and the
-    reconstruction residual 2^-e ||a u - u diag(lam)||, measured on the
-    difference scaled by 2^-e (_unit_scale), where its norm does not
-    overflow.  With u unitary to rounding, that is the backward error
-    ||a - u diag(lam) u*|| at that scale, and the one product a u serves
-    both."""
+    residual 2^-e (a u - u diag(lam)), scaled in place (_unit_scale),
+    where its norm does not overflow.  With u unitary to rounding, the
+    residual's norm is the backward error ||a - u diag(lam) u*|| at that
+    scale, and the one product a u serves both."""
     au = a @ u
-    # One n x n temporary w holds conj(u) * au, then u diag(lam).
+    # One temporary w, of u's shape, holds conj(u) * au, then u diag(lam).
     w = u.conj()
     w *= au
     lam = np.sum(w, axis=0)
     np.multiply(u, lam, out=w)
     au -= w
     del w
-    return lam, norm(_unit_scale(au, e)[0])
+    if e:
+        parts = au.view(np.float64)
+        np.ldexp(parts, -e, out=parts)
+    return lam, au
 
 
 def _proved_normal(lam: np.ndarray, recon: float, fro: float, target: float) -> bool:
@@ -377,20 +417,6 @@ def polar(a, side: str = "right") -> PolarResult:
     return PolarResult(w=w, q=q, side=side)
 
 
-def _sqrt_normal(a, tol: ToleranceConfig) -> np.ndarray:
-    # Square root of a (small, normal) matrix as a spectral function,
-    # using the unique root in the closed right half plane.  Equal
-    # eigenvalues get equal roots, so the result is a polynomial in a;
-    # in particular it inherits symmetry.
-    if a.shape == (1, 1):
-        # What the general path returns for 1 x 1 input; adding 0.0
-        # turns a -0.0 part into +0.0 as its products do.
-        return np.array([[sqrt_dplus(a[0, 0])]], dtype=np.complex128) + 0.0
-    lam, q = eig_normal(a, tol)
-    roots = np.array([sqrt_dplus(z) for z in lam], dtype=np.complex128)
-    return (q * roots) @ q.conj().T
-
-
 def takagi_symmetric(
     a, tol: ToleranceConfig = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -398,11 +424,19 @@ def takagi_symmetric(
 
     The input must be complex symmetric.  sigma is sorted nonincreasing.
 
-    Construction: from a full SVD a = u @ diag(sigma) @ w*, symmetry
-    forces z = w* @ conj(u) to be unitary, block diagonal along equal
-    singular values, and symmetric on blocks with positive singular
-    value.  A per-block symmetric square root d then gives v = u @ d.
-    Runs on a scaled by 2^-e (_unit_scale) and returns 2^e sigma.
+    Construction: with a = p + i q, p and q real symmetric, the real
+    symmetric m = [[p, q], [q, -p]] has the eigenvalues +-sigma.  An
+    eigenvector [x; y] of m for sigma gives v = x + i y with
+    a @ conj(v) = sigma v, and the eigenvector [-y; x] for -sigma gives
+    i v, so one eigh of m yields the n Takagi vectors of the n largest
+    eigenvalues, orthonormal, equal values included.  Rounding mixes
+    the eigenvectors of sigma_j with those of -sigma_k by about
+    u ||a|| / (sigma_j + sigma_k), which only small values feel: the
+    vectors of values at most 2^-10 sigma_1 (those of a rank-deficient
+    a among them) are replaced by the unitary basis of the orthogonal
+    complement of the others nearest to them, which moves each by about
+    that much and its term of a by about u ||a||.  Runs on a scaled by
+    2^-e (_unit_scale) and returns 2^e sigma.
     """
     a, e = _unit_scale(as_matrix(a, square=True))
     n = a.shape[0]
@@ -413,25 +447,34 @@ def takagi_symmetric(
         return np.zeros(0, dtype=np.float64), np.zeros((0, 0), dtype=np.complex128)
     a = (a + a.T) / 2.0
 
-    f = svd(a)
-    z = f.v.conj().T @ f.u.conj()
-    zero_cutoff = tol.rank_rtol * float(f.sigma[0]) * n if f.sigma[0] > 0 else 0.0
-    radius = tol.cluster_rtol * float(f.sigma[0])
+    m = np.empty((2 * n, 2 * n))
+    m[:n, :n] = a.real
+    m[:n, n:] = a.imag
+    m[n:, :n] = a.imag
+    np.negative(a.real, out=m[n:, n:])
+    values, q = np.linalg.eigh(m)
+    del m
+    # The n largest eigenvalues, nonincreasing; those of a zero sigma
+    # may round below zero.
+    sigma = np.maximum(values[n:][::-1], 0.0)
+    top = q[:, n:][:, ::-1]
+    v = np.empty((n, n), dtype=np.complex128)
+    v.real = top[:n]
+    v.imag = top[n:]
+    del q, top
 
-    d = np.zeros((n, n), dtype=np.complex128)
-    for idx in cluster_real_sorted(f.sigma, radius):
-        ix = np.ix_(idx, idx)
-        if f.sigma[idx[0]] <= zero_cutoff:
-            d[ix] = np.eye(len(idx))
+    r = int(np.count_nonzero(sigma > 2.0**-10 * sigma[0]))
+    if r < n:
+        if r:
+            rest = np.linalg.qr(v[:, :r], mode="complete")[0][:, r:]
         else:
-            zb = z[ix]
-            zb = (zb + zb.T) / 2.0
-            d[ix] = _sqrt_normal(zb, tol)
-    v = f.u @ d
+            rest = np.eye(n, dtype=np.complex128)
+        left, _, right = np.linalg.svd(rest.conj().T @ v[:, r:])
+        v[:, r:] = rest @ (left @ right)
 
-    recon = norm(a - (v * f.sigma) @ v.T)
+    recon = norm(a - (v * sigma) @ v.T)
     ConvergenceError._check("symmetric SVD", recon, tol.residual_rtol * norm(a))
-    return np.ldexp(f.sigma, e), v
+    return np.ldexp(sigma, e), v
 
 
 def hua_skew(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:

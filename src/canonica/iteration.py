@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import ParseError, PreconditionError
 from .matrix import DEFAULT_TOL, ToleranceConfig, _cosquare, _unit_scale, as_matrix, rank
 from .factorizations import eig_normal
 from .predicates import _class_residual
@@ -104,6 +104,8 @@ def simulate(
     steps = int(steps)
     a = _gate(a, mode, tol)
     x = np.asarray(x0, dtype=np.complex128).reshape(-1)
+    if not np.all(np.isfinite(x)):
+        raise ParseError("start vector contains non-finite entries")
     if x.shape[0] != a.shape[0]:
         raise PreconditionError(
             f"start vector has length {x.shape[0]}, expected {a.shape[0]}"

@@ -181,7 +181,8 @@ def matrix_from_json(obj) -> np.ndarray:
         data = obj["data"]
     except KeyError as missing:
         raise ParseError(f"matrix JSON missing key {missing}") from None
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 0 or cols < 0:
+    # JSON true and false decode to bool, which is an int subclass.
+    if any(isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in (rows, cols)):
         raise ParseError("rows and cols must be non-negative integers")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise ParseError(

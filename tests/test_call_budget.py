@@ -12,8 +12,9 @@ input its singular values prove the rank identity, so the split takes
 no values-only SVD of the gate product.  The rank identity also proves
 the regular part nonsingular here, so the cosquare takes no SVD;
 eig_normal brackets its cluster radius and takes no SVD when the
-bracket decides the clusters.  The budgets count SVDs whose input has
-the size of the matrix handed in.
+bracket decides the clusters, and it rotates only the clusters whose
+Rayleigh residual is above rounding noise.  The budgets count SVDs whose
+input has the size of the matrix handed in.
 """
 
 import inspect
@@ -22,13 +23,17 @@ import sys
 import numpy as np
 import pytest
 
+import canonica.factorizations as factorizations
+import canonica.pipeline as pipeline
 import canonica.predicates as predicates
 import canonica.regularization as regularization
 from canonica.blocks import antidiag_block, direct_sum
+from canonica.canon_congruence import canon_congruence
 from canonica.canon_star import canon_star
 from canonica.equivalence import (
     decide_unitary_congruence,
     decide_unitary_star_congruence,
+    forms_match,
 )
 from canonica.factorizations import eig_normal
 from canonica.sampling import (
@@ -248,3 +253,77 @@ def test_budget_counter_sees_the_gate(counts):
     # One SVD each in classify, the spectral norm and regularize.
     assert _full_size(counts, a.shape[0]) == 3
     assert counts["cholesky"] == [(3, 3), a.shape]
+
+
+@pytest.fixture
+def rotations(monkeypatch):
+    """Per eig_normal call of the pipeline: its eigenvalues, and those of
+    each cluster it rotated by the skew part."""
+    clusters, calls = [], []
+    rotate, decompose = factorizations._diagonalize_clusters, pipeline.eig_normal
+
+    def recorded_rotate(u, idx_lists, h, k, radius):
+        clusters.extend(list(idx) for idx in idx_lists)
+        return rotate(u, idx_lists, h, k, radius)
+
+    def recorded_decompose(a, tol):
+        clusters.clear()
+        lam, u = decompose(a, tol)
+        calls.append((lam, [lam[idx] for idx in clusters]))
+        return lam, u
+
+    monkeypatch.setattr(factorizations, "_diagonalize_clusters", recorded_rotate)
+    monkeypatch.setattr(pipeline, "eig_normal", recorded_decompose)
+    return calls
+
+
+def test_singular_canon_congruence_rotates_no_plus_or_minus_one_cluster(rotations):
+    # On the +1 and -1 summands the skew part of the cosquare is rounding
+    # noise; the Takagi and Hua factorizations of those summands do the
+    # reduction, and eig_normal takes no eigh of them.
+    a = random_congruence_instance(256, default_rng(0), singular=True)[1]
+    canon_congruence(a)
+    ((lam, rotated),) = rotations
+    for one in (1.0, -1.0):
+        assert np.count_nonzero(np.abs(lam - one) <= 1e-6) > 1
+        assert not any(np.any(np.abs(values - one) <= 1e-6) for values in rotated)
+
+
+def _shared_real_part_star(theta):
+    # Rays at theta and pi - theta: cosquare eigenvalues exp(+-2i theta),
+    # one cluster of the Hermitian part, told apart only by the rotation.
+    ones = [r * np.exp(1j * t) for t in (theta, np.pi - theta) for r in (0.8, 1.5, 1.5)]
+    ones += [2.0, 2.0]
+    return ones, [(1.2, 0.3 + 0.2j), (1.2, 0.3 + 0.2j)]
+
+
+def _unimodular_congruence(phi):
+    # A repeated unimodular mu: cosquare eigenvalues mu and conj(mu).
+    return [0.7, 0.7, 1.9], [(0.9, np.exp(1j * phi))] * 3 + [(1.6, 0.4 - 0.3j)]
+
+
+@pytest.mark.parametrize("angle", [0.35, 0.8, 1.2])
+@pytest.mark.parametrize("mode", ["star", "congruence"])
+def test_rotation_fires_where_the_skew_part_separates(rotations, mode, angle):
+    ones, twos = (_shared_real_part_star if mode == "star" else _unimodular_congruence)(angle)
+    form = direct_sum(
+        [np.array([[v]], dtype=np.complex128) for v in ones]
+        + [antidiag_block(t, m) for t, m in twos]
+    )
+    n = form.shape[0]
+    u = random_unitary(n, default_rng(20261026))
+    if mode == "star":
+        planted = canon_star(form)[0]
+        got = canon_star(u @ form @ u.conj().T)[0]
+        shared = np.exp(2j * angle)
+    else:
+        planted = canon_congruence(form)[0]
+        got = canon_congruence(u @ form @ u.T)[0]
+        shared = np.exp(1j * angle)
+    assert forms_match(got, planted)[0]
+    # The hidden input's eig_normal is the last one.
+    rotated = rotations[-1][1]
+    assert any(
+        np.any(np.abs(values - shared) <= 1e-6) and np.any(np.abs(values - shared.conjugate()) <= 1e-6)
+        for values in rotated
+    )

@@ -289,6 +289,15 @@ class TestExitCodes:
         assert code == cli.EXIT_PARSE
         assert capsys.readouterr().err == "parse error: matrix entries must be finite\n"
 
+    def test_boolean_rows_and_cols(self, tmp_path, capsys):
+        # JSON true is no size: a parse error, not a reshape traceback.
+        path = tmp_path / "bool_shape.json"
+        path.write_text('{"rows": true, "cols": true, "data": [[2, 0]]}')
+        code, _ = run_cli("canon", "--star", str(path))
+        assert code == cli.EXIT_PARSE
+        expected = "parse error: rows and cols must be non-negative integers\n"
+        assert capsys.readouterr().err == expected
+
     def test_integer_beyond_float_range_in_start_vector(self, tmp_path, capsys):
         path = tmp_path / "huge_x0.json"
         path.write_text("[[0, -1%s], [0, 0]]" % ("0" * 400))

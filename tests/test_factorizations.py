@@ -5,6 +5,7 @@ came from, plus the structural claims its consumers rely on (unitarity,
 ordering, symmetry class of the factors).
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -13,7 +14,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import canonica.factorizations as factorizations
-from canonica.blocks import sqrt_dplus
 from canonica.canon_congruence import _CONGRUENCE
 from canonica.canon_star import _STAR
 from canonica.errors import ConvergenceError, PreconditionError
@@ -338,21 +338,14 @@ def test_symmetric_factorizations_of_an_empty_matrix(factor):
 
 def _eig_normal_exact_radius(a, tol=DEFAULT_TOL):
     # eig_normal with the cluster radius always taken from the spectral
-    # norm itself (one more SVD), as it was before the bracket.
+    # norm itself (one more SVD), as it was before the bracket; the
+    # clusters are then rotated as eig_normal rotates them.
     a = np.asarray(a, dtype=np.complex128)
-    h = (a + a.conj().T) / 2.0
-    k = (a - a.conj().T) / 2.0j
-    hvals, u = np.linalg.eigh(h)
+    unit, e = _unit_scale(a)
+    hvals, u = np.linalg.eigh((a + a.conj().T) / 2.0)
     radius = tol.cluster_rtol * norm(a, "spectral")
-    for idx in cluster_real_sorted(hvals, radius):
-        if len(idx) == 1:
-            continue
-        cols = u[:, idx]
-        kr = cols.conj().T @ k @ cols
-        kr = (kr + kr.conj().T) / 2.0
-        _, w = np.linalg.eigh(kr)
-        u[:, idx] = cols @ w
-    return np.sum(u.conj() * (a @ u), axis=0), u
+    clusters = [idx for idx in cluster_real_sorted(hvals, radius) if len(idx) > 1]
+    return factorizations._rotate_clusters(a, u, clusters, radius, e, norm(unit), tol)
 
 
 def _count_spectral_norms(monkeypatch) -> list:
@@ -439,26 +432,85 @@ def test_eig_normal_bracket_hit_takes_no_spectral_norm(monkeypatch):
     assert calls == []
 
 
-def _assert_root_matches_general_path(z):
-    a = np.array([[z]], dtype=np.complex128)
-    lam, q = eig_normal(a)
-    roots = np.array([sqrt_dplus(w) for w in lam], dtype=np.complex128)
-    expected = (q * roots) @ q.conj().T
-    assert factorizations._sqrt_normal(a, DEFAULT_TOL).tobytes() == expected.tobytes()
+def _record_rotations(monkeypatch) -> list:
+    """Record, per call, the index lists of the clusters eig_normal rotates."""
+    rotated = []
+    original = factorizations._diagonalize_clusters
+
+    def recorded(u, clusters, h, k, radius):
+        rotated.append([list(idx) for idx in clusters])
+        return original(u, clusters, h, k, radius)
+
+    monkeypatch.setattr(factorizations, "_diagonalize_clusters", recorded)
+    return rotated
 
 
-def test_sqrt_normal_1x1_matches_general_path_on_signed_zeros():
-    # Signed zeros, tiny and subnormal parts, and the negative real axis.
-    parts = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1.0, -2.5]
-    for re in parts:
-        for im in parts:
-            _assert_root_matches_general_path(complex(re, im))
+@settings(deadline=None, max_examples=60)
+@example(0.3, 2, 3, 1.0, 0)
+@example(1.2, 1, 1, 1e-6, 1)
+@given(
+    st.floats(0.05, 1.5),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.floats(-6.0, 6.0).map(lambda e: 10.0**e),
+    st.integers(0, 2**32 - 1),
+)
+def test_eig_normal_rotates_where_the_skew_part_separates(theta, m1, m2, scale, seed):
+    # Conjugate eigenvalues exp(+-i theta) share a real part, so they
+    # share a cluster of the Hermitian part, and only its rotation by
+    # the skew part tells them apart: the cosquare eigenvalues of star
+    # rays at theta / 2 and pi - theta / 2, and of a unimodular
+    # congruence mu with its partner conj(mu).  The cluster must still
+    # be rotated.
+    z = np.exp(1j * theta)
+    lam = np.array([z] * m1 + [z.conjugate()] * m2 + [3.0, -2.0 + 0.5j])
+    with pytest.MonkeyPatch.context() as mp:
+        rotated = _record_rotations(mp)
+        got, u = eig_normal(_hidden_normal(lam, seed, scale))
+    # One rotation, before any reconstruction missed the bound.
+    assert len(rotated) == 1
+    shared = [idx for idx in rotated[0] if len(idx) == m1 + m2]
+    assert shared and np.allclose(got[shared[0]].real, scale * z.real)
+    assert_unitary(u)
+    for part in (np.real, np.imag):
+        expected = np.sort(part(scale * lam))
+        assert np.allclose(np.sort(part(got)), expected, rtol=0.0, atol=1e-9 * scale)
 
 
-@settings(deadline=None, max_examples=300)
-@given(st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False))
-def test_sqrt_normal_1x1_matches_general_path(z):
-    _assert_root_matches_general_path(z)
+def _every_cluster_rotated(a, tol=DEFAULT_TOL):
+    # eig_normal's first pass before it skipped clusters: every cluster
+    # rotated by the skew part, and the Rayleigh quotients of the result.
+    a = np.asarray(a, dtype=np.complex128)
+    h = (a + a.conj().T) / 2.0
+    k = (a - a.conj().T) / 2.0j
+    hvals, u = np.linalg.eigh(h)
+    radius = tol.cluster_rtol * norm(a, "spectral")
+    for idx in cluster_real_sorted(hvals, radius):
+        if len(idx) == 1:
+            continue
+        cols = u[:, idx]
+        kr = cols.conj().T @ k @ cols
+        kr = (kr + kr.conj().T) / 2.0
+        _, w = np.linalg.eigh(kr)
+        u[:, idx] = cols @ w
+    return np.sum(u.conj() * (a @ u), axis=0), u
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_eig_normal_missing_the_bound_rotates_every_cluster(monkeypatch, seed):
+    # With the noise level at infinity no cluster is rotated first, the
+    # reconstruction misses the bound on the conjugate pair, and the
+    # remaining clusters are rotated: that is the pass that rotates every
+    # cluster, bit for bit.
+    monkeypatch.setattr(factorizations, "_value_error", lambda n: math.inf)
+    g = default_rng(seed)
+    z = np.exp(1j * g.uniform(0.1, 1.4))
+    lam = np.array([z, z, z.conjugate(), 2.0, 2.0, -1.0 + 0.5j])
+    a = _hidden_normal(lam, seed, 10.0 ** g.uniform(-3.0, 3.0))
+    lam_got, u = eig_normal(a)
+    ref_lam, ref_u = _every_cluster_rotated(a)
+    assert lam_got.tobytes() == ref_lam.tobytes()
+    assert u.tobytes() == ref_u.tobytes()
 
 
 @pytest.mark.parametrize("side", ["right", "left"])
@@ -504,10 +556,93 @@ def test_takagi_rank_deficient():
 
 
 def test_takagi_repeated_singular_values():
-    # An identity block leaves the whole gauge freedom to the z-factor.
+    # An identity block leaves the whole gauge freedom to the eigh.
     a = np.eye(3, dtype=np.complex128)
     sigma, v = takagi_symmetric(a)
     assert norm((v * sigma) @ v.T - a) <= 1e-9
+
+
+def _takagi_input(n, kind, seed):
+    """A complex symmetric n x n input u diag(s) u^T of the named kind."""
+    g = default_rng(seed)
+    s = g.uniform(0.1, 2.0, n)
+    if kind == "palette":
+        # Repeated values: every eigenspace of the embedding has
+        # multiplicity above one.
+        s = g.choice([0.5, 1.0, 1.5], n)
+    elif kind == "inside_radius":
+        s = g.choice([0.5, 1.5], n) * (1.0 + 1e-13 * g.standard_normal(n))
+    elif kind == "rank_deficient":
+        s[: n // 2] = 0.0
+    elif kind == "zero":
+        s[:] = 0.0
+    elif kind == "above_cutoff":
+        # Two values just above the rank cutoff rank_rtol n sigma_1: the
+        # embedding mixes their vectors with those of -sigma by about
+        # u / 1e-9 unless they are orthonormalized.
+        top = float(np.max(s))
+        s[: min(n - 1, 2)] = DEFAULT_TOL.rank_rtol * n * top * (1.0 + 1e-3 * g.random())
+    elif kind == "below_tail":
+        # Values just above 2^-10 sigma_1, the smallest ones kept as
+        # the embedding gives them.
+        s[: n // 2] = 2.0**-10 * float(np.max(s)) * (1.0 + 1e-3 * g.random(n // 2))
+    u = random_unitary(n, g)
+    a = (u * s) @ u.T
+    if kind == "generic":
+        b = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
+        a = b + b.T
+    elif kind == "one_by_one":
+        a = np.array([[g.choice([-2.5, -1.0 + 0.5j, 3j, -1e-3j])]], dtype=np.complex128)
+    return (a + a.T) / 2.0
+
+
+TAKAGI_KINDS = [
+    "generic",
+    "palette",
+    "inside_radius",
+    "rank_deficient",
+    "zero",
+    "above_cutoff",
+    "below_tail",
+    "one_by_one",
+]
+
+
+@settings(deadline=None, max_examples=150)
+@example(3, "zero", 0)
+@example(1, "one_by_one", 0)
+@example(6, "above_cutoff", 1)
+@example(13, "palette", 2)
+@given(st.integers(1, 13), st.sampled_from(TAKAGI_KINDS), st.integers(0, 2**32 - 1))
+def test_takagi_factorizes_every_kind_of_symmetric_input(n, kind, seed):
+    a = _takagi_input(1 if kind == "one_by_one" else n, kind, seed)
+    n = a.shape[0]
+    sigma, v = takagi_symmetric(a)
+    fro = norm(a)
+    # Kept vectors are orthonormal to about u ||a|| / 2^-10 sigma_1, the
+    # replaced ones to rounding.
+    assert norm(v.conj().T @ v - np.eye(n)) <= 2.0**12 * n * factorizations._UNIT
+    assert norm((v * sigma) @ v.T - a) <= DEFAULT_TOL.residual_rtol * fro
+    assert np.all(np.diff(sigma) <= 0.0) and np.all(sigma >= 0.0)
+    expected = np.linalg.svd(a, compute_uv=False)
+    assert np.max(np.abs(sigma - expected)) <= factorizations._value_error(n) * fro
+
+
+def test_takagi_takes_one_eigh_and_no_svd_on_a_repeated_palette(monkeypatch):
+    # The embedding's eigh gives every Takagi vector, repeated values
+    # included: no SVD, and no eig_normal per cluster.
+    calls = []
+    for name in ("eigh", "svd"):
+        original = getattr(np.linalg, name)
+
+        def counted(x, *args, _name=name, _f=original, **kwargs):
+            calls.append((_name, np.shape(x)))
+            return _f(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    a = _takagi_input(9, "palette", 3)
+    takagi_symmetric(a)
+    assert calls == [("eigh", (18, 18))]
 
 
 def test_takagi_rejects_nonsymmetric():

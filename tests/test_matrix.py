@@ -125,6 +125,7 @@ def test_matrix_json_layout():
         {"rows": 1, "cols": 1, "data": [1.0]},
         {"rows": 1.5, "cols": 1, "data": [[1, 0]]},
         {"rows": -1, "cols": 1, "data": []},
+        {"rows": True, "cols": True, "data": [[2, 0]]},
         [[1, 0]],
     ],
 )
