@@ -210,13 +210,14 @@ def eig_normal(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.nd
     diagonalizing the Hermitian part; within a cluster of its eigenvalues
     the columns are eigenvectors of a only up to the skew-Hermitian part
     restricted to the cluster.  A cluster whose Rayleigh residual, at
-    unit scale, exceeds the rounding model's _value_error(n) ||a||_F is
-    rotated to the eigenvectors of that restriction, another Hermitian
-    eigenproblem; in any other cluster that restriction is rounding
-    noise, and its eigh is skipped.  When that misses the residual
-    bound, the remaining clusters are rotated too, and a second try also
-    diagonalizes the Hermitian part within each cluster of the skew
-    part's eigenvalues.  Raises PreconditionError when rel_residual(a* a,
+    unit scale, exceeds the rounding error of a u (capped far below the
+    cluster radius and the residual bound) is rotated to the
+    eigenvectors of that restriction, another Hermitian eigenproblem;
+    in any other cluster that restriction is rounding noise, and its
+    eigh is skipped.  When the reconstruction misses the residual
+    bound, a second try rotates every cluster and also diagonalizes the
+    Hermitian part within each cluster of the skew part's eigenvalues.
+    Raises PreconditionError when rel_residual(a* a,
     a a*), measured on a scaled by 2^-e (_unit_scale), exceeds
     residual_rtol; the reconstruction usually proves that it does not
     (_proved_normal), and the two products of that residual are then
@@ -252,36 +253,41 @@ def eig_normal(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.nd
     if np.any((gaps > radius) & (gaps <= tol.cluster_rtol * fro * scale * (1.0 + margin))):
         radius = tol.cluster_rtol * norm(_unit_scale(a, e)[0], "spectral") * scale
     clusters = [idx for idx in cluster_real_sorted(hvals, radius) if len(idx) > 1]
-    return _rotate_clusters(a, u, clusters, radius, e, fro, tol)
-
-
-def _rotate_clusters(a, u, clusters, radius, e, fro, tol) -> tuple[np.ndarray, np.ndarray]:
-    """eig_normal from the eigenvectors u of a's Hermitian part, whose
-    eigenvalues cluster as clusters at radius; fro = ||2^-e a||_F."""
     bound = tol.residual_rtol * fro
     lam, res = _rayleigh(a, u, e)
+    # A cluster is rotated only when its columns' Rayleigh residual r_c
+    # (at unit scale) exceeds what rounding in the product a u alone can
+    # put there, _product_error(n) ||a||_F per column, or a cap.  The
+    # restriction of a to those columns less its diagonal lam_c is
+    # u_c* r_c, so lam_c lies within about ||r_c||_F of that
+    # restriction's eigenvalues (Hoffman-Wielandt), which the rotation
+    # would give.  The cap is 2^-10 of the smallest radius the bracket
+    # allows, cluster_rtol ||a||_F / sqrt(n), so that a skip moves no
+    # value across a decision taken at a cluster radius unless rounding
+    # could move it there too, and a quarter of the bound over all
+    # clusters, so that the skipped ones cannot make the reconstruction
+    # miss it.  Neither depends on the end of the bracket taken.
+    noise = _product_error(n) * fro
+    cap = fro * min(
+        2.0**-10 * tol.cluster_rtol / math.sqrt(n),
+        tol.residual_rtol / (4.0 * math.sqrt(max(1, len(clusters)))),
+    )
     # The squared residual of each column, summed on the float64 view
     # of res, which forms no temporary of its size.
     parts = res.view(np.float64)
     sums = np.einsum("ij,ij->j", parts, parts)
     squares = sums[0::2] + sums[1::2]
-    noise = (_value_error(a.shape[0]) * fro) ** 2
-    rotate, rest = [], []
-    for idx in clusters:
-        (rotate if float(np.sum(squares[idx])) > noise else rest).append(idx)
-    if rotate:
-        _diagonalize_clusters(u, rotate, None, _skew_part(a), None)
-        for idx in rotate:
+    noisy = [
+        idx
+        for idx in clusters
+        if float(np.sum(squares[idx])) > min(noise * noise * len(idx), cap * cap)
+    ]
+    if noisy:
+        _diagonalize_clusters(u, noisy, None, _skew_part(a), None)
+        for idx in noisy:
             lam[idx], res[:, idx] = _rayleigh(a, u[:, idx], e)
     recon = norm(res)
     del res
-    if recon > bound and clusters:
-        # The skipped clusters, rotated as well: every cluster rotated
-        # by the skew part, from one reconstruction of a u.
-        _diagonalize_clusters(u, rest, None, _skew_part(a), None)
-        lam, res = _rayleigh(a, u, e)
-        recon = norm(res)
-        del res
     if not _proved_normal(_unit_scale(lam, e)[0], recon, fro, tol.residual_rtol / 2.0):
         res = _normality_residual(_unit_scale(a, e)[0])[0]
         PreconditionError._check("matrix is not normal", res, tol.residual_rtol)

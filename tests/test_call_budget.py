@@ -23,7 +23,6 @@ import sys
 import numpy as np
 import pytest
 
-import canonica.factorizations as factorizations
 import canonica.pipeline as pipeline
 import canonica.predicates as predicates
 import canonica.regularization as regularization
@@ -43,6 +42,7 @@ from canonica.sampling import (
     random_star_instance,
     random_unitary,
 )
+from recorders import record_rotations
 
 # regularize: one full SVD of a, after the certificate's Cholesky
 # factorization fails on singular input; its singular values prove the
@@ -259,20 +259,15 @@ def test_budget_counter_sees_the_gate(counts):
 def rotations(monkeypatch):
     """Per eig_normal call of the pipeline: its eigenvalues, and those of
     each cluster it rotated by the skew part."""
-    clusters, calls = [], []
-    rotate, decompose = factorizations._diagonalize_clusters, pipeline.eig_normal
-
-    def recorded_rotate(u, idx_lists, h, k, radius):
-        clusters.extend(list(idx) for idx in idx_lists)
-        return rotate(u, idx_lists, h, k, radius)
+    rotated, calls = record_rotations(monkeypatch), []
+    decompose = pipeline.eig_normal
 
     def recorded_decompose(a, tol):
-        clusters.clear()
+        first = len(rotated)
         lam, u = decompose(a, tol)
-        calls.append((lam, [lam[idx] for idx in clusters]))
+        calls.append((lam, [lam[idx] for batch in rotated[first:] for idx in batch]))
         return lam, u
 
-    monkeypatch.setattr(factorizations, "_diagonalize_clusters", recorded_rotate)
     monkeypatch.setattr(pipeline, "eig_normal", recorded_decompose)
     return calls
 

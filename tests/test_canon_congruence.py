@@ -13,9 +13,9 @@ from canonica.canon_congruence import (
     canon_unitary,
     cosquare,
 )
-from canonica.equivalence import forms_match
+from canonica.equivalence import decide_unitary_congruence, forms_match
 from canonica.errors import ConvergenceError, PreconditionError
-from canonica.matrix import norm
+from canonica.matrix import ToleranceConfig, norm
 from canonica.sampling import (
     default_rng,
     random_congruence_instance,
@@ -178,6 +178,36 @@ def test_canon_congruence_close_mu_fails_to_converge():
     b = direct_sum([antidiag_block(1.0, 0.04), antidiag_block(1.0, 0.04 * (1.0 + 1e-6))])
     with pytest.raises(ConvergenceError):
         canon_congruence(u @ b @ u.T)
+
+
+@pytest.mark.parametrize("radii", [2.5, 3.5])
+def test_canon_congruence_keeps_a_close_unimodular_pair_at_n_640(radii):
+    # A pair mu = exp(i eps) and its partner conj(mu), 2 sin eps a few
+    # cluster radii apart, among 319 unimodular pairs: the cosquare is
+    # unitary, and the pair shares one eigenvalue of its Hermitian part.
+    # Only the rotation by the skew part tells the two apart, and at
+    # n = 640 their mixed Rayleigh residual is a small multiple of the
+    # radius, far above rounding: eig_normal must still rotate it.  The
+    # pair's eigenvectors are accurate only to about n u / (2 sin eps),
+    # so the canonical form's residual bound is loosened to 1e-6.
+    tol = ToleranceConfig(residual_rtol=1e-6)
+    radius = tol.cluster_rtol
+    mu = np.exp(1j * np.arcsin(radii * radius / 2.0))
+    gen = default_rng(1)
+    angles = np.linspace(0.05, np.pi - 0.05, 319)
+    b = direct_sum(
+        [antidiag_block(t, np.exp(1j * p)) for t, p in zip(gen.uniform(1.0, 2.0, 319), angles)]
+        + [antidiag_block(1.5, mu)]
+    )
+    u, v = random_unitary(640, gen), random_unitary(640, gen)
+    a = u @ b @ u.T
+    got, t = canon_congruence(a, tol)
+    assert got.one_by_one == ()
+    assert [tau for tau, m in got.two_by_two if abs(m - mu) <= radius / 4.0] == [
+        pytest.approx(1.5)
+    ]
+    verdict = decide_unitary_congruence(a, v @ b @ v.T, tol)
+    assert verdict.verdict == "equivalent"
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,6 @@ came from, plus the structural claims its consumers rely on (unitarity,
 ordering, symmetry class of the factors).
 """
 
-import math
 import warnings
 
 import numpy as np
@@ -26,8 +25,16 @@ from canonica.factorizations import (
     svd,
     takagi_symmetric,
 )
-from canonica.matrix import DEFAULT_TOL, _unit_scale, norm, rank, rel_residual
+from canonica.matrix import (
+    DEFAULT_TOL,
+    ToleranceConfig,
+    _unit_scale,
+    norm,
+    rank,
+    rel_residual,
+)
 from canonica.sampling import default_rng, random_matrix, random_unitary
+from recorders import record_rotations
 
 gen = np.random.default_rng(20260819)
 
@@ -337,15 +344,18 @@ def test_symmetric_factorizations_of_an_empty_matrix(factor):
 
 
 def _eig_normal_exact_radius(a, tol=DEFAULT_TOL):
-    # eig_normal with the cluster radius always taken from the spectral
-    # norm itself (one more SVD), as it was before the bracket; the
-    # clusters are then rotated as eig_normal rotates them.
-    a = np.asarray(a, dtype=np.complex128)
-    unit, e = _unit_scale(a)
-    hvals, u = np.linalg.eigh((a + a.conj().T) / 2.0)
-    radius = tol.cluster_rtol * norm(a, "spectral")
-    clusters = [idx for idx in cluster_real_sorted(hvals, radius) if len(idx) > 1]
-    return factorizations._rotate_clusters(a, u, clusters, radius, e, norm(unit), tol)
+    # eig_normal with every cluster radius taken from the spectral norm
+    # itself (one more SVD), as it was before the bracket.  Its norms
+    # are the library's own, uncounted by _count_spectral_norms.
+    exact = tol.cluster_rtol * norm(np.asarray(a, dtype=np.complex128), "spectral")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(factorizations, "norm", norm)
+        mp.setattr(
+            factorizations,
+            "cluster_real_sorted",
+            lambda values, radius: cluster_real_sorted(values, exact),
+        )
+        return eig_normal(a, tol)
 
 
 def _count_spectral_norms(monkeypatch) -> list:
@@ -432,19 +442,6 @@ def test_eig_normal_bracket_hit_takes_no_spectral_norm(monkeypatch):
     assert calls == []
 
 
-def _record_rotations(monkeypatch) -> list:
-    """Record, per call, the index lists of the clusters eig_normal rotates."""
-    rotated = []
-    original = factorizations._diagonalize_clusters
-
-    def recorded(u, clusters, h, k, radius):
-        rotated.append([list(idx) for idx in clusters])
-        return original(u, clusters, h, k, radius)
-
-    monkeypatch.setattr(factorizations, "_diagonalize_clusters", recorded)
-    return rotated
-
-
 @settings(deadline=None, max_examples=60)
 @example(0.3, 2, 3, 1.0, 0)
 @example(1.2, 1, 1, 1e-6, 1)
@@ -465,7 +462,7 @@ def test_eig_normal_rotates_where_the_skew_part_separates(theta, m1, m2, scale, 
     z = np.exp(1j * theta)
     lam = np.array([z] * m1 + [z.conjugate()] * m2 + [3.0, -2.0 + 0.5j])
     with pytest.MonkeyPatch.context() as mp:
-        rotated = _record_rotations(mp)
+        rotated = record_rotations(mp)
         got, u = eig_normal(_hidden_normal(lam, seed, scale))
     # One rotation, before any reconstruction missed the bound.
     assert len(rotated) == 1
@@ -477,40 +474,22 @@ def test_eig_normal_rotates_where_the_skew_part_separates(theta, m1, m2, scale, 
         assert np.allclose(np.sort(part(got)), expected, rtol=0.0, atol=1e-9 * scale)
 
 
-def _every_cluster_rotated(a, tol=DEFAULT_TOL):
-    # eig_normal's first pass before it skipped clusters: every cluster
-    # rotated by the skew part, and the Rayleigh quotients of the result.
-    a = np.asarray(a, dtype=np.complex128)
-    h = (a + a.conj().T) / 2.0
-    k = (a - a.conj().T) / 2.0j
-    hvals, u = np.linalg.eigh(h)
-    radius = tol.cluster_rtol * norm(a, "spectral")
-    for idx in cluster_real_sorted(hvals, radius):
-        if len(idx) == 1:
-            continue
-        cols = u[:, idx]
-        kr = cols.conj().T @ k @ cols
-        kr = (kr + kr.conj().T) / 2.0
-        _, w = np.linalg.eigh(kr)
-        u[:, idx] = cols @ w
-    return np.sum(u.conj() * (a @ u), axis=0), u
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_eig_normal_missing_the_bound_rotates_every_cluster(monkeypatch, seed):
-    # With the noise level at infinity no cluster is rotated first, the
-    # reconstruction misses the bound on the conjugate pair, and the
-    # remaining clusters are rotated: that is the pass that rotates every
-    # cluster, bit for bit.
-    monkeypatch.setattr(factorizations, "_value_error", lambda n: math.inf)
+@pytest.mark.parametrize("seed", range(8))
+def test_eig_normal_rotates_a_pair_a_few_radii_apart_at_a_tight_radius(seed):
+    # exp(+-i eps), among 62 other unimodular eigenvalues, share an
+    # eigenvalue of the Hermitian part.  With 2 sin eps three radii at
+    # cluster_rtol = 1e-13, their mixed Rayleigh residual lies below the
+    # rounding error of a u at n = 64, but above the cap at 2^-10 of the
+    # radius: the cluster must be rotated, and each of the two come back
+    # within a quarter radius.
+    tol = ToleranceConfig(cluster_rtol=1e-13)
+    z = np.exp(1j * np.arcsin(1.5 * tol.cluster_rtol))
     g = default_rng(seed)
-    z = np.exp(1j * g.uniform(0.1, 1.4))
-    lam = np.array([z, z, z.conjugate(), 2.0, 2.0, -1.0 + 0.5j])
-    a = _hidden_normal(lam, seed, 10.0 ** g.uniform(-3.0, 3.0))
-    lam_got, u = eig_normal(a)
-    ref_lam, ref_u = _every_cluster_rotated(a)
-    assert lam_got.tobytes() == ref_lam.tobytes()
-    assert u.tobytes() == ref_u.tobytes()
+    lam = np.concatenate([[z, z.conjugate()], np.exp(1j * g.uniform(0.5, 2.5, 62))])
+    got, u = eig_normal(_hidden_normal(lam, seed, 1.0), tol)
+    assert_unitary(u)
+    for want in (z, z.conjugate()):
+        assert np.min(np.abs(got - want)) <= tol.cluster_rtol / 4.0
 
 
 @pytest.mark.parametrize("side", ["right", "left"])
