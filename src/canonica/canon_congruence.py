@@ -12,7 +12,7 @@ and its eigenvalues +1 and -1 are reduced by the symmetric (Takagi) and
 skew-symmetric (Hua) factorizations.  The classical forms of
 conjugate-normal, unitary, coninvolutory and Hermitian-cosquare
 matrices are special cases: each of those paths checks the class's
-defining identity, calls canon_congruence once, and renders its blocks.
+defining identity, runs the pipeline once, and renders its blocks.
 """
 
 from __future__ import annotations
@@ -143,6 +143,7 @@ def canon_congruence(
     Returns (form, t) with t unitary and t @ a @ t.T equal to
     form.assemble() within the residual tolerance.
     """
+    a = as_matrix(a, square=True)
     return _canon(*_gated(a, _CONGRUENCE.name, tol), _CONGRUENCE, tol)
 
 
@@ -157,7 +158,7 @@ def canon_conjugate_normal(
     """
     a = as_matrix(a, square=True)
     _require_class(a, "conjugate_normal", tol, "input is not conjugate normal")
-    return canon_congruence(a, tol)[0]
+    return _canon(*_gated(a, _CONGRUENCE.name, tol), _CONGRUENCE, tol)[0]
 
 
 _UNITARY_STYLES = ("h2", "real_orthogonal", "hermitian_unitary")
@@ -189,7 +190,7 @@ def canon_unitary(
         raise ValueError(f"style must be one of {_UNITARY_STYLES}, got {style!r}")
     u = as_matrix(u, square=True)
     _require_class(u, "unitary", tol, "input is not unitary")
-    form, _ = canon_congruence(u, tol)
+    form, _ = _canon(*_gated(u, _CONGRUENCE.name, tol), _CONGRUENCE, tol)
     thetas = sorted(float(np.angle(mu)) for _, mu in form.two_by_two)
     blocks = [np.array([[1.0]], dtype=np.complex128) for _ in form.one_by_one]
     blocks.extend(_unitary_style_block(t, style) for t in thetas)
@@ -207,7 +208,7 @@ def canon_coninvolutory(
     """
     a = as_matrix(a, square=True)
     _require_class(a, "coninvolutory", tol, "input is not coninvolutory")
-    form, _ = canon_congruence(a, tol)
+    form, _ = _canon(*_gated(a, _CONGRUENCE.name, tol), _CONGRUENCE, tol)
     return CongruenceCanonicalForm.build(
         [1.0] * len(form.one_by_one), [(t, t ** -2) for t, _ in form.two_by_two]
     )
@@ -219,5 +220,5 @@ def canon_hermitian_cosquare(
     """Canonical form when conj(a) a is Hermitian: all mu come out real."""
     a = as_matrix(a, square=True)
     _require_class(a, "hermitian_cosquare", tol, "conj(a) a is not Hermitian")
-    form, _ = canon_congruence(a, tol)
+    form, _ = _canon(*_gated(a, _CONGRUENCE.name, tol), _CONGRUENCE, tol)
     return CongruenceCanonicalForm.build(form.one_by_one, _real_mu(form.two_by_two, tol))

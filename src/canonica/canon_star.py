@@ -11,7 +11,7 @@ supplies what is particular to *congruence: the *cosquare pairs its
 eigenvalues as mu and 1/conj(mu), and each unimodular eigenvalue
 cluster is reduced by one Hermitian eigendecomposition.  The classical
 forms of involutions and Hermitian squares are special cases: each
-path checks the class's defining identity, calls canon_star once, and
+path checks the class's defining identity, runs the pipeline once, and
 renders its blocks.  A lambda-projection or a matrix with a quadratic
 minimal polynomial has a scalar square once shifted by the mean of its
 two eigenvalues, so its form is rendered from the triangular form of
@@ -35,8 +35,8 @@ from .blocks import (
     star_two_key,
     triangular_block,
 )
-from .errors import ConvergenceError, PreconditionError
-from .matrix import DEFAULT_TOL, ToleranceConfig, _unit_scale, _unit_scale_pair, as_matrix, norm
+from .errors import ConvergenceError, ParseError, PreconditionError
+from .matrix import DEFAULT_TOL, ToleranceConfig, _norm, _unit_scale, _unit_scale_pair, as_matrix
 from .pipeline import _canon, _Mode, _real_mu
 from .predicates import _require_class
 from .regularization import _checked_cosquare, _gated
@@ -171,6 +171,7 @@ def canon_star(
         raise ValueError(
             f"representation must be one of {REPRESENTATIONS}, got {representation!r}"
         )
+    a = as_matrix(a, square=True)
     form, transform = _canon(*_gated(a, _STAR.name, tol), _STAR, tol)
     if representation == "triangular":
         # The rotations are unitary, so the residual _canon checked on
@@ -235,7 +236,7 @@ def canon_involution(
         )
     a = as_matrix(a, square=True)
     _require_class(a, "involutory", tol, "input is not an involution")
-    form, _ = canon_star(a, tol)
+    form, _ = _canon(*_gated(a, _STAR.name, tol), _STAR, tol)
     signs = sorted((1.0 if v.real > 0.0 else -1.0 for v in form.one_by_one), reverse=True)
     blocks = [np.array([[v]], dtype=np.complex128) for v in signs]
     for t, _ in form.two_by_two:
@@ -260,7 +261,7 @@ def canon_hermitian_square(
     _require_class(
         a, "hermitian_square", tol, "the square of the input is not Hermitian"
     )
-    form, _ = canon_star(a, tol)
+    form, _ = _canon(*_gated(a, _STAR.name, tol), _STAR, tol)
     ones = []
     for v in form.one_by_one:
         snap = tol.cluster_rtol * max(1.0, abs(v))
@@ -288,7 +289,7 @@ def _two_root_blocks(a, lam1: complex, lam2: complex, tol) -> list[np.ndarray]:
     fitted roots split.
     """
     firsts, pairs, seconds = [], [], []
-    for blk in canon_shifted_quadratic_normal(a, (lam1 + lam2) / 2.0, tol):
+    for blk in _canon_shifted(a, (lam1 + lam2) / 2.0, tol):
         if blk.shape[0] == 2:
             pairs.append(np.array([[lam1, blk[0, 1]], [0.0, lam2]], dtype=np.complex128))
             continue
@@ -347,13 +348,18 @@ def canon_quadratic(a, tol: ToleranceConfig = DEFAULT_TOL) -> QuadraticForm:
     by 2^-e (_unit_scale) and scales the roots, blocks and singular
     values back.
     """
-    a, e = _unit_scale(as_matrix(a, square=True))
+    return _canon_quadratic(as_matrix(a, square=True), tol)
+
+
+def _canon_quadratic(a: np.ndarray, tol: ToleranceConfig) -> QuadraticForm:
+    """canon_quadratic of a square matrix (as_matrix)."""
+    a, e = _unit_scale(a)
     n = a.shape[0]
     if n < 2:
         raise PreconditionError("minimal polynomial degree 2 needs size >= 2")
-    norm_a = norm(a)
+    norm_a = _norm(a)
     mean = complex(np.trace(a)) / n
-    if norm(a - mean * np.eye(n)) <= tol.residual_rtol * norm_a:
+    if _norm(a - mean * np.eye(n)) <= tol.residual_rtol * norm_a:
         raise PreconditionError("scalar matrix: minimal polynomial degree <= 1")
 
     # Best-fit c1, c0 with a^2 = c1 a - c0 I, then roots of
@@ -374,7 +380,7 @@ def canon_quadratic(a, tol: ToleranceConfig = DEFAULT_TOL) -> QuadraticForm:
             key=lambda r: not (r.imag > band or (abs(r.imag) <= band and r.real > 0.0)),
         )
 
-    residual = norm((a - lam1 * np.eye(n)) @ (a - lam2 * np.eye(n)))
+    residual = _norm((a - lam1 * np.eye(n)) @ (a - lam2 * np.eye(n)))
     bound = tol.residual_rtol * (norm_a + abs(lam1)) * (norm_a + abs(lam2))
     PreconditionError._check("minimal polynomial degree is not 2", residual, bound)
 
@@ -409,9 +415,16 @@ def canon_shifted_quadratic_normal(
     [shift + lam] and 2-by-2 blocks [[shift + nu, r], [0, shift - nu]].
     Raises PreconditionError when (a - shift I)^2 is not normal.
     """
-    a = as_matrix(a, square=True)
+    if not cmath.isfinite(complex(shift)):
+        raise ParseError(f"shift must be finite, got {shift!r}")
+    return _canon_shifted(as_matrix(a, square=True), shift, tol)
+
+
+def _canon_shifted(a: np.ndarray, shift: complex, tol: ToleranceConfig) -> list[np.ndarray]:
+    """canon_shifted_quadratic_normal of a square matrix (as_matrix)."""
     shift = complex(shift)
-    form, _ = canon_star(a - shift * np.eye(a.shape[0]), tol)
+    shifted = a - shift * np.eye(a.shape[0])
+    form, _ = _canon(*_gated(shifted, _STAR.name, tol), _STAR, tol)
     blocks = [
         np.array([[shift + v]], dtype=np.complex128) for v in form.one_by_one
     ]

@@ -32,10 +32,10 @@ from .iteration import simulate
 from .matrix import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _norm,
     _unit_scale,
     loads_matrix,
     matrix_to_json,
-    norm,
     vector_from_json,
 )
 from .predicates import classify
@@ -195,8 +195,8 @@ def _cmd_canon(args, tol) -> dict:
         adj = t.conj().T
     # Measured at unit scale, where the norms neither overflow nor underflow.
     unit, e = _unit_scale(a)
-    residual = math.ldexp(norm(t @ unit @ adj - _unit_scale(form.assemble(), e)[0]), e)
-    relative = residual / max(1.0, math.ldexp(norm(unit), e))
+    residual = math.ldexp(_norm(t @ unit @ adj - _unit_scale(form.assemble(), e)[0]), e)
+    relative = residual / max(1.0, math.ldexp(_norm(unit), e))
     payload = {
         "schema": SCHEMA,
         "command": "canon",
@@ -211,7 +211,7 @@ def _cmd_canon(args, tol) -> dict:
             "residual": float(residual),
             "relative_residual": float(relative),
             "transform_unitarity": float(
-                norm(t @ t.conj().T - np.eye(t.shape[0]))
+                _norm(t @ t.conj().T - np.eye(t.shape[0]))
             ),
         }
     return payload

@@ -15,17 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canon_congruence import _CONGRUENCE, CongruenceCanonicalForm
-from .canon_star import _STAR, StarCanonicalForm, _traces_close, _unit_traces, canon_quadratic
+from .canon_star import _STAR, StarCanonicalForm, _canon_quadratic, _traces_close, _unit_traces
 from .errors import ConvergenceError, PreconditionError
 from .factorizations import polar, svd
 from .matrix import (
     DEFAULT_TOL,
     ToleranceConfig,
     _adjoint,
+    _norm,
     _unit_scale,
     _unit_scale_pair,
     as_matrix,
-    norm,
     rank,
 )
 from .pipeline import _canon
@@ -218,7 +218,7 @@ def decide_unitary_star_congruence(
     if verdict is not None:
         return verdict
     try:
-        ok, detail = quadratic_invariants_equal(a, b, tol)
+        ok, detail = _quadratic_invariants_equal(a, b, tol)
     except (PreconditionError, ConvergenceError):
         return EquivalenceVerdict(
             "unsupported",
@@ -243,8 +243,15 @@ def quadratic_invariants_equal(
     PreconditionError when either input has no quadratic annihilator.
     The SVDs run on both scaled by one 2^-e (_unit_scale_pair).
     """
-    a, b = _shape_gate(a, b)
-    ea, eb = (_eigenvalue_multiset(canon_quadratic(x, tol)) for x in (a, b))
+    return _quadratic_invariants_equal(*_shape_gate(a, b), tol)
+
+
+def _quadratic_invariants_equal(
+    a: np.ndarray, b: np.ndarray, tol: ToleranceConfig
+) -> tuple[bool, dict]:
+    """quadratic_invariants_equal of two square matrices of one shape
+    (_shape_gate)."""
+    ea, eb = (_eigenvalue_multiset(_canon_quadratic(x, tol)) for x in (a, b))
     (a, b), e = _unit_scale_pair(a, b)
     sa, sb = (np.ldexp(svd(x).sigma, e) for x in (a, b))
     # Eigenvalues and singular values scale with the matrix: compare
@@ -317,22 +324,22 @@ def upgrade_congruence_to_unitary(
     # unit scale, where no norm overflows; s and w need no scaling.
     (a, b), _ = _unit_scale_pair(a, b)
 
-    scale_s = norm(s, kind="spectral")
-    res = norm(a - s @ b @ _adjoint(s, mode))
-    bound = tol.residual_rtol * max(1.0, norm(a) + scale_s ** 2 * norm(b))
+    scale_s = _norm(s, kind="spectral")
+    res = _norm(a - s @ b @ _adjoint(s, mode))
+    bound = tol.residual_rtol * max(1.0, _norm(a) + scale_s ** 2 * _norm(b))
     PreconditionError._check("congruence hypothesis a = s b s^T(*) fails", res, bound)
     if not weak:
         ai = np.linalg.inv(a).conj().T
         bi = np.linalg.inv(b).conj().T
-        res_inv = norm(ai - s @ bi @ _adjoint(s, mode))
-        bound_inv = tol.residual_rtol * max(1.0, norm(ai) + scale_s ** 2 * norm(bi))
+        res_inv = _norm(ai - s @ bi @ _adjoint(s, mode))
+        bound_inv = tol.residual_rtol * max(1.0, _norm(ai) + scale_s ** 2 * _norm(bi))
         PreconditionError._check(
             "pair hypothesis on the inverse conjugate transposes fails", res_inv, bound_inv
         )
 
     w = polar(s, side="right").w
-    res_final = norm(a - w @ b @ _adjoint(w, mode))
+    res_final = _norm(a - w @ b @ _adjoint(w, mode))
     # The hypothesis held, so a miss is numerical breakdown rather than
     # bad input.
-    ConvergenceError._check("polar factor", res_final, 1e-8 * max(1.0, norm(a)))
+    ConvergenceError._check("polar factor", res_final, 1e-8 * max(1.0, _norm(a)))
     return w

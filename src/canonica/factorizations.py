@@ -17,12 +17,12 @@ from .errors import ConvergenceError, PreconditionError
 from .matrix import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _norm,
     _normality_residual,
+    _relative,
     _unit_scale,
     as_matrix,
-    norm,
     rank,
-    rel_residual,
 )
 
 __all__ = [
@@ -229,7 +229,7 @@ def eig_normal(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.nd
     if n == 0:
         return np.zeros(0, dtype=np.complex128), np.zeros((0, 0), dtype=np.complex128)
     unit, e = _unit_scale(a)
-    fro = norm(unit)
+    fro = _norm(unit)
     # Not held through the eighs (see _rayleigh); the two rare paths
     # below that need it scale a again.
     del unit
@@ -251,7 +251,7 @@ def eig_normal(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.nd
     radius = tol.cluster_rtol * lo
     gaps = np.abs(np.diff(hvals))
     if np.any((gaps > radius) & (gaps <= tol.cluster_rtol * fro * scale * (1.0 + margin))):
-        radius = tol.cluster_rtol * norm(_unit_scale(a, e)[0], "spectral") * scale
+        radius = tol.cluster_rtol * _norm(_unit_scale(a, e)[0], "spectral") * scale
     clusters = [idx for idx in cluster_real_sorted(hvals, radius) if len(idx) > 1]
     bound = tol.residual_rtol * fro
     lam, res = _rayleigh(a, u, e)
@@ -286,7 +286,7 @@ def eig_normal(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.nd
         _diagonalize_clusters(u, noisy, None, _skew_part(a), None)
         for idx in noisy:
             lam[idx], res[:, idx] = _rayleigh(a, u[:, idx], e)
-    recon = norm(res)
+    recon = _norm(res)
     del res
     if not _proved_normal(_unit_scale(lam, e)[0], recon, fro, tol.residual_rtol / 2.0):
         res = _normality_residual(_unit_scale(a, e)[0])[0]
@@ -302,7 +302,7 @@ def eig_normal(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.nd
         _diagonalize_clusters(u, clusters, h, _skew_part(a), radius)
         del h
         lam, res = _rayleigh(a, u, e)
-        recon = norm(res)
+        recon = _norm(res)
         del res
     ConvergenceError._check("eigendecomposition", recon, bound)
     return lam, u
@@ -447,7 +447,7 @@ def takagi_symmetric(
     a, e = _unit_scale(as_matrix(a, square=True))
     n = a.shape[0]
     PreconditionError._check(
-        "matrix is not symmetric", rel_residual(a, a.T), tol.residual_rtol
+        "matrix is not symmetric", _relative(a, a.T, 1.0), tol.residual_rtol
     )
     if n == 0:
         return np.zeros(0, dtype=np.float64), np.zeros((0, 0), dtype=np.complex128)
@@ -478,8 +478,8 @@ def takagi_symmetric(
         left, _, right = np.linalg.svd(rest.conj().T @ v[:, r:])
         v[:, r:] = rest @ (left @ right)
 
-    recon = norm(a - (v * sigma) @ v.T)
-    ConvergenceError._check("symmetric SVD", recon, tol.residual_rtol * norm(a))
+    recon = _norm(a - (v * sigma) @ v.T)
+    ConvergenceError._check("symmetric SVD", recon, tol.residual_rtol * _norm(a))
     return np.ldexp(sigma, e), v
 
 
@@ -499,7 +499,7 @@ def hua_skew(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndar
     a, e = _unit_scale(as_matrix(a, square=True))
     n = a.shape[0]
     PreconditionError._check(
-        "matrix is not skew-symmetric", rel_residual(a, -a.T), tol.residual_rtol
+        "matrix is not skew-symmetric", _relative(a, -a.T, 1.0), tol.residual_rtol
     )
     if n % 2 == 1:
         raise PreconditionError("skew-symmetric input must have even order")
@@ -562,6 +562,6 @@ def hua_skew(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndar
     for j, t in enumerate(taus):
         sblocks[2 * j, 2 * j + 1] = t
         sblocks[2 * j + 1, 2 * j] = -t
-    recon = norm(a - v @ sblocks @ v.T)
-    ConvergenceError._check("skew-symmetric SVD", recon, tol.residual_rtol * norm(a))
+    recon = _norm(a - v @ sblocks @ v.T)
+    ConvergenceError._check("skew-symmetric SVD", recon, tol.residual_rtol * _norm(a))
     return np.ldexp(np.array(taus, dtype=np.float64), e), v

@@ -54,8 +54,14 @@ DEFAULT_TOL = ToleranceConfig()
 
 
 def as_matrix(a, square: bool = False) -> np.ndarray:
-    """Coerce input to a 2-D complex128 array, validating finiteness."""
-    m = np.asarray(a, dtype=np.complex128)
+    """Coerce input to a 2-D complex128 array, validating finiteness.
+    Public functions call it once per matrix argument; private helpers
+    take its result as it is."""
+    try:
+        m = np.asarray(a, dtype=np.complex128)
+    except (ValueError, TypeError, OverflowError) as exc:
+        # Non-numeric entries, ragged rows, an integer past the float range.
+        raise ParseError(f"not a numeric matrix: {exc}") from None
     if m.ndim != 2:
         raise ParseError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if not np.all(np.isfinite(m)):
@@ -66,7 +72,11 @@ def as_matrix(a, square: bool = False) -> np.ndarray:
 
 
 def norm(a, kind: str = "frobenius") -> float:
-    a = as_matrix(a)
+    return _norm(as_matrix(a), kind)
+
+
+def _norm(a: np.ndarray, kind: str = "frobenius") -> float:
+    """norm of an array that is already a validated matrix."""
     if kind == "frobenius":
         return float(np.linalg.norm(a, "fro"))
     if kind == "spectral":
@@ -111,8 +121,8 @@ def rel_residual(lhs, rhs) -> float:
 
 def _relative(lhs: np.ndarray, rhs: np.ndarray, floor: float) -> float:
     """||lhs - rhs||_F / max(floor, ||lhs||_F + ||rhs||_F), 0 when lhs = rhs."""
-    diff = norm(lhs - rhs)
-    return diff / max(floor, norm(lhs) + norm(rhs)) if diff else 0.0
+    diff = _norm(lhs - rhs)
+    return diff / max(floor, _norm(lhs) + _norm(rhs)) if diff else 0.0
 
 
 def _unit_scale(a: np.ndarray, e: int | None = None) -> tuple[np.ndarray, int]:
@@ -146,9 +156,9 @@ def _normality_residual(x: np.ndarray) -> tuple[float, np.ndarray]:
     x_h = x.conj().T
     gram = x_h @ x
     other = x @ x_h
-    scale = norm(gram) + norm(other)
+    scale = _norm(gram) + _norm(other)
     other -= gram
-    diff = norm(other)
+    diff = _norm(other)
     return (diff / max(1.0, scale) if diff else 0.0), gram
 
 

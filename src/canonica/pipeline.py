@@ -21,7 +21,7 @@ import numpy as np
 from .blocks import direct_sum, permutation_matrix
 from .errors import ConvergenceError
 from .factorizations import _pair_clusters, eig_normal, svd
-from .matrix import ToleranceConfig, _adjoint, _cosquare, _unit_scale, norm
+from .matrix import ToleranceConfig, _adjoint, _cosquare, _norm, _unit_scale
 from .regularization import _split
 
 
@@ -154,8 +154,8 @@ def _canon(a: np.ndarray, e: int, certified: bool, mode: _Mode, tol: ToleranceCo
     form = mode.form.build([v for v, _ in ones], [p for p, _ in twos])
     image = transform @ a @ adj(transform)
     image -= form.assemble()
-    res = norm(image)
-    ConvergenceError._check("canonical form", res, tol.residual_rtol * norm(a))
+    res = _norm(image)
+    ConvergenceError._check("canonical form", res, tol.residual_rtol * _norm(a))
     # The exact scaling leaves the sort keys, tau and |entry|, in order.
     return replace(
         form,

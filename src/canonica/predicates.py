@@ -19,12 +19,12 @@ from .matrix import (
     DEFAULT_TOL,
     ToleranceConfig,
     _cosquare,
+    _norm,
     _normality_residual,
     _rank_of_values,
     _relative,
     _unit_scale,
     as_matrix,
-    norm,
 )
 
 __all__ = [
@@ -124,7 +124,7 @@ class _Products:
     def lam(self) -> complex:
         # The lam of a^2 = lam a, read off tr(a^2) = lam tr(a).
         tr = complex(np.trace(self.a))
-        if abs(tr) <= self.tol.residual_rtol * norm(self.a):
+        if abs(tr) <= self.tol.residual_rtol * _norm(self.a):
             return 0.0 + 0.0j
         return complex(np.trace(self.a_sq)) / tr
 
@@ -192,7 +192,7 @@ def _unitary_sum(p: _Products) -> float:
     mask = np.zeros(m.shape, dtype=bool)
     for idx in blocks:
         mask[np.ix_(idx, idx)] = True
-    return norm(np.where(mask, 0.0, m)) / max(1.0, norm(m))
+    return _norm(np.where(mask, 0.0, m)) / max(1.0, _norm(m))
 
 
 def _orthogonal_sum(p: _Products) -> float:
@@ -300,7 +300,11 @@ def classify(a, tol: ToleranceConfig = DEFAULT_TOL) -> ClassReport:
 
 def bar_double(a) -> np.ndarray:
     """The doubled matrix [[0, a], [conj(a), 0]]."""
-    a = as_matrix(a, square=True)
+    return _bar_double(as_matrix(a, square=True))
+
+
+def _bar_double(a: np.ndarray) -> np.ndarray:
+    """bar_double of a square matrix (as_matrix)."""
     n = a.shape[0]
     out = np.zeros((2 * n, 2 * n), dtype=np.complex128)
     out[:n, n:] = a
@@ -359,7 +363,7 @@ def bar_block_dualities(a, tol: ToleranceConfig = DEFAULT_TOL) -> dict:
     appear only for nonsingular input.
     """
     a = as_matrix(a, square=True)
-    pa, pd = _Products(a, tol), _Products(bar_double(a), tol)
+    pa, pd = _Products(a, tol), _Products(_bar_double(a), tol)
 
     def entry(left: float, right: float) -> dict:
         lh = left <= tol.residual_rtol

@@ -28,10 +28,10 @@ from .matrix import (
     matrix_to_json,
     _adjoint,
     _cosquare,
+    _norm,
     _normality_residual,
     _rank_of_values,
     _unit_scale,
-    norm,
     rank,
 )
 
@@ -186,8 +186,8 @@ def regularize(a, mode: str, tol: ToleranceConfig = DEFAULT_TOL) -> ReducedForm:
         k = r - m2
         for i, v in enumerate(_unit_scale(form.sigma, e)[0]):
             diff[k + i, r + i] -= v
-        res = norm(diff)
-        ConvergenceError._check("regularization", res, tol.residual_rtol * norm(a))
+        res = _norm(diff)
+        ConvergenceError._check("regularization", res, tol.residual_rtol * _norm(a))
     return form
 
 
@@ -204,7 +204,7 @@ def split_regular_singular(
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    a, e, certified = _gated(a, mode, tol)
+    a, e, certified = _gated(as_matrix(a, square=True), mode, tol)
     split = _split(a, mode, tol, certified)
     if split.transform is None:
         # A trivial split holds a itself: hand out a copy and the identity.
@@ -213,11 +213,12 @@ def split_regular_singular(
     return replace(split, regular=regular, singular_sigmas=sigmas)
 
 
-def _gated(a, mode: str, tol: ToleranceConfig) -> tuple[np.ndarray, int, bool]:
-    """(2^-e a, e, certified) for an a that passes the class gate of the
-    mode (_gate), with e that of _unit_scale and certified the gate's
-    certificate; PreconditionError for an a that does not."""
-    a, e = _unit_scale(as_matrix(a, square=True))
+def _gated(a: np.ndarray, mode: str, tol: ToleranceConfig) -> tuple[np.ndarray, int, bool]:
+    """(2^-e a, e, certified) for a square matrix a (as_matrix) that
+    passes the class gate of the mode (_gate), with e that of
+    _unit_scale and certified the gate's certificate; PreconditionError
+    for an a that does not."""
+    a, e = _unit_scale(a)
     gate, certified = _gate(a, mode, tol)
     PreconditionError._check(
         f"input is not {_GATE_FLAGS[mode].replace('_', ' ')}", gate, tol.residual_rtol
@@ -251,7 +252,7 @@ def _weyl_terms(a: np.ndarray, tol: ToleranceConfig) -> tuple[float, float, floa
     cutoff finds a nonsingular, the rank identity holds, and the regular
     part, a itself, is nonsingular."""
     n = a.shape[0]
-    fro = norm(a)
+    fro = _norm(a)
     return (fro, *_weyl(fro, 1e-12 * n * fro, n, tol))
 
 
@@ -341,16 +342,16 @@ def _split_by_reduction(
     diff[:k0, :k0] -= reduced.core[:k0, :k0]
     for i, v in enumerate(reduced.sigma):
         diff[k0 + 2 * i, k0 + 2 * i + 1] -= v
-    res = norm(diff)
+    res = _norm(diff)
     del diff
 
     off = 0.0
     if m2 > 0 and reduced.core.size:
         off = float(
             np.sqrt(
-                norm(reduced.core[:k0, k0:]) ** 2
-                + norm(reduced.core[k0:, :k0]) ** 2
-                + norm(reduced.core[k0:, k0:]) ** 2
+                _norm(reduced.core[:k0, k0:]) ** 2
+                + _norm(reduced.core[k0:, :k0]) ** 2
+                + _norm(reduced.core[k0:, k0:]) ** 2
             )
         )
     proved = False
@@ -372,7 +373,7 @@ def _split_by_reduction(
         if n > 0 and float(s_product[-1]) - slack > cutoff:
             return _trivial_split(a, mode)
 
-    bound = 100.0 * tol.residual_rtol * norm(a)
+    bound = 100.0 * tol.residual_rtol * _norm(a)
     PreconditionError._check(
         "bordering blocks did not vanish; input is not numerically in class", off, bound
     )

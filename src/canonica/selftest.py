@@ -28,7 +28,7 @@ from .equivalence import (
     upgrade_congruence_to_unitary,
 )
 from .factorizations import svd
-from .matrix import DEFAULT_TOL, dumps_matrix, norm, rank
+from .matrix import DEFAULT_TOL, _norm, dumps_matrix, rank
 from .iteration import classify_bounded, simulate
 from .predicates import bar_block_dualities, verify_characterizations
 from .regularization import regularize
@@ -149,7 +149,7 @@ def _criterion_3(gen: np.random.Generator) -> tuple[bool, str]:
 
         red = regularize(a, mode)
         t = red.transform
-        ok = norm(t @ t.conj().T - np.eye(n)) <= 1e-9
+        ok = _norm(t @ t.conj().T - np.eye(n)) <= 1e-9
         adj = t.T if mode == "congruence" else t.conj().T
         z = t @ a @ adj
         k = n - red.m1
@@ -157,9 +157,9 @@ def _criterion_3(gen: np.random.Generator) -> tuple[bool, str]:
         off[:k, :k] = 0.0
         for j in range(red.m2):
             off[k - red.m2 + j, k + j] = 0.0
-        ok = ok and norm(off) <= 1e-8 * norm(a)
+        ok = ok and _norm(off) <= 1e-8 * _norm(a)
         gram = a.conj() @ a if mode == "congruence" else a @ a
-        scale2 = norm(a, kind="spectral") ** 2
+        scale2 = _norm(a, kind="spectral") ** 2
         ok = ok and red.m2 == rank(a, DEFAULT_TOL) - rank(
             gram, DEFAULT_TOL, scale=scale2
         )
@@ -245,7 +245,7 @@ def _criterion_5(gen: np.random.Generator) -> tuple[bool, str]:
             failures.append(i)
     for i in range(500):
         x = random_matrix(2, gen)
-        x *= 2.0 / norm(x)
+        x *= 2.0 / _norm(x)
         y = _hide(x, gen, transpose=False)
         style = i % 3
         if style == 0:
@@ -379,8 +379,8 @@ def _criterion_8(gen: np.random.Generator) -> tuple[bool, str]:
             failures.append(i)
             continue
         wadj = w.T if mode == "congruence" else w.conj().T
-        ok = norm(w @ w.conj().T - np.eye(n)) <= 1e-9
-        ok = ok and norm(a - w @ b @ wadj) <= 1e-8 * max(1.0, norm(a))
+        ok = _norm(w @ w.conj().T - np.eye(n)) <= 1e-9
+        ok = ok and _norm(a - w @ b @ wadj) <= 1e-8 * max(1.0, _norm(a))
         if not ok:
             failures.append(i)
     return _fail_list(failures, 100, "polar upgrades verified")

@@ -27,6 +27,10 @@ BAD_MATRICES = {
     "inf": np.array([[1.0, 0.0], [0.0, -np.inf]]),
     "1-D": np.array([1.0, 2.0]),
     "3-D": np.ones((1, 2, 2)),
+    "non-numeric": [[1, "x"], [0, 1]],
+    "ragged": [[1, 2], [3]],
+    "mapping": {"a": 1},
+    "past the float range": [[1, 10**400]],
 }
 
 # Every public entry point that takes a matrix, called with x in the

@@ -23,22 +23,45 @@ import sys
 import numpy as np
 import pytest
 
+import canonica.factorizations as factorizations
+import canonica.matrix as matrix
 import canonica.pipeline as pipeline
 import canonica.predicates as predicates
 import canonica.regularization as regularization
 from canonica.blocks import antidiag_block, direct_sum
-from canonica.canon_congruence import canon_congruence
-from canonica.canon_star import canon_star
+from canonica.canon_congruence import (
+    canon_congruence,
+    canon_coninvolutory,
+    canon_conjugate_normal,
+    canon_hermitian_cosquare,
+    canon_unitary,
+)
+from canonica.canon_star import (
+    canon_hermitian_square,
+    canon_involution,
+    canon_lambda_projection,
+    canon_quadratic,
+    canon_shifted_quadratic_normal,
+    canon_star,
+)
 from canonica.equivalence import (
     decide_unitary_congruence,
     decide_unitary_star_congruence,
     forms_match,
+    quadratic_invariants_equal,
 )
 from canonica.factorizations import eig_normal
+from canonica.predicates import bar_block_dualities, classify
+from canonica.regularization import regularize
 from canonica.sampling import (
     default_rng,
     random_congruence_instance,
+    random_conjugate_normal_instance,
+    random_coninvolutory,
+    random_involution,
+    random_lambda_projection,
     random_matrix,
+    random_quadratic_instance,
     random_star_instance,
     random_unitary,
 )
@@ -322,3 +345,162 @@ def test_rotation_fires_where_the_skew_part_separates(rotations, mode, angle):
         np.any(np.abs(values - shared) <= 1e-6) and np.any(np.abs(values - shared.conjugate()) <= 1e-6)
         for values in rotated
     )
+
+
+# The factorization layers that keep their own as_matrix: the tracer
+# and the tests hook them by their public names.
+LAYERS = (
+    (matrix, "rank"),
+    (factorizations, "svd"),
+    (factorizations, "eig_normal"),
+    (factorizations, "takagi_symmetric"),
+    (factorizations, "hua_skew"),
+    (factorizations, "polar"),
+    (regularization, "regularize"),
+)
+
+
+@pytest.fixture
+def boundary(monkeypatch):
+    """Count the calls of as_matrix and of the layers, and refuse the
+    validating norm and rel_residual, in every canonica namespace."""
+    record = {"as_matrix": 0, "layers": 0}
+
+    def counted(f, key):
+        def call(*args, **kwargs):
+            record[key] += 1
+            return f(*args, **kwargs)
+
+        return call
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("library code called norm or rel_residual")
+
+    patches = {matrix.as_matrix: counted(matrix.as_matrix, "as_matrix")}
+    patches.update({getattr(m, name): counted(getattr(m, name), "layers") for m, name in LAYERS})
+    patches.update({matrix.norm: refuse, matrix.rel_residual: refuse})
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("canonica"):
+            for name, obj in list(vars(module).items()):
+                if callable(obj) and obj in patches:
+                    monkeypatch.setattr(module, name, patches[obj])
+    return record
+
+
+def _hidden(blocks, gen, star):
+    d = direct_sum(blocks)
+    v = random_unitary(d.shape[0], gen)
+    return v @ d @ (v.conj().T if star else v.T)
+
+
+def _real_mu(n, gen, singular, star):
+    # 1-by-1 entries and pair blocks with real mu: conj(a) a and a^2 are
+    # Hermitian.
+    blocks = [np.zeros((1, 1)), antidiag_block(1.7, 0.0)] if singular else []
+    left = n - len(blocks) - singular
+    blocks += [antidiag_block(1.2, (0.3, -0.5)[i % 2]) for i in range(left // 3)]
+    blocks += [np.array([[0.6 + 0.3 * i]]) for i in range(left - 2 * (left // 3))]
+    return _hidden(blocks, gen, star)
+
+
+def _quadratic(n, gen, singular):
+    return random_quadratic_instance(n, gen, (1.5 + 0.5j, 0.0 if singular else 0.6j))[0]
+
+
+def _pair(sample, star):
+    def build(n, gen, singular):
+        a = sample(n, gen, singular)
+        v = random_unitary(n, gen)
+        return a, v @ a @ (v.conj().T if star else v.T)
+
+    return build
+
+
+def _one(sample):
+    return lambda n, gen, singular: (sample(n, gen, singular),)
+
+
+def _star(n, gen, singular):
+    return random_star_instance(n, gen, singular)[1]
+
+
+def _congruence(n, gen, singular):
+    return random_congruence_instance(n, gen, singular)[1]
+
+
+# Entry point: (call, in-class arguments (n, gen, singular), whether the
+# class has singular members).
+BOUNDARY_CASES = {
+    "canon_star": (canon_star, _one(_star), True),
+    "canon_congruence": (canon_congruence, _one(_congruence), True),
+    "decide_unitary_congruence": (decide_unitary_congruence, _pair(_congruence, False), True),
+    "decide_unitary_star_congruence": (decide_unitary_star_congruence, _pair(_star, True), True),
+    "classify": (classify, _one(_star), True),
+    # regularize is a layer too: its own as_matrix is the boundary's.
+    "regularize": (lambda a: regularize(a, "star"), _one(_star), True),
+    "canon_conjugate_normal": (
+        canon_conjugate_normal,
+        _one(lambda n, gen, s: random_conjugate_normal_instance(n, gen, s)[1]),
+        True,
+    ),
+    "canon_unitary": (canon_unitary, _one(lambda n, gen, s: random_unitary(n, gen)), False),
+    "canon_coninvolutory": (
+        canon_coninvolutory, _one(lambda n, gen, s: random_coninvolutory(n, gen)), False
+    ),
+    "canon_hermitian_cosquare": (
+        canon_hermitian_cosquare, _one(lambda n, gen, s: _real_mu(n, gen, s, False)), True
+    ),
+    "canon_involution": (
+        canon_involution, _one(lambda n, gen, s: random_involution(n, gen)), False
+    ),
+    "canon_hermitian_square": (
+        canon_hermitian_square, _one(lambda n, gen, s: _real_mu(n, gen, s, True)), True
+    ),
+    # The one nonsingular lambda-projection is lam I.
+    "canon_lambda_projection": (
+        canon_lambda_projection,
+        _one(lambda n, gen, s: random_lambda_projection(n, gen) if s else 1.2j * np.eye(n)),
+        True,
+    ),
+    "canon_quadratic": (canon_quadratic, _one(_quadratic), True),
+    "canon_shifted_quadratic_normal": (
+        canon_shifted_quadratic_normal,
+        lambda n, gen, s: (_star(n, gen, s) + 0.75 * np.eye(n), 0.75),
+        True,
+    ),
+    "quadratic_invariants_equal": (quadratic_invariants_equal, _pair(_quadratic, True), True),
+    "bar_block_dualities": (bar_block_dualities, _one(_star), True),
+}
+
+
+@pytest.mark.parametrize("singular", [False, True], ids=["regular", "singular"])
+@pytest.mark.parametrize("n", [5, 12])
+@pytest.mark.parametrize("entry", list(BOUNDARY_CASES))
+def test_each_matrix_is_validated_once_at_the_boundary(boundary, entry, n, singular):
+    # Each matrix argument is validated once, by the entry point, and
+    # each layer validates its own argument once more; nothing else
+    # revalidates, and the validating norm and rel_residual stay unused.
+    call, build, has_singular = BOUNDARY_CASES[entry]
+    if singular and not has_singular:
+        pytest.skip("the class has no singular members")
+    args = build(n, default_rng(20261027 + n), singular)
+    matrices = [x for x in args if isinstance(x, np.ndarray)]
+    for m in matrices:
+        if singular:
+            m = m - 0.75 * np.eye(n) if entry == "canon_shifted_quadratic_normal" else m
+        assert (np.linalg.matrix_rank(m) < n) == singular
+    call(*args)
+    assert boundary["as_matrix"] == len(matrices) + boundary["layers"]
+
+
+def test_boundary_counter_sees_the_checks(boundary):
+    # A public helper that validates is counted, and so is a layer, so
+    # the equality above is no blind spot.
+    import canonica
+
+    factorizations.svd(np.eye(3))
+    assert boundary == {"as_matrix": 1, "layers": 1}
+    with pytest.raises(AssertionError, match="norm or rel_residual"):
+        canonica.norm(np.eye(3))
+    with pytest.raises(AssertionError, match="norm or rel_residual"):
+        canonica.rel_residual(np.eye(3), np.eye(3))

@@ -20,7 +20,7 @@ from canonica.canon_star import (
     pearcy_equal_2x2,
     star_cosquare,
 )
-from canonica.errors import ConvergenceError, PreconditionError
+from canonica.errors import ConvergenceError, ParseError, PreconditionError
 from canonica.matrix import norm
 from canonica.sampling import default_rng, random_star_instance, random_unitary
 
@@ -352,3 +352,9 @@ def test_canon_shifted_quadratic_normal_nilpotent():
 def test_canon_shifted_quadratic_normal_gate():
     with pytest.raises(PreconditionError):
         canon_shifted_quadratic_normal([[1.0, 1.0], [0.0, 2.0]], 0.0)
+
+
+@pytest.mark.parametrize("shift", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_canon_shifted_quadratic_normal_rejects_a_non_finite_shift(shift):
+    with pytest.raises(ParseError, match="shift must be finite"):
+        canon_shifted_quadratic_normal(J2, shift)

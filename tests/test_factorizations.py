@@ -28,6 +28,7 @@ from canonica.factorizations import (
 from canonica.matrix import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _norm,
     _unit_scale,
     norm,
     rank,
@@ -325,7 +326,7 @@ def test_eig_normal_proves_normality_without_its_products(monkeypatch, n):
     def unexpected(*args):
         raise AssertionError("normality residual evaluated")
 
-    monkeypatch.setattr(factorizations, "rel_residual", unexpected)
+    monkeypatch.setattr(factorizations, "_normality_residual", unexpected)
     lam = np.arange(1, n + 1) * np.exp(0.3j * np.arange(n))
     eig_normal(_hidden_normal(lam, n, 1.0))
 
@@ -349,7 +350,7 @@ def _eig_normal_exact_radius(a, tol=DEFAULT_TOL):
     # are the library's own, uncounted by _count_spectral_norms.
     exact = tol.cluster_rtol * norm(np.asarray(a, dtype=np.complex128), "spectral")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(factorizations, "norm", norm)
+        mp.setattr(factorizations, "_norm", _norm)
         mp.setattr(
             factorizations,
             "cluster_real_sorted",
@@ -365,9 +366,9 @@ def _count_spectral_norms(monkeypatch) -> list:
     def counted(a, kind="frobenius"):
         if kind == "spectral":
             calls.append(np.shape(a))
-        return norm(a, kind)
+        return _norm(a, kind)
 
-    monkeypatch.setattr(factorizations, "norm", counted)
+    monkeypatch.setattr(factorizations, "_norm", counted)
     return calls
 
 
