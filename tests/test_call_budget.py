@@ -14,7 +14,9 @@ the regular part nonsingular here, so the cosquare takes no SVD;
 eig_normal brackets its cluster radius and takes no SVD when the
 bracket decides the clusters, and it rotates only the clusters whose
 Rayleigh residual is above rounding noise.  The budgets count SVDs whose
-input has the size of the matrix handed in.
+input has the size of the matrix handed in.  Each matrix argument is
+validated once, by the entry point, and once more by each factorization
+layer it reaches.
 """
 
 import inspect
@@ -54,6 +56,7 @@ from canonica.factorizations import eig_normal
 from canonica.predicates import bar_block_dualities, classify
 from canonica.regularization import regularize
 from canonica.sampling import (
+    _hide,
     default_rng,
     random_congruence_instance,
     random_conjugate_normal_instance,
@@ -376,31 +379,25 @@ def boundary(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("library code called norm or rel_residual")
 
-    patches = {matrix.as_matrix: counted(matrix.as_matrix, "as_matrix")}
-    patches.update({getattr(m, name): counted(getattr(m, name), "layers") for m, name in LAYERS})
-    patches.update({matrix.norm: refuse, matrix.rel_residual: refuse})
-    for module_name, module in list(sys.modules.items()):
-        if module_name.startswith("canonica"):
-            for name, obj in list(vars(module).items()):
-                if callable(obj) and obj in patches:
-                    monkeypatch.setattr(module, name, patches[obj])
+    patches = [(matrix, "as_matrix", counted(matrix.as_matrix, "as_matrix"))]
+    patches += [(owner, name, counted(getattr(owner, name), "layers")) for owner, name in LAYERS]
+    patches += [(matrix, "norm", refuse), (matrix, "rel_residual", refuse)]
+    for owner, name, new in patches:
+        original = getattr(owner, name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("canonica") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, new)
     return record
-
-
-def _hidden(blocks, gen, star):
-    d = direct_sum(blocks)
-    v = random_unitary(d.shape[0], gen)
-    return v @ d @ (v.conj().T if star else v.T)
 
 
 def _real_mu(n, gen, singular, star):
     # 1-by-1 entries and pair blocks with real mu: conj(a) a and a^2 are
     # Hermitian.
     blocks = [np.zeros((1, 1)), antidiag_block(1.7, 0.0)] if singular else []
-    left = n - len(blocks) - singular
+    left = n - 3 if singular else n
     blocks += [antidiag_block(1.2, (0.3, -0.5)[i % 2]) for i in range(left // 3)]
     blocks += [np.array([[0.6 + 0.3 * i]]) for i in range(left - 2 * (left // 3))]
-    return _hidden(blocks, gen, star)
+    return _hide(direct_sum(blocks), gen, transpose=not star)
 
 
 def _quadratic(n, gen, singular):
@@ -484,13 +481,9 @@ def test_each_matrix_is_validated_once_at_the_boundary(boundary, entry, n, singu
     if singular and not has_singular:
         pytest.skip("the class has no singular members")
     args = build(n, default_rng(20261027 + n), singular)
-    matrices = [x for x in args if isinstance(x, np.ndarray)]
-    for m in matrices:
-        if singular:
-            m = m - 0.75 * np.eye(n) if entry == "canon_shifted_quadratic_normal" else m
-        assert (np.linalg.matrix_rank(m) < n) == singular
     call(*args)
-    assert boundary["as_matrix"] == len(matrices) + boundary["layers"]
+    matrices = sum(1 for x in args if isinstance(x, np.ndarray))
+    assert boundary["as_matrix"] == matrices + boundary["layers"]
 
 
 def test_boundary_counter_sees_the_checks(boundary):
